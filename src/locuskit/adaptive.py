@@ -23,7 +23,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .estimators import Dataset, local_linear_predict, loo_error
-from .kernels import gaussian, gram, normalize_rows
+from .kernels import gaussian, gram, normalize_rows, softmax_rows
 
 __all__ = [
     "TuneResult",
@@ -64,8 +64,7 @@ def _loo_kde_nll(h, data: Dataset) -> float:
     # negative leave-one-out log likelihood of the Gaussian KDE
     X = data.X
     n, p = X.shape
-    d2 = ((X[:, None, :] - X[None, :, :]) ** 2).sum(-1)
-    W = np.exp(-d2 / (2.0 * h * h))
+    W = gram(gaussian(h), X, X).values
     np.fill_diagonal(W, 0.0)
     c = (2.0 * math.pi * h * h) ** (-p / 2.0)
     dens = c * W.sum(1) / (n - 1)
@@ -270,10 +269,7 @@ def _attention_matrix(form, phi, psi, mask_diagonal):
         S = phi @ psi.T / math.sqrt(d)
         if mask_diagonal:
             np.fill_diagonal(S, -np.inf)
-        S = S - S.max(axis=1, keepdims=True)
-        E = np.exp(S)
-        A = E / E.sum(axis=1, keepdims=True)
-        return A
+        return softmax_rows(S)
     B = softplus(phi) @ softplus(psi).T
     if mask_diagonal:
         np.fill_diagonal(B, 0.0)
@@ -318,12 +314,7 @@ def qkv_objective(
         M = v if w is None else v @ w.T  # decoded values
 
         if form == "softmax":
-            S = phi @ psi.T / math.sqrt(d)
-            if mask_diagonal:
-                np.fill_diagonal(S, -np.inf)
-            S = S - S.max(axis=1, keepdims=True)
-            E = np.exp(S)
-            A = E / E.sum(axis=1, keepdims=True)
+            A = _attention_matrix(form, phi, psi, mask_diagonal)
             R = A @ M - target
             loss = float((R * R).sum())
             G = 2.0 * R

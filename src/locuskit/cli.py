@@ -340,14 +340,9 @@ def _run_amds(cfg, out, seed):
 
 def _run_trimap(cfg, out, seed):
     data = _resolve_input(cfg["input"], "features-only")
-    h = float(cfg["similarity_h"])
-
-    def sim(a, b):
-        return float(np.exp(-((a - b) ** 2).sum() / (2.0 * h * h)))
-
     res = trimap_embed(
         data.X,
-        sim,
+        gaussian(float(cfg["similarity_h"])),
         q=int(cfg["q"]),
         h=cfg["transform"],
         steps=int(cfg["steps"]),

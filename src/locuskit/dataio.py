@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 import tempfile
 
@@ -51,13 +52,16 @@ def atomic_write_text(path, text: str) -> None:
 
 def _parse_cell(raw: str, row: int, col: int) -> float:
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
         raise ParseError(
-            f"row {row}, column {col}: {raw!r} is not a decimal float",
+            f"row {row}, column {col}: {raw!r} is not a finite decimal float",
             row=row,
             column=col,
-        ) from None
+        )
+    return value
 
 
 def ingest_csv(path, schema: str):

@@ -28,6 +28,7 @@ from .kernels import (
     NeighborhoodKernel,
     as_point,
     as_point_set,
+    gaussian,
     pairwise_sq_dists,
 )
 
@@ -81,7 +82,7 @@ def kde_gradient(h: float, X, x_star) -> np.ndarray:
     x_star = as_point(x_star)
     p = X.shape[1]
     c = (2.0 * math.pi * h * h) ** (-p / 2.0)
-    w = c * np.exp(-((X - x_star) ** 2).sum(1) / (2.0 * h * h))
+    w = c * gaussian(h).gram_values(x_star[None, :], X)[0]
     return (w @ (X - x_star)) / (h * h * X.shape[0])
 
 
@@ -108,7 +109,7 @@ def mean_shift_vector(h: float, X, x_star) -> np.ndarray:
     """Gaussian mean-shift vector ``m_K(x*) - x*``."""
     X = as_point_set(X)
     x_star = as_point(x_star)
-    w = np.exp(-((X - x_star) ** 2).sum(1) / (2.0 * h * h))
+    w = gaussian(h).gram_values(x_star[None, :], X)[0]
     total = w.sum()
     if total <= 0:
         raise EmptyNeighborhood(f"no kernel weight at {x_star!r}")

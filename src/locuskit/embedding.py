@@ -13,7 +13,8 @@ from .errors import (
     InvalidParameter,
     NegativeInputForNMF,
 )
-from .kernels import StochasticMatrix, as_point_set, normalize_rows
+from .estimators import _fix_signs
+from .kernels import StochasticMatrix, as_point_set, normalize_rows, pairwise_sq_dists
 
 __all__ = [
     "EmbeddingResult",
@@ -44,15 +45,6 @@ class WordVectors:
     output_vectors: np.ndarray
 
 
-def _fix_signs(V: np.ndarray) -> np.ndarray:
-    V = V.copy()
-    for j in range(V.shape[1]):
-        i = int(np.argmax(np.abs(V[:, j])))
-        if V[i, j] < 0:
-            V[:, j] = -V[:, j]
-    return V
-
-
 # ---------------------------------------------------------------------------
 # LLE
 # ---------------------------------------------------------------------------
@@ -71,11 +63,11 @@ def lle_weights(X, n_neighbors: int) -> StochasticMatrix:
     n_neighbors = int(n_neighbors)
     if not 1 <= n_neighbors < n:
         raise InvalidParameter(f"neighbor count must be in [1, {n - 1}]")
+    D2 = pairwise_sq_dists(X, X)
+    np.fill_diagonal(D2, np.inf)
     W = np.zeros((n, n))
     for i in range(n):
-        d2 = ((X - X[i]) ** 2).sum(1)
-        d2[i] = np.inf
-        nbr = np.lexsort((np.arange(n), d2))[:n_neighbors]
+        nbr = np.lexsort((np.arange(n), D2[i]))[:n_neighbors]
         Z = X[nbr] - X[i]
         C = Z @ Z.T
         ones = np.ones(n_neighbors)

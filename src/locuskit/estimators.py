@@ -22,7 +22,9 @@ from .errors import (
     SingularSystem,
     ZeroDenominator,
 )
-from .kernels import Kernel, SelfKernel, as_point, as_point_set, gram, normalize_rows
+from .kernels import (
+    Kernel, SelfKernel, as_point, as_point_set, gram, normalize_rows, pairwise_sq_dists, softmax_rows,
+)
 
 __all__ = [
     "Dataset",
@@ -125,9 +127,10 @@ def weights_at(k: Kernel, X: np.ndarray, x_star) -> np.ndarray:
     return k.gram_values(x_star[None, :], X)[0]
 
 
-def _nearest_index(X, x_star):
-    d2 = ((as_point_set(X) - as_point(x_star)) ** 2).sum(1)
-    return int(np.lexsort((np.arange(len(d2)), d2))[0])
+def _nearest_order(X, x_star) -> np.ndarray:
+    """Sample indices by distance to x*, distance ties broken by ascending index."""
+    d2 = pairwise_sq_dists(as_point(x_star)[None, :], X)[0]
+    return np.lexsort((np.arange(len(d2)), d2))
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +243,7 @@ def local_mean_predict(k: Kernel, data: Dataset, x_star, fallback="error"):
     total = w.sum()
     if total <= 0:
         if fallback == "nearest-neighbor":
-            return data.y[_nearest_index(data.X, x_star)]
+            return data.y[_nearest_order(data.X, x_star)[0]]
         raise EmptyNeighborhood(f"no positive kernel weights at {x_star!r}")
     pred = (w @ np.atleast_2d(data.y.T).T) / total
     return pred if data.y.ndim > 1 else float(pred[0])
@@ -311,8 +314,7 @@ def knn_predict(n_neighbors: int, data: Dataset, x_star, weight_kernel: Kernel |
         raise InvalidParameter(f"neighbor count must be in [1, {data.n}]")
     if data.kind == "none":
         raise InvalidParameter("knn prediction needs targets")
-    d2 = ((data.X - as_point(x_star)) ** 2).sum(1)
-    idx = np.lexsort((np.arange(data.n), d2))[:n_neighbors]
+    idx = _nearest_order(data.X, x_star)[:n_neighbors]
     if weight_kernel is None:
         w = np.ones(n_neighbors)
     else:
@@ -506,10 +508,7 @@ def centerless_lazy_responsibilities(K: np.ndarray, D: np.ndarray, R: np.ndarray
     den = K @ R
     if (den <= 0).any():
         raise ZeroDenominator("a class received zero total weight")
-    logits = -num / den
-    logits = logits - logits.max(axis=1, keepdims=True)
-    E = np.exp(logits)
-    return E / E.sum(axis=1, keepdims=True)
+    return softmax_rows(-num / den)
 
 
 # ---------------------------------------------------------------------------

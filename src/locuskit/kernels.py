@@ -75,6 +75,7 @@ __all__ = [
     "as_point",
     "as_point_set",
     "pairwise_sq_dists",
+    "softmax_rows",
 ]
 
 
@@ -101,15 +102,37 @@ def as_point_set(X) -> np.ndarray:
 
 
 def pairwise_sq_dists(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distances between the rows of A (N, p) and B (M, p)."""
+    """Squared Euclidean distances between the rows of A (N, p) and B (M, p).
+
+    Both sets are shifted by the coordinate-wise midrange of A before
+    ``||a||^2 + ||b||^2 - 2 a.b`` is expanded, so data far from the origin
+    keep their precision; a single query row is shifted to exactly 0.
+    """
     A = as_point_set(A)
     B = as_point_set(B)
     if A.shape[1] != B.shape[1]:
         raise DimensionMismatch(
             f"point dimensions differ: {A.shape[1]} vs {B.shape[1]}"
         )
+    if A.shape[0]:
+        center = 0.5 * (A.min(axis=0) + A.max(axis=0))
+        A = A - center
+        B = B - center
     d2 = (A * A).sum(1)[:, None] + (B * B).sum(1)[None, :] - 2.0 * (A @ B.T)
     return np.maximum(d2, 0.0)
+
+
+def softmax_rows(S) -> np.ndarray:
+    """Row-wise softmax ``exp(S_ij) / sum_j exp(S_ij)`` of a 2-D score matrix.
+
+    Subtracting the row max first keeps large scores from overflowing and
+    gives ``-inf`` (masked) scores weight exactly 0.  S is left untouched.
+    """
+    S = np.asarray(S, dtype=float)
+    A = S - S.max(axis=1, keepdims=True)
+    np.exp(A, out=A)
+    A /= A.sum(axis=1, keepdims=True)
+    return A
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidParameter, ShapeMismatch
-from .kernels import Kernel, KernelMatrix, as_point_set, gram, normalize_rows
+from .kernels import Kernel, KernelMatrix, as_point_set, gram, normalize_rows, softmax_rows
 
 __all__ = [
     "Sequence",
@@ -158,10 +158,7 @@ def attention_layer(V, phi, psi, causal: bool = False) -> np.ndarray:
     if causal:
         T = S.shape[0]
         S = np.where(np.arange(T)[None, :] > np.arange(T)[:, None], -np.inf, S)
-    S = S - S.max(axis=1, keepdims=True)
-    E = np.exp(S)
-    A = E / E.sum(axis=1, keepdims=True)
-    return A @ V
+    return softmax_rows(S) @ V
 
 
 @dataclass(frozen=True)
@@ -209,15 +206,9 @@ class TransformerLayer:
 
     def mix(self, X, causal: bool) -> np.ndarray:
         if self.kernel is not None:
-            vals = gram(self.kernel, X, X).values.copy()
-            if causal:
-                T = vals.shape[0]
-                vals[np.arange(T)[None, :] > np.arange(T)[:, None]] = 0.0
-            S = normalize_rows(vals)
-            out = S.values @ X
-            if S.empty_rows.size:
-                out[S.empty_rows] = X[S.empty_rows]
-            return out
+            seq = Sequence(X)
+            gram_matrix = temporal_gram(self.kernel, PositionEncoding(), seq, causal)
+            return temporal_local_mean(seq, gram_matrix).tokens
         return attention_layer(X, X @ self.wq, X @ self.wk, causal=causal)
 
 

@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import EmptyNeighborhood, InvalidParameter
 from .estimators import Dataset, LocalPcaBasis, local_pca
-from .kernels import Kernel, as_point_set, gram, normalize_rows
+from .kernels import Kernel, as_point_set, gram, normalize_rows, pairwise_sq_dists
 
 __all__ = [
     "ShiftResult",
@@ -48,6 +48,12 @@ class ShiftResult:
 
     def trajectory_of(self, i) -> np.ndarray:
         return np.stack([snap[i] for snap in self.trajectories])
+
+
+def _first_seen_labels(keys) -> np.ndarray:
+    """Dense labels 0, 1, ... numbering the distinct keys by first appearance."""
+    order = {}
+    return np.array([order.setdefault(key, len(order)) for key in keys])
 
 
 def _default_tol(X, tol):
@@ -154,7 +160,7 @@ def extract_clusters(converged, merge_radius: float):
             i = parent[i]
         return i
 
-    d2 = ((P[:, None, :] - P[None, :, :]) ** 2).sum(-1)
+    d2 = pairwise_sq_dists(P, P)
     r2 = merge_radius * merge_radius
     for i in range(n):
         close = np.flatnonzero(d2[i] < r2)
@@ -162,10 +168,8 @@ def extract_clusters(converged, merge_radius: float):
             ri, rj = find(i), find(j)
             if ri != rj:
                 parent[max(ri, rj)] = min(ri, rj)
-    roots = np.array([find(i) for i in range(n)])
-    order = {}
-    labels = np.array([order.setdefault(r, len(order)) for r in roots])
-    centers = np.stack([P[labels == c].mean(axis=0) for c in range(len(order))])
+    labels = _first_seen_labels(find(i) for i in range(n))
+    centers = np.stack([P[labels == c].mean(axis=0) for c in range(labels.max() + 1)])
     return labels, centers
 
 
@@ -267,13 +271,8 @@ def medoid_shift(k: Kernel, d, X, merge_radius: float | None = None):
         roots = np.unique(reps)
         root_labels, _ = extract_clusters(X[roots], merge_radius)
         root_of = dict(zip(roots.tolist(), root_labels.tolist()))
-        merged = np.array([root_of[r] for r in reps])
-        order = {}
-        labels = np.array([order.setdefault(c, len(order)) for c in merged])
-        return mapping, labels, reps
-    order = {}
-    labels = np.array([order.setdefault(r, len(order)) for r in reps])
-    return mapping, labels, reps
+        return mapping, _first_seen_labels(root_of[r] for r in reps), reps
+    return mapping, _first_seen_labels(reps), reps
 
 
 def nn_shift(X, seed_indices, delta: float):
@@ -294,7 +293,7 @@ def nn_shift(X, seed_indices, delta: float):
     labels = np.full(n, -1, dtype=int)
     labels[seed_indices] = np.arange(seed_indices.size)
     edges = []
-    d = np.sqrt(((X[:, None, :] - X[None, :, :]) ** 2).sum(-1))
+    d = np.sqrt(pairwise_sq_dists(X, X))
     while True:
         labeled = np.flatnonzero(labels >= 0)
         unlabeled = np.flatnonzero(labels < 0)

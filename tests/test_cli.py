@@ -57,6 +57,14 @@ class TestIngest:
             ingest_csv(p, "features+target")
         assert err.value.row == 7
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_cell_names_row_and_column(self, tmp_path, cell):
+        p = tmp_path / "bad.csv"
+        p.write_text(f"x,y\n1,2\n3,{cell}\n")
+        with pytest.raises(ParseError) as err:
+            ingest_csv(p, "features+target")
+        assert (err.value.row, err.value.column) == (2, 1)
+
     def test_schema_mismatch(self, tmp_path):
         p = tmp_path / "one.csv"
         p.write_text("x\n1\n2\n")
@@ -257,6 +265,16 @@ class TestMainExitCodes:
         err = capsys.readouterr().err.strip()
         payload = json.loads(err)
         assert payload["error"] == "validation"
+
+    def test_nan_cell_exit_two(self, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        data.write_text("x0,x1,label\n0,0,0\n0.1,nan,0\n5,5,1\n5.1,5,1\n")
+        cfg = write_config(tmp_path, "c.json", {"input": str(data), "seed": 1})
+        code = main(["cluster-meanshift", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert code == 2
+        payload = json.loads(capsys.readouterr().err.strip())
+        assert payload["error"] == "validation"
+        assert "row 2, column 1" in payload["message"]
 
     def test_single_element_grid(self, tmp_path, capsys):
         cfg = write_config(

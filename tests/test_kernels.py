@@ -28,7 +28,9 @@ from locuskit.kernels import (
     make_kernel,
     neighborhood,
     normalize_rows,
+    pairwise_sq_dists,
     smoothing_norm,
+    softmax_rows,
     uniform,
 )
 
@@ -122,6 +124,19 @@ class TestGram:
         G = gram(gaussian(0.7), X, Y).values
         Gp = gram(gaussian(0.7), X[perm], Y).values
         np.testing.assert_array_equal(G[perm], Gp)
+
+    def test_distances_survive_a_large_offset(self):
+        np.testing.assert_allclose(pairwise_sq_dists([[1e8]], [[1e8 + 1e-3]]), [[1e-6]], rtol=1e-3)
+        X = np.random.default_rng(5).normal(size=(6, 2))
+        np.testing.assert_allclose(
+            pairwise_sq_dists(X + 1e8, X + 1e8), pairwise_sq_dists(X, X), atol=1e-6
+        )
+
+    def test_gaussian_gram_is_translation_invariant(self):
+        far = gram(gaussian(0.01), [[1e8]], [[1e8 + 0.005]]).values
+        near = gram(gaussian(0.01), [[0.0]], [[0.005]]).values
+        assert near[0, 0] == pytest.approx(0.8825, abs=1e-4)
+        np.testing.assert_allclose(far, near, rtol=1e-6)
 
     def test_elementwise_agreement_with_eval(self):
         rng = np.random.default_rng(4)
@@ -259,6 +274,28 @@ class TestNormalizeRows:
             sums = S.values.sum(axis=1)
             keep = np.setdiff1d(np.arange(K.shape[0]), S.empty_rows)
             np.testing.assert_allclose(sums[keep], 1.0, atol=1e-12)
+
+
+class TestSoftmaxRows:
+    def test_masked_entries_get_exactly_zero(self):
+        A = softmax_rows([[0.0, -np.inf, 1.0], [-np.inf, 2.0, -np.inf]])
+        assert A[0, 1] == 0.0
+        np.testing.assert_array_equal(A[1], [0.0, 1.0, 0.0])
+        assert A[0, 2] / A[0, 0] == pytest.approx(math.e, rel=1e-15)
+
+    def test_rows_sum_to_one_and_input_kept(self):
+        S = 10.0 * np.random.default_rng(6).normal(size=(7, 5))
+        before = S.copy()
+        A = softmax_rows(S)
+        np.testing.assert_allclose(A.sum(axis=1), 1.0, rtol=1e-14)
+        E = np.exp(S)
+        np.testing.assert_allclose(A, E / E.sum(axis=1, keepdims=True), rtol=1e-12)
+        np.testing.assert_array_equal(S, before)
+
+    def test_huge_logits_do_not_overflow(self):
+        with np.errstate(over="raise", invalid="raise"):
+            A = softmax_rows([[1e300, 1e300], [1e300, -1e300]])
+        np.testing.assert_array_equal(A, [[0.5, 0.5], [1.0, 0.0]])
 
 
 class TestLaplacian:

@@ -167,6 +167,12 @@ class TestTransformer:
         out = transformer_encode(seq, [TransformerLayer(kernel=uniform())])
         np.testing.assert_allclose(out.tokens, np.tile([2.0, 2.0], (3, 1)), atol=1e-12)
 
+    def test_causal_uniform_attention_gives_running_means(self):
+        X = np.random.default_rng(13).normal(size=(5, 2))
+        out = transformer_encode(Sequence(X), [TransformerLayer(kernel=uniform())], causal=True)
+        running = np.cumsum(X, axis=0) / np.arange(1, 6)[:, None]
+        np.testing.assert_allclose(out.tokens, running, atol=1e-12)
+
     def test_two_layer_straight_line_oracle(self):
         rng = np.random.default_rng(8)
         T, p = 4, 3
