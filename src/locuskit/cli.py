@@ -233,7 +233,17 @@ def _run_meanshift(cfg, out, seed):
         merge_radius=cfg["merge_radius"],
     )
     runtime = time.perf_counter() - start
-    metrics = {"n_clusters": int(res.labels.max()) + 1, "runtime_s": runtime}
+    metrics = {
+        "n_clusters": int(res.labels.max()) + 1,
+        "runtime_s": runtime,
+        "diagnostics": {
+            "counters": {
+                "sweeps": len(res.trajectories) - 1,
+                "unconverged_rows": int((~res.converged_flags & ~res.empty_flags).sum()),
+                "empty_rows": int(res.empty_flags.sum()),
+            }
+        },
+    }
     if cfg["labeled"]:
         metrics["ari"] = adjusted_rand_index(data.y, res.labels)
     header = _feature_header(data.p) + ["cluster"]

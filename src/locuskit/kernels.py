@@ -118,8 +118,11 @@ def pairwise_sq_dists(A: np.ndarray, B: np.ndarray) -> np.ndarray:
         center = 0.5 * (A.min(axis=0) + A.max(axis=0))
         A = A - center
         B = B - center
-    d2 = (A * A).sum(1)[:, None] + (B * B).sum(1)[None, :] - 2.0 * (A @ B.T)
-    return np.maximum(d2, 0.0)
+    G = A @ B.T
+    G *= 2.0
+    d2 = np.add.outer((A * A).sum(1), (B * B).sum(1))
+    d2 -= G
+    return np.maximum(d2, 0.0, out=d2)
 
 
 def softmax_rows(S) -> np.ndarray:
@@ -192,7 +195,9 @@ class GaussianKernel(Kernel):
         return math.exp(-d2 / (2.0 * self.h * self.h))
 
     def gram_values(self, rows, cols):
-        return np.exp(-pairwise_sq_dists(rows, cols) / (2.0 * self.h * self.h))
+        W = pairwise_sq_dists(rows, cols)
+        W /= -(2.0 * self.h * self.h)
+        return np.exp(W, out=W)
 
 
 @dataclass(frozen=True)

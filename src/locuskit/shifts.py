@@ -89,7 +89,8 @@ def mean_shift(
     itself.  Convergence of a query means the undamped mean-shift vector
     ``||m_K(q) - q||`` has dropped below ``tol`` (default: 1e-8 times the
     bounding-box diagonal of X).  Queries whose kernel weights all vanish
-    are flagged and frozen in place.
+    are flagged and frozen in place.  Each sweep evaluates the gram of the
+    live queries only, so converged and frozen rows cost nothing.
     """
     X = as_point_set(X)
     if not 0.0 < alpha <= 1.0:
@@ -107,24 +108,21 @@ def mean_shift(
     ref = X.copy()
 
     for sweep in range(1, max_iter + 1):
-        if not live.any():
+        rows = np.flatnonzero(live)
+        if not rows.size:
             break
-        W = k.gram_values(Q, ref)
-        deg = W.sum(axis=1)
-        dead = (deg <= 0) & live
-        if dead.any():
-            empty |= dead
-            live &= ~dead
-        m = np.zeros_like(Q)
+        W = k.gram_values(Q[rows], ref)
+        num, deg = W @ ref, W.sum(axis=1)
+        del W  # free this gram before the next sweep builds its own
+        dead = rows[deg <= 0]
+        empty[dead] = True
+        live[dead] = False
         ok = deg > 0
-        m[ok] = (W[ok] @ ref) / deg[ok, None]
-        shift = np.zeros(n)
-        shift[ok] = np.linalg.norm(m[ok] - Q[ok], axis=1)
-        step_mask = live & ok
-        Q[step_mask] = alpha * m[step_mask] + (1 - alpha) * Q[step_mask]
-        settled = step_mask & (shift < tol)
+        rows, m = rows[ok], num[ok] / deg[ok, None]
+        shift = np.linalg.norm(m - Q[rows], axis=1)
+        Q[rows] = alpha * m + (1 - alpha) * Q[rows]
         iterations[live] = sweep
-        live &= ~settled
+        live[rows[shift < tol]] = False
         trajectories.append(Q.copy())
         if overwrite:
             ref = Q.copy()
@@ -145,31 +143,26 @@ def mean_shift(
 def extract_clusters(converged, merge_radius: float):
     """Single-linkage merge of converged points within ``merge_radius``.
 
-    Labels are dense and deterministic by first-seen order; centers are the
-    per-cluster means.
+    The clusters are the connected components of the N x N boolean matrix
+    ``d2 < merge_radius**2``, labelled breadth-first from the lowest
+    unlabelled index, so labels are dense in first-seen order; centers are
+    the per-cluster means.
     """
     P = as_point_set(converged)
     if not merge_radius > 0:
         raise InvalidParameter("merge_radius must be positive")
-    n = P.shape[0]
-    parent = np.arange(n)
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    d2 = pairwise_sq_dists(P, P)
-    r2 = merge_radius * merge_radius
-    for i in range(n):
-        close = np.flatnonzero(d2[i] < r2)
-        for j in close[close > i]:
-            ri, rj = find(i), find(j)
-            if ri != rj:
-                parent[max(ri, rj)] = min(ri, rj)
-    labels = _first_seen_labels(find(i) for i in range(n))
-    centers = np.stack([P[labels == c].mean(axis=0) for c in range(labels.max() + 1)])
+    near = pairwise_sq_dists(P, P) < merge_radius * merge_radius
+    labels = np.full(P.shape[0], -1)
+    count = 0
+    for i in range(P.shape[0]):
+        if labels[i] < 0:
+            labels[i] = count
+            frontier = np.flatnonzero(near[i] & (labels < 0))
+            while frontier.size:
+                labels[frontier] = count
+                frontier = np.flatnonzero(near[frontier].any(axis=0) & (labels < 0))
+            count += 1
+    centers = np.stack([P[labels == c].mean(axis=0) for c in range(count)])
     return labels, centers
 
 

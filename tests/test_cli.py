@@ -101,6 +101,19 @@ class TestRunTask:
         for artifact in ("results.csv", "metrics.json", "plot.svg", "trajectories.csv"):
             assert (tmp_path / artifact).exists()
 
+    def test_meanshift_counters(self, tmp_path):
+        cfg = {"input": "bundled:two-blobs", "seed": 7}
+        run_task("cluster-meanshift", cfg, str(tmp_path / "full"))
+        counters = json.load(open(tmp_path / "full" / "metrics.json"))["diagnostics"]["counters"]
+        n = len((tmp_path / "full" / "results.csv").read_text().splitlines()) - 1
+        snapshots = len((tmp_path / "full" / "trajectories.csv").read_text().splitlines()) - 1
+        assert counters == {"sweeps": snapshots // n - 1, "unconverged_rows": 0, "empty_rows": 0}
+        assert counters["sweeps"] > 1
+        run_task("cluster-meanshift", {**cfg, "max_iter": 1}, str(tmp_path / "cut"))
+        counters = json.load(open(tmp_path / "cut" / "metrics.json"))["diagnostics"]["counters"]
+        assert counters["sweeps"] == 1 and counters["empty_rows"] == 0
+        assert 0 < counters["unconverged_rows"] <= n
+
     def test_medoidshift_bundled(self, tmp_path):
         metrics = run_task(
             "cluster-medoidshift",

@@ -148,6 +148,54 @@ class TestGram:
                     assert G[i, j] == pytest.approx(eval_kernel(k, X[i], X[j]), abs=1e-14)
 
 
+def expanded_sq_dists(A, B):
+    """The midrange-shifted expansion written as one expression."""
+    A, B = as_point_set(A), as_point_set(B)
+    if A.shape[0]:
+        center = 0.5 * (A.min(axis=0) + A.max(axis=0))
+        A, B = A - center, B - center
+    return np.maximum((A * A).sum(1)[:, None] + (B * B).sum(1)[None, :] - 2.0 * (A @ B.T), 0.0)
+
+
+class TestDistanceArithmetic:
+    """pairwise_sq_dists and the Gaussian gram work in place on their own
+    temporaries; the values must equal the plain expression bit for bit."""
+
+    CASES = {
+        "random": (0, 0.0, 40, 55, 3),
+        "far-offset": (1, 1e8, 30, 25, 2),
+        "single-query": (2, 0.0, 1, 300, 2),
+        "no-rows": (3, 0.0, 0, 7, 2),
+        "no-cols": (4, 0.0, 6, 0, 2),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_bit_identical_to_expression(self, case):
+        seed, offset, n, m, p = self.CASES[case]
+        rng = np.random.default_rng(seed)
+        A = rng.normal(size=(n, p)) + offset
+        B = rng.normal(size=(m, p)) + offset
+        A0, B0 = A.copy(), B.copy()
+        D = pairwise_sq_dists(A, B)
+        want = expanded_sq_dists(A0, B0)
+        assert D.shape == want.shape == (n, m)
+        assert np.array_equal(D, want)
+        W = gaussian(0.7).gram_values(A, B)
+        assert np.array_equal(W, np.exp(-want / (2.0 * 0.7 * 0.7)))
+        assert np.array_equal(A, A0) and np.array_equal(B, B0)
+        for out in (D, W):
+            assert not np.shares_memory(out, A) and not np.shares_memory(out, B)
+        assert not np.shares_memory(D, W)
+
+    def test_self_distances_do_not_alias_input(self):
+        X = np.random.default_rng(6).normal(size=(5, 2))
+        X0 = X.copy()
+        D = pairwise_sq_dists(X, X)
+        assert not np.shares_memory(D, X)
+        assert np.array_equal(X, X0)
+        assert np.array_equal(D, expanded_sq_dists(X0, X0))
+
+
 class TestBuiltinSymmetry:
     @pytest.mark.parametrize("maker", [lambda: gaussian(0.9), lambda: epanechnikov(1.3), lambda: neighborhood(1.1)])
     def test_symmetric_and_self_dual(self, maker):

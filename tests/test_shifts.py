@@ -11,6 +11,7 @@ from locuskit.kernels import (
     epanechnikov,
     feature_kernel,
     gaussian,
+    pairwise_sq_dists,
     uniform,
 )
 from locuskit.shifts import (
@@ -348,3 +349,149 @@ class TestMedoidMergeAndPcShiftEdge:
         np.testing.assert_array_equal(res.converged, X)
         assert res.converged_flags.all()
         assert (res.iterations == 0).all()
+
+
+def union_find_clusters(P, merge_radius):
+    """Reference single linkage: union-find over every close pair i < j,
+    roots at the lowest index, labels by first-seen root, mean centers."""
+    P = np.asarray(P, dtype=float)
+    n = P.shape[0]
+    parent = list(range(n))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    d2 = pairwise_sq_dists(P, P)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if d2[i, j] < merge_radius * merge_radius:
+                ri, rj = find(i), find(j)
+                parent[max(ri, rj)] = min(ri, rj)
+    order = {}
+    labels = np.array([order.setdefault(find(i), len(order)) for i in range(n)])
+    centers = np.stack([P[labels == c].mean(axis=0) for c in range(len(order))])
+    return labels, centers
+
+
+def shuffled_chain(seed, n=400, step=0.1):
+    rng = np.random.default_rng(seed)
+    t = np.arange(n) * step
+    pts = np.column_stack([t, np.sin(t)])
+    return pts[rng.permutation(n)]
+
+
+class TestExtractClustersAgainstUnionFind:
+    CASES = {
+        "many-components": (lambda: np.random.default_rng(30).uniform(0.0, 10.0, (400, 2)), 0.35),
+        "shuffled-chain": (lambda: shuffled_chain(31), 0.15),
+        "duplicates": (lambda: np.random.default_rng(32).integers(0, 6, (300, 2)).astype(float), 0.5),
+        "singletons": (lambda: np.random.default_rng(33).permutation(
+            np.stack(np.meshgrid(np.arange(15.0), np.arange(12.0)), -1).reshape(-1, 2)), 0.5),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_labels_and_centers_equal_reference(self, case):
+        make, radius = self.CASES[case]
+        P = make()
+        labels, centers = extract_clusters(P, radius)
+        want_labels, want_centers = union_find_clusters(P, radius)
+        np.testing.assert_array_equal(labels, want_labels)
+        np.testing.assert_array_equal(centers, want_centers)
+
+    def test_cases_exercise_what_they_name(self):
+        labels, _ = extract_clusters(self.CASES["many-components"][0](), 0.35)
+        assert 20 < labels.max() + 1 < 400
+        chain = shuffled_chain(31)
+        labels, _ = extract_clusters(chain, 0.15)
+        assert (labels == 0).all()  # one component, hundreds of hops deep
+        dup = self.CASES["duplicates"][0]()
+        labels, _ = extract_clusters(dup, 0.5)
+        assert labels.max() + 1 == len(np.unique(dup, axis=0))
+        grid = self.CASES["singletons"][0]()
+        labels, _ = extract_clusters(grid, 0.5)
+        np.testing.assert_array_equal(labels, np.arange(len(grid)))
+
+
+def all_rows_mean_shift(k, X, queries=None, alpha=1.0, tol=1e-8, max_iter=500, overwrite=False):
+    """Reference loop: every sweep evaluates the gram of every row and then
+    updates only the rows still live."""
+    X = np.asarray(X, dtype=float)
+    Q = (X if queries is None else np.asarray(queries, dtype=float)).copy()
+    n = Q.shape[0]
+    live = np.ones(n, dtype=bool)
+    empty = np.zeros(n, dtype=bool)
+    iterations = np.zeros(n, dtype=int)
+    trajectories = [Q.copy()]
+    ref = X.copy()
+    for sweep in range(1, max_iter + 1):
+        if not live.any():
+            break
+        W = k.gram_values(Q, ref)
+        deg = W.sum(axis=1)
+        dead = (deg <= 0) & live
+        empty |= dead
+        live &= ~dead
+        m = np.zeros_like(Q)
+        ok = deg > 0
+        m[ok] = (W[ok] @ ref) / deg[ok, None]
+        shift = np.zeros(n)
+        shift[ok] = np.linalg.norm(m[ok] - Q[ok], axis=1)
+        step = live & ok
+        Q[step] = alpha * m[step] + (1 - alpha) * Q[step]
+        iterations[live] = sweep
+        live &= ~(step & (shift < tol))
+        trajectories.append(Q.copy())
+        if overwrite:
+            ref = Q.copy()
+    return trajectories, iterations, ~live & ~empty, empty
+
+
+class TestLiveRowMeanShiftAgainstAllRows:
+    def check(self, k, X, **kw):
+        got = mean_shift(k, X, **kw)
+        traj, iterations, converged_flags, empty_flags = all_rows_mean_shift(k, X, **kw)
+        np.testing.assert_array_equal(got.iterations, iterations)
+        np.testing.assert_array_equal(got.converged_flags, converged_flags)
+        np.testing.assert_array_equal(got.empty_flags, empty_flags)
+        # The gram of a row subset is centred on that subset's midrange, and
+        # a BLAS product's rounding depends on how many rows it holds, so
+        # positions agree to a few units in the last place of the data scale.
+        atol = 16 * np.finfo(float).eps * np.abs(traj[0]).max()
+        assert len(got.trajectories) == len(traj)
+        for snap, want in zip(got.trajectories, traj):
+            np.testing.assert_allclose(snap, want, rtol=0, atol=atol)
+        np.testing.assert_array_equal(got.converged, got.trajectories[-1])
+        return got
+
+    def test_rows_settle_at_different_sweeps(self):
+        X, _ = two_blobs(seed=40, n=25, spread=1.0)
+        got = self.check(gaussian(1.0), X, alpha=0.7, tol=1e-6)
+        assert len(np.unique(got.iterations)) > 3
+
+    def test_two_dimensional_blobs(self):
+        rng = np.random.default_rng(41)
+        X = np.concatenate([rng.normal(c, 0.6, (30, 2)) for c in (0.0, 4.0)])
+        got = self.check(gaussian(0.8), X, tol=1e-7)
+        assert len(np.unique(got.iterations)) > 3
+
+    def test_far_queries_flagged_empty_and_frozen(self):
+        rng = np.random.default_rng(42)
+        X = rng.uniform(0.0, 2.0, (30, 1))
+        queries = np.concatenate([rng.uniform(0.0, 2.0, (10, 1)), [[50.0], [-40.0]]])
+        got = self.check(epanechnikov(0.6), X, queries=queries, tol=1e-9)
+        np.testing.assert_array_equal(got.empty_flags, [False] * 10 + [True, True])
+        np.testing.assert_array_equal(got.converged[10:], [[50.0], [-40.0]])
+        assert (got.iterations[10:] == 0).all() and got.converged_flags[:10].all()
+
+    def test_overwrite(self):
+        X, _ = two_blobs(seed=43, n=12, spread=0.8)
+        got = self.check(gaussian(1.0), X, overwrite=True, tol=1e-9)
+        assert got.converged_flags.all() and got.iterations.min() > 2
+
+    def test_max_iter_leaves_rows_live(self):
+        X, _ = two_blobs(seed=44, n=10)
+        got = self.check(gaussian(1.0), X, max_iter=2, tol=1e-12)
+        assert not got.converged_flags.any()
