@@ -182,14 +182,18 @@ def _run_regress(cfg, out, seed, linear: bool):
     data = _resolve_input(cfg["input"], "features+target")
     kernel = make_kernel(cfg["kernel"])
     preds = []
+    jittered = 0
     for x in data.X:
         if linear:
-            pred, _, _ = local_linear_predict(kernel, data, x, lam=cfg["lambda"])
+            pred, _, jit = local_linear_predict(kernel, data, x, lam=cfg["lambda"])
+            jittered += jit
         else:
             pred = local_mean_predict(kernel, data, x, fallback=cfg["fallback"])
         preds.append(float(pred))
     preds = np.asarray(preds)
     metrics = {"r2_train": r2_score(data.y, preds), "n": data.n}
+    if linear:
+        metrics["diagnostics"] = {"counters": {"jittered": jittered}}
     try:
         metrics["loo_error"] = loo_error(kernel, data)
     except LocusKitError:

@@ -9,10 +9,12 @@ attention is exactly the row-normalized gram of an exp-dot feature kernel.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DimensionMismatch, InvalidParameter, ShapeMismatch
 from .kernels import Kernel, KernelMatrix, as_point_set, gram, normalize_rows, softmax_rows
@@ -264,12 +266,48 @@ def local_local_mean(X, k1: Kernel, k2: Kernel, nonlinearity: str = "identity") 
 # non-local means
 # ---------------------------------------------------------------------------
 
-def _patches(values: np.ndarray, radius: int) -> np.ndarray:
-    T, p = values.shape
-    padded = np.concatenate(
-        [np.zeros((radius, p)), values, np.zeros((radius, p))], axis=0
-    )
-    return np.stack([padded[i : i + 2 * radius + 1].ravel() for i in range(T)])
+def _window_mean(values: np.ndarray, radius: int, weights) -> np.ndarray:
+    """Weighted mean of ``values`` (*grid, c) over the square window of
+    ``radius`` grid steps around each point, clipped at the edges.
+
+    The sum runs offset by offset: for each offset, ``weights(here, there)``
+    gives the weight that each point in the slices ``here`` puts on the
+    point that offset away, in ``there``.  Offset 0 must weigh 1, so no
+    denominator is 0.
+    """
+    grid = values.shape[:-1]
+    num = np.zeros(values.shape)
+    den = np.zeros(grid)
+    spans = [range(-min(radius, n - 1), min(radius, n - 1) + 1) for n in grid]
+    for offset in itertools.product(*spans):
+        here = tuple(slice(max(0, -o), n - max(0, o)) for o, n in zip(offset, grid))
+        there = tuple(slice(max(0, o), n + min(0, o)) for o, n in zip(offset, grid))
+        w = weights(here, there)
+        num[here] += w[..., None] * values[there]
+        den[here] += w
+    return num / den[..., None]
+
+
+def _nlm(values: np.ndarray, patch_radius: int, h: float, search_radius: int) -> np.ndarray:
+    """Non-local means of ``values`` (*grid, c) with zero-padded square
+    patches; shared by the sequence and image variants."""
+    r, s = int(patch_radius), int(search_radius)
+    if r < 0 or s < r:
+        raise InvalidParameter("need 0 <= patch_radius <= search_radius")
+    if not h > 0:
+        raise InvalidParameter("bandwidth must be positive")
+    ndim = values.ndim - 1
+    padded = np.pad(values, [(r, r)] * ndim + [(0, 0)])
+    windows = sliding_window_view(padded, (2 * r + 1,) * ndim, axis=tuple(range(ndim)))
+    # (*grid, c, *window) -> (*grid, *window, c): patch entries in window-major order
+    P = np.moveaxis(windows, ndim, -1).reshape(*values.shape[:-1], -1)
+    psize = P.shape[-1]
+
+    def weights(here, there):
+        d2 = ((P[there] - P[here]) ** 2).sum(axis=-1) / psize
+        return np.exp(-d2 / (2.0 * h * h))
+
+    return _window_mean(values, s, weights)
 
 
 def nlm_denoise(seq: Sequence, patch_radius: int, h: float, search_radius: int) -> Sequence:
@@ -281,89 +319,37 @@ def nlm_denoise(seq: Sequence, patch_radius: int, h: float, search_radius: int) 
     zero-padded at the boundaries.  patch_radius = 0 degenerates to a plain
     Gaussian-on-values local mean over the window.
     """
-    patch_radius = int(patch_radius)
-    search_radius = int(search_radius)
-    if patch_radius < 0 or search_radius < patch_radius:
-        raise InvalidParameter("need 0 <= patch_radius <= search_radius")
-    if not h > 0:
-        raise InvalidParameter("bandwidth must be positive")
-    P = _patches(seq.tokens, patch_radius)
-    psize = P.shape[1]
-    T = seq.length
-    out = np.empty_like(seq.tokens)
-    for t in range(T):
-        lo = max(0, t - search_radius)
-        hi = min(T, t + search_radius + 1)
-        d2 = ((P[lo:hi] - P[t]) ** 2).sum(axis=1) / psize
-        w = np.exp(-d2 / (2.0 * h * h))
-        out[t] = (w @ seq.tokens[lo:hi]) / w.sum()
+    out = _nlm(seq.tokens, patch_radius, h, search_radius)
     return Sequence(tokens=out, times=seq.times.copy())
 
 
 def nlm_denoise_image(image: np.ndarray, patch_radius: int, h: float, search_radius: int):
-    """2-D non-local means with square patches and search windows.
-
-    Rows are independent, so the LOCUSKIT_THREADS cap is honored with a row
-    pool; results are written by index and identical at any thread count.
-    """
+    """2-D non-local means with square patches and search windows, the same
+    weights as :func:`nlm_denoise` with the pixel grid in place of time."""
     img = np.asarray(image, dtype=float)
     if img.ndim != 2:
         raise InvalidParameter("image must be 2-D")
-    r, s = int(patch_radius), int(search_radius)
-    if r < 0 or s < r:
-        raise InvalidParameter("need 0 <= patch_radius <= search_radius")
-    H, W = img.shape
-    padded = np.pad(img, r)
-    psize = (2 * r + 1) ** 2
-    patches = np.empty((H, W, psize))
-    for i in range(H):
-        for j in range(W):
-            patches[i, j] = padded[i : i + 2 * r + 1, j : j + 2 * r + 1].ravel()
-    out = np.empty_like(img)
-
-    def fill_row(i):
-        ilo, ihi = max(0, i - s), min(H, i + s + 1)
-        for j in range(W):
-            jlo, jhi = max(0, j - s), min(W, j + s + 1)
-            block = patches[ilo:ihi, jlo:jhi].reshape(-1, psize)
-            d2 = ((block - patches[i, j]) ** 2).sum(axis=1) / psize
-            w = np.exp(-d2 / (2.0 * h * h))
-            out[i, j] = w @ img[ilo:ihi, jlo:jhi].ravel() / w.sum()
-
-    from .runtime import max_threads
-
-    workers = min(max_threads(), H)
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(fill_row, range(H)))
-    else:
-        for i in range(H):
-            fill_row(i)
-    return out
+    return _nlm(img[..., None], patch_radius, h, search_radius)[..., 0]
 
 
 def gaussian_moving_average(seq: Sequence, search_radius: int, bandwidth: float = None) -> Sequence:
     """Position-weighted moving average over the same window NLM uses.
 
     The comparison baseline: weights depend only on |t - s| (Gaussian with
-    ``bandwidth``, default search_radius / 2), never on values.
+    ``bandwidth``, default max(search_radius, 1) / 2), never on values.
     """
     search_radius = int(search_radius)
     if search_radius < 0:
         raise InvalidParameter("search radius must be >= 0")
-    bw = search_radius / 2.0 if bandwidth is None else float(bandwidth)
-    if bw <= 0:
+    bw = max(search_radius, 1) / 2.0 if bandwidth is None else float(bandwidth)
+    if not bw > 0:
         raise InvalidParameter("bandwidth must be positive")
-    T = seq.length
-    out = np.empty_like(seq.tokens)
-    for t in range(T):
-        lo = max(0, t - search_radius)
-        hi = min(T, t + search_radius + 1)
-        idx = np.arange(lo, hi)
-        w = np.exp(-((idx - t) ** 2) / (2.0 * bw * bw))
-        out[t] = (w @ seq.tokens[lo:hi]) / w.sum()
+    t = np.arange(seq.length)
+
+    def weights(here, there):
+        return np.exp(-((t[there] - t[here]) ** 2) / (2.0 * bw * bw))
+
+    out = _window_mean(seq.tokens, search_radius, weights)
     return Sequence(tokens=out, times=seq.times.copy())
 
 

@@ -243,6 +243,31 @@ class TestRunTask:
         )
         assert (tmp_path / "out" / "denoised.pgm").exists()
 
+    def test_denoise_nlm_zero_radii_is_identity(self, tmp_path):
+        # no moving-average bandwidth is set: its default must not be 0
+        clean, noisy = step_signal(40, 0.1, rng_seed=5)
+        noisy_path = tmp_path / "noisy.csv"
+        clean_path = tmp_path / "clean.csv"
+        write_csv(noisy_path, ["t", "v"], [[i, v] for i, v in enumerate(noisy)])
+        write_csv(clean_path, ["t", "v"], [[i, v] for i, v in enumerate(clean)])
+        cfg = {"input": str(noisy_path), "clean": str(clean_path), "patch_radius": 0, "search_radius": 0}
+        metrics = run_task("denoise-nlm", cfg, str(tmp_path / "out"))
+        assert metrics["mse_vs_clean"] == metrics["mse_moving_average"]
+        assert metrics["mse_vs_clean"] == float(((noisy - clean) ** 2).mean())
+
+    def test_local_linear_jitter_counter(self, tmp_path):
+        data = tmp_path / "d.csv"
+        write_csv(data, ["x", "y"], [[x, x * x] for x in np.linspace(0.0, 1.0, 20)])
+        # each query's neighborhood holds only itself: every system is singular
+        cfg = {"input": str(data), "kernel": {"kind": "neighborhood", "eps": 1e-3}}
+        run_task("regress-local-linear", cfg, str(tmp_path / "narrow"))
+        metrics = json.load(open(tmp_path / "narrow" / "metrics.json"))
+        assert metrics["diagnostics"] == {"counters": {"jittered": 20}}
+        cfg = {"input": "bundled:noisy-sine", "kernel": {"kind": "gaussian", "h": 0.3}}
+        run_task("regress-local-linear", cfg, str(tmp_path / "sine"))
+        metrics = json.load(open(tmp_path / "sine" / "metrics.json"))
+        assert metrics["diagnostics"] == {"counters": {"jittered": 0}}
+
     def test_fit_qkv_toy(self, tmp_path):
         metrics = run_task(
             "fit-qkv",
@@ -311,6 +336,15 @@ class TestMainExitCodes:
         assert code == 3
         payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert payload["error"] == "numeric"
+
+    def test_image_nlm_zero_bandwidth_exit_two(self, tmp_path, capsys):
+        path = tmp_path / "img.pgm"
+        write_pgm(path, np.arange(64.0).reshape(8, 8))
+        cfg = write_config(tmp_path, "c.json", {"image": str(path), "bandwidth": 0})
+        code = main(["denoise-nlm", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert json.loads(capsys.readouterr().err.strip())["error"] == "validation"
+        assert not (tmp_path / "o" / "denoised.pgm").exists()
 
     def test_bad_config_json(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

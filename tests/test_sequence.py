@@ -314,6 +314,98 @@ class TestNlm:
             nlm_denoise(seq, 1, -0.5, 2)
 
 
+    @pytest.mark.parametrize("h", [0.0, -0.2, float("nan")])
+    def test_non_positive_bandwidth_rejected(self, h):
+        with pytest.raises(errors.InvalidParameter):
+            nlm_denoise_image(np.zeros((6, 6)), 1, h, 2)
+        with pytest.raises(errors.InvalidParameter):
+            nlm_denoise(Sequence(np.zeros((6, 1))), 1, h, 2)
+
+
+# Per-position loops: the reference the offset-major window mean must match.
+# The weights are the same; only the order of the final sums differs.
+
+def ref_nlm(tokens, r, h, s):
+    T, p = tokens.shape
+    padded = np.concatenate([np.zeros((r, p)), tokens, np.zeros((r, p))], axis=0)
+    P = np.stack([padded[i : i + 2 * r + 1].ravel() for i in range(T)])
+    out = np.empty_like(tokens)
+    for t in range(T):
+        lo, hi = max(0, t - s), min(T, t + s + 1)
+        d2 = ((P[lo:hi] - P[t]) ** 2).sum(axis=1) / P.shape[1]
+        w = np.exp(-d2 / (2.0 * h * h))
+        out[t] = (w @ tokens[lo:hi]) / w.sum()
+    return out
+
+
+def ref_nlm_image(img, r, h, s):
+    H, W = img.shape
+    padded = np.pad(img, r)
+    psize = (2 * r + 1) ** 2
+    out = np.empty_like(img)
+    for i in range(H):
+        for j in range(W):
+            ilo, ihi, jlo, jhi = max(0, i - s), min(H, i + s + 1), max(0, j - s), min(W, j + s + 1)
+            me = padded[i : i + 2 * r + 1, j : j + 2 * r + 1].ravel()
+            d2 = np.array([
+                ((padded[a : a + 2 * r + 1, b : b + 2 * r + 1].ravel() - me) ** 2).sum() / psize
+                for a in range(ilo, ihi)
+                for b in range(jlo, jhi)
+            ])
+            w = np.exp(-d2 / (2.0 * h * h))
+            out[i, j] = w @ img[ilo:ihi, jlo:jhi].ravel() / w.sum()
+    return out
+
+
+def ref_moving_average(tokens, s, bw):
+    T = tokens.shape[0]
+    out = np.empty_like(tokens)
+    for t in range(T):
+        lo, hi = max(0, t - s), min(T, t + s + 1)
+        w = np.exp(-((np.arange(lo, hi) - t) ** 2) / (2.0 * bw * bw))
+        out[t] = (w @ tokens[lo:hi]) / w.sum()
+    return out
+
+
+def assert_close_to_scale(got, want, data):
+    tol = 16 * np.finfo(float).eps * np.abs(data).max()
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= tol
+
+
+class TestWindowMeanAgainstLoops:
+    @pytest.mark.parametrize(
+        "r, s, h",
+        [(1, 3, 0.3), (0, 2, 0.3), (2, 2, 0.5), (1, 20, 0.4)],
+        ids=["clipped-every-side", "patch-0", "patch-eq-search", "search-beyond-image"],
+    )
+    def test_image(self, r, s, h):
+        rng = np.random.default_rng(23)
+        img = 3.0 * rng.random((7, 11))
+        assert_close_to_scale(nlm_denoise_image(img, r, h, s), ref_nlm_image(img, r, h, s), img)
+
+    @pytest.mark.parametrize("r, s", [(1, 4), (0, 3), (2, 2), (2, 40)])
+    def test_three_channel_sequence(self, r, s):
+        rng = np.random.default_rng(24)
+        tokens = 5.0 * rng.normal(size=(25, 3))
+        out = nlm_denoise(Sequence(tokens), r, 4.0, s)
+        assert_close_to_scale(out.tokens, ref_nlm(tokens, r, 4.0, s), tokens)
+
+    @pytest.mark.parametrize("s, bw", [(4, 1.3), (0, 0.7), (30, 2.0)])
+    def test_moving_average_explicit_bandwidth(self, s, bw):
+        rng = np.random.default_rng(25)
+        tokens = rng.normal(size=(20, 2)) + 10.0
+        out = gaussian_moving_average(Sequence(tokens), s, bandwidth=bw)
+        assert_close_to_scale(out.tokens, ref_moving_average(tokens, s, bw), tokens)
+
+    def test_moving_average_default_bandwidth(self):
+        rng = np.random.default_rng(26)
+        tokens = rng.normal(size=(15, 1))
+        out = gaussian_moving_average(Sequence(tokens), 6)
+        assert_close_to_scale(out.tokens, ref_moving_average(tokens, 6, 3.0), tokens)
+        np.testing.assert_array_equal(gaussian_moving_average(Sequence(tokens), 0).tokens, tokens)
+
+
 class TestAutoregressive:
     def test_constant_prefix_uniform_attention_constant_continuation(self):
         seq = Sequence(np.full((4, 2), 1.5))
