@@ -29,6 +29,7 @@ from .kernels import (
     as_point,
     as_point_set,
     gaussian,
+    local_reduce,
     pairwise_sq_dists,
 )
 
@@ -96,24 +97,21 @@ def conditional_kde(k1: Kernel, k2: Kernel, X, Y, x_star, y_star) -> float:
     Y = as_point_set(Y)
     if X.shape[0] != Y.shape[0]:
         raise InvalidParameter("paired samples required")
-    w = k1.gram_values(as_point(x_star)[None, :], X)[0]
-    total = w.sum()
-    if total <= 0:
-        raise EmptyNeighborhood(f"no conditioning weight at {x_star!r}")
     d2 = pairwise_sq_dists(as_point(y_star)[None, :], Y)[0]
     dens = _density_values(k2, d2, Y.shape[1])
-    return float((w @ dens) / total)
+    mean, empty = local_reduce(k1, as_point(x_star)[None, :], X, dens)
+    if empty[0]:
+        raise EmptyNeighborhood(f"no conditioning weight at {x_star!r}")
+    return float(mean[0, 0])
 
 
 def mean_shift_vector(h: float, X, x_star) -> np.ndarray:
     """Gaussian mean-shift vector ``m_K(x*) - x*``."""
-    X = as_point_set(X)
     x_star = as_point(x_star)
-    w = gaussian(h).gram_values(x_star[None, :], X)[0]
-    total = w.sum()
-    if total <= 0:
+    mean, empty = local_reduce(gaussian(h), x_star[None, :], X, X)
+    if empty[0]:
         raise EmptyNeighborhood(f"no kernel weight at {x_star!r}")
-    return (w @ X) / total - x_star
+    return mean[0] - x_star
 
 
 def score_estimate(h: float, X, x_star) -> np.ndarray:
@@ -312,12 +310,7 @@ def diffusion_generate(
     particles = rng.normal(0.0, np.sqrt(var_T), size=(n, X0.shape[1]))
     for t in range(schedule.T, 0, -1):
         ref = cached[t - 1]
-        h = bandwidths[t - 1]
-        anchors = schedule.a[t - 1] * ref
-        logw = -pairwise_sq_dists(particles, anchors) / (2.0 * h * h)
-        logw -= logw.max(axis=1, keepdims=True)
-        W = np.exp(logw)
-        mean = (W @ ref) / W.sum(axis=1, keepdims=True)
+        mean, _ = local_reduce(gaussian(bandwidths[t - 1]), particles, schedule.a[t - 1] * ref, ref)
         particles = alpha * mean + (1.0 - alpha) * particles
         if inject_noise and t > 1:
             particles = particles + rng.normal(

@@ -85,14 +85,6 @@ class AllEmptyNeighborhoods(NumericError):
     """Every candidate bandwidth produced empty neighborhoods."""
 
 
-class NonConvergence(NumericError):
-    """Iteration budget exhausted; carries the partial result when useful."""
-
-    def __init__(self, message, partial=None):
-        super().__init__(message)
-        self.partial = partial
-
-
 class SingularSystem(NumericError):
     pass
 

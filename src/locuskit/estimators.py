@@ -22,8 +22,9 @@ from .errors import (
     SingularSystem,
     ZeroDenominator,
 )
-from .kernels import (
-    Kernel, SelfKernel, as_point, as_point_set, gram, normalize_rows, pairwise_sq_dists, softmax_rows,
+from .kernels import (  # normalize_rows is unused here, but perfbench/tracer.py wraps it by name
+    Kernel, SelfKernel, as_point, as_point_set, local_reduce, normalize_rows, pairwise_sq_dists,
+    softmax_rows,
 )
 
 __all__ = [
@@ -239,48 +240,42 @@ def local_mean_predict(k: Kernel, data: Dataset, x_star, fallback="error"):
     ``"nearest-neighbor"`` returns the closest sample's target.
     """
     data.require("real")
-    w = weights_at(k, data.X, x_star)
-    total = w.sum()
-    if total <= 0:
+    means, empty = local_reduce(k, as_point(x_star)[None, :], data.X, data.y)
+    if empty[0]:
         if fallback == "nearest-neighbor":
             return data.y[_nearest_order(data.X, x_star)[0]]
         raise EmptyNeighborhood(f"no positive kernel weights at {x_star!r}")
-    pred = (w @ np.atleast_2d(data.y.T).T) / total
-    return pred if data.y.ndim > 1 else float(pred[0])
+    return means[0] if data.y.ndim > 1 else float(means[0, 0])
 
 
 def lazy_transform(k: Kernel, data: Dataset, queries) -> np.ndarray:
     """Batch local mean ``K_tilde(queries, X) y``.
 
-    Matrix form of :func:`local_mean_predict` applied row-wise; empty query
-    rows raise since no fallback is expressible at the matrix level.
+    Matrix form of :func:`local_mean_predict` applied row-wise; rows with no
+    weight (compact support) raise, as no fallback fits the matrix level.
     """
     data.require("real")
-    S = normalize_rows(gram(k, queries, data.X))
-    if S.empty_rows.size:
-        raise EmptyNeighborhood(f"queries {S.empty_rows.tolist()} have zero degree")
-    return S.values @ np.atleast_2d(data.y.T).T
+    means, empty = local_reduce(k, queries, data.X, data.y)
+    if empty.any():
+        raise EmptyNeighborhood(f"queries {np.flatnonzero(empty).tolist()} have zero degree")
+    return means
 
 
 def loo_error(k: Kernel, data: Dataset) -> float:
     """Leave-one-out squared error of the local mean.
 
     Hollowing removes only the diagonal: prediction i uses the normalized
-    weights over j != i.
+    weights over j != i, and raises if those are all 0 (compact support).
     """
     data.require("real")
     if data.n < 2:
         raise InvalidParameter("leave-one-out needs at least two rows")
-    K = gram(k, data.X, data.X).values.copy()
-    np.fill_diagonal(K, 0.0)
-    deg = K.sum(1)
-    if (deg == 0).any():
+    pred, empty = local_reduce(k, data.X, data.X, data.y, skip_self=True)
+    if empty.any():
         raise EmptyNeighborhood(
-            f"rows {np.flatnonzero(deg == 0).tolist()} have zero off-diagonal degree"
+            f"rows {np.flatnonzero(empty).tolist()} have zero off-diagonal degree"
         )
-    Y = np.atleast_2d(data.y.T).T
-    pred = (K @ Y) / deg[:, None]
-    return float(((Y - pred) ** 2).sum())
+    return float(((as_point_set(data.y) - pred) ** 2).sum())
 
 
 def local_mode_predict(k: Kernel, data: Dataset, x_star):

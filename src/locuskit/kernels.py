@@ -76,6 +76,7 @@ __all__ = [
     "as_point_set",
     "pairwise_sq_dists",
     "softmax_rows",
+    "local_reduce",
 ]
 
 
@@ -827,6 +828,43 @@ def normalize_rows(K) -> StochasticMatrix:
     empty = np.flatnonzero(degrees == 0)
     denom = np.where(degrees == 0, 1.0, degrees)
     return StochasticMatrix(vals / denom[:, None], degrees, empty)
+
+
+_BLOCK_ENTRIES = 2**16  # weights per row block of a reduction: 21 rows at N=3000
+
+
+def _row_blocks(n_rows: int, n_cols: int):
+    step = max(1, _BLOCK_ENTRIES // max(n_cols, 1))
+    return (slice(i, i + step) for i in range(0, n_rows, step))
+
+
+def local_reduce(k: Kernel, Q, X, Y, skip_self: bool = False):
+    """Local means ``sum_i K(q, x_i) Y_i / sum_i K(q, x_i)`` of Q's rows, in row blocks.
+
+    Returns ``(means, empty)``, NaN where empty.  Gaussian weights are max-shifted
+    in the log domain, so only other kernels' exact zeros empty a row.
+    ``skip_self`` drops sample i from row i; negative weights raise ``DesmoothingInput``.
+    """
+    Q, X, Y = as_point_set(Q), as_point_set(X), as_point_set(Y)
+    means = np.empty((Q.shape[0], Y.shape[1]))
+    deg = np.empty(Q.shape[0])
+    for rows in _row_blocks(Q.shape[0], X.shape[0]):
+        if isinstance(k, GaussianKernel):
+            W = pairwise_sq_dists(Q[rows], X) / -(2.0 * k.h * k.h)
+        else:
+            W = k.gram_values(Q[rows], X)
+        if skip_self:
+            np.fill_diagonal(W[:, rows.start:], -np.inf if isinstance(k, GaussianKernel) else 0.0)
+        if isinstance(k, GaussianKernel):
+            top = W.max(axis=1, keepdims=True)
+            W = np.exp(W - np.where(np.isfinite(top), top, 0.0))
+        elif k.sign_class == "desmoothing" or (W < 0).any():
+            raise DesmoothingInput("cannot average desmoothing or negative kernel weights")
+        deg[rows] = W.sum(axis=1)
+        means[rows] = W @ Y
+    empty = ~(deg > 0)
+    means /= np.where(empty, np.nan, deg)[:, None]
+    return means, empty
 
 
 def laplacian_of(K) -> LaplacianView:

@@ -17,7 +17,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DimensionMismatch, InvalidParameter, ShapeMismatch
-from .kernels import Kernel, KernelMatrix, as_point_set, gram, normalize_rows, softmax_rows
+from .kernels import Kernel, KernelMatrix, as_point_set, gram, local_reduce, normalize_rows, softmax_rows
 
 __all__ = [
     "Sequence",
@@ -251,15 +251,14 @@ def local_local_mean(X, k1: Kernel, k2: Kernel, nonlinearity: str = "identity") 
     }
     if nonlinearity not in funcs:
         raise InvalidParameter(f"unknown nonlinearity {nonlinearity!r}")
-    X = as_point_set(X)
-    S1 = normalize_rows(gram(k1, X, X))
-    if S1.empty_rows.size:
-        raise InvalidParameter(f"first-stage rows {S1.empty_rows.tolist()} are empty")
-    Xp = funcs[nonlinearity](S1.values @ X)
-    S2 = normalize_rows(gram(k2, Xp, Xp))
-    if S2.empty_rows.size:
-        raise InvalidParameter(f"second-stage rows {S2.empty_rows.tolist()} are empty")
-    return S2.values @ Xp
+    means, empty = local_reduce(k1, X, X, X)
+    if empty.any():
+        raise InvalidParameter(f"first-stage rows {np.flatnonzero(empty).tolist()} are empty")
+    Xp = funcs[nonlinearity](means)
+    means, empty = local_reduce(k2, Xp, Xp, Xp)
+    if empty.any():
+        raise InvalidParameter(f"second-stage rows {np.flatnonzero(empty).tolist()} are empty")
+    return means
 
 
 # ---------------------------------------------------------------------------

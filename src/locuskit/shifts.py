@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import EmptyNeighborhood, InvalidParameter
 from .estimators import Dataset, LocalPcaBasis, local_pca
-from .kernels import Kernel, as_point_set, gram, normalize_rows, pairwise_sq_dists
+from .kernels import Kernel, _row_blocks, as_point_set, gram, local_reduce, normalize_rows, pairwise_sq_dists
 
 __all__ = [
     "ShiftResult",
@@ -88,9 +88,9 @@ def mean_shift(
     updated points each sweep, in which case the queries are the sample
     itself.  Convergence of a query means the undamped mean-shift vector
     ``||m_K(q) - q||`` has dropped below ``tol`` (default: 1e-8 times the
-    bounding-box diagonal of X).  Queries whose kernel weights all vanish
-    are flagged and frozen in place.  Each sweep evaluates the gram of the
-    live queries only, so converged and frozen rows cost nothing.
+    bounding-box diagonal of X).  Queries with no weight (exact zeros of a
+    compact-support kernel; Gaussian weights never underflow) are flagged
+    empty and frozen.  Each sweep reduces the live queries only.
     """
     X = as_point_set(X)
     if not 0.0 < alpha <= 1.0:
@@ -111,14 +111,10 @@ def mean_shift(
         rows = np.flatnonzero(live)
         if not rows.size:
             break
-        W = k.gram_values(Q[rows], ref)
-        num, deg = W @ ref, W.sum(axis=1)
-        del W  # free this gram before the next sweep builds its own
-        dead = rows[deg <= 0]
-        empty[dead] = True
-        live[dead] = False
-        ok = deg > 0
-        rows, m = rows[ok], num[ok] / deg[ok, None]
+        m, dead = local_reduce(k, Q[rows], ref, ref)
+        empty[rows[dead]] = True
+        live[rows[dead]] = False
+        rows, m = rows[~dead], m[~dead]
         shift = np.linalg.norm(m - Q[rows], axis=1)
         Q[rows] = alpha * m + (1 - alpha) * Q[rows]
         iterations[live] = sweep
@@ -144,14 +140,16 @@ def extract_clusters(converged, merge_radius: float):
     """Single-linkage merge of converged points within ``merge_radius``.
 
     The clusters are the connected components of the N x N boolean matrix
-    ``d2 < merge_radius**2``, labelled breadth-first from the lowest
-    unlabelled index, so labels are dense in first-seen order; centers are
-    the per-cluster means.
+    ``d2 < merge_radius**2`` (built in row blocks), labelled breadth-first
+    from the lowest unlabelled index, so labels are dense in first-seen
+    order; centers are the per-cluster means.
     """
     P = as_point_set(converged)
     if not merge_radius > 0:
         raise InvalidParameter("merge_radius must be positive")
-    near = pairwise_sq_dists(P, P) < merge_radius * merge_radius
+    near = np.empty((P.shape[0], P.shape[0]), dtype=bool)
+    for rows in _row_blocks(P.shape[0], P.shape[0]):
+        near[rows] = pairwise_sq_dists(P[rows], P) < merge_radius * merge_radius
     labels = np.full(P.shape[0], -1)
     count = 0
     for i in range(P.shape[0]):

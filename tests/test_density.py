@@ -118,6 +118,9 @@ class TestScore:
             score_estimate(1.0, [[-1.0], [1.0]], [0.0]), [0.0], atol=1e-15
         )
 
+    def test_midway_query_does_not_underflow(self):
+        np.testing.assert_array_equal(score_estimate(0.01, [[0.0], [1.0]], [0.5]), [0.0])
+
     def test_single_sample_exact_gaussian_score(self):
         z, h, x = 2.0, 0.7, 0.3
         got = score_estimate(h, [[z]], [x])

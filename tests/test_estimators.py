@@ -27,6 +27,7 @@ from locuskit.estimators import (
 )
 from locuskit.kernels import (
     SelfKernel,
+    derive_kernel,
     dirac,
     epanechnikov,
     gaussian,
@@ -118,6 +119,11 @@ class TestLocalMean:
             epanechnikov(0.5), data, [50.0], fallback="nearest-neighbor"
         ) == 4.0
 
+    def test_midway_gaussian_query_does_not_underflow(self):
+        # every weight underflows to 0 in the linear domain (exp(-1250))
+        data = Dataset([[0.0], [1.0]], [0.0, 1.0])
+        assert local_mean_predict(gaussian(0.01), data, [0.5]) == 0.5
+
     def test_convex_hull_bound_property(self):
         rng = np.random.default_rng(2)
         for kernel in (gaussian(0.5), epanechnikov(3.0), uniform()):
@@ -162,6 +168,18 @@ class TestLazyTransform:
         loop = [local_mean_predict(gaussian(1.0), data, x) for x in data.X]
         np.testing.assert_allclose(out[:, 0], loop, atol=1e-14)
 
+    def test_midway_gaussian_query_does_not_underflow(self):
+        data = Dataset([[0.0], [1.0]], [0.0, 1.0])
+        out = lazy_transform(gaussian(0.01), data, [[0.5], [0.0]])
+        np.testing.assert_array_equal(out, [[0.5], [0.0]])
+
+    def test_difference_kernel_raises_desmoothing(self):
+        # gaussian(1) - gaussian(0.5) is >= 0 everywhere, yet still desmoothing
+        data = Dataset([[0.0], [1.0], [3.0]], [0.0, 1.0, 2.0])
+        dog = derive_kernel("difference", gaussian(1.0), gaussian(0.5))
+        with pytest.raises(errors.DesmoothingInput):
+            lazy_transform(dog, data, data.X)
+
 
 class TestLooError:
     def test_identical_points_zero(self):
@@ -188,6 +206,18 @@ class TestLooError:
         data = Dataset([[0.0], [100.0], [101.0]], [0.0, 1.0, 2.0])
         with pytest.raises(errors.EmptyNeighborhood):
             loo_error(epanechnikov(0.5), data)
+
+    def test_tiny_gaussian_bandwidth_is_finite(self):
+        # at h=1e-3 each held-out point takes its nearest neighbour's target:
+        # 0 -> 1, 1 -> 0 and 3 -> 1, so the errors are 1 + 1 + 4
+        data = Dataset([0.0, 1.0, 3.0], [0.0, 1.0, 3.0])
+        assert loo_error(gaussian(1e-3), data) == 6.0
+
+    def test_only_the_diagonal_is_dropped(self):
+        # a duplicate point still counts: rows 0 and 1 predict each other's
+        # target, and row 2 averages both (equidistant): 4 + 4 + (7 - 2)^2
+        data = Dataset([0.0, 0.0, 5.0], [1.0, 3.0, 7.0])
+        assert loo_error(gaussian(1e-3), data) == 33.0
 
 
 class TestLocalMode:

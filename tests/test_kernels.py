@@ -5,6 +5,7 @@ kernel evaluation, 2x2 linear solves) or are structural identities.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from locuskit.kernels import (
     gram,
     knn_kernel,
     laplacian_of,
+    local_reduce,
     make_kernel,
     neighborhood,
     normalize_rows,
@@ -322,6 +324,27 @@ class TestNormalizeRows:
             sums = S.values.sum(axis=1)
             keep = np.setdiff1d(np.arange(K.shape[0]), S.empty_rows)
             np.testing.assert_allclose(sums[keep], 1.0, atol=1e-12)
+
+
+class TestLocalReduce:
+    def test_rows_beyond_compact_support_are_empty_nan(self):
+        X, Y = [[0.0], [1.0]], [[3.0, 1.0], [4.0, 2.0]]
+        means, empty = local_reduce(epanechnikov(0.5), [[0.0], [50.0], [1.0]], X, Y)
+        np.testing.assert_array_equal(empty, [False, True, False])
+        assert np.isnan(means[1]).all()
+        np.testing.assert_array_equal(means[[0, 2]], [[3.0, 1.0], [4.0, 2.0]])
+
+    def test_negative_weights_raise(self):
+        signed = concrete([[1.0, -0.5], [0.5, 1.0]])
+        with pytest.raises(errors.DesmoothingInput):
+            local_reduce(signed, [0, 1], [0, 1], [1.0, 2.0])
+
+    def test_row_without_finite_log_weight_is_empty_without_warnings(self):
+        # skip_self on one sample leaves the Gaussian row all -inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            means, empty = local_reduce(gaussian(1.0), [[0.0]], [[0.0]], [1.0], skip_self=True)
+        assert empty[0] and np.isnan(means[0, 0])
 
 
 class TestSoftmaxRows:

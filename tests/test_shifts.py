@@ -105,6 +105,22 @@ class TestMeanShift:
         assert not res.converged_flags[0]
         np.testing.assert_array_equal(res.converged, [[50.0]])
 
+    def test_midway_gaussian_query_not_flagged_empty(self):
+        res = mean_shift(gaussian(0.01), [[0.0], [1.0]], queries=[[0.5]])
+        assert not res.empty_flags[0]
+        assert res.converged_flags[0]
+        np.testing.assert_array_equal(res.converged, [[0.5]])
+
+    def test_far_gaussian_query_moves_instead_of_freezing(self):
+        # every linear-domain weight underflows at distance 49; in the log
+        # domain the first sweep lands on the nearest sample, and the query
+        # then climbs to the KDE mode midway between the two samples
+        res = mean_shift(gaussian(1.0), [[0.0], [1.0]], queries=[[50.0]], tol=1e-12)
+        assert not res.empty_flags[0]
+        assert res.converged_flags[0]
+        np.testing.assert_array_equal(res.trajectories[1], [[1.0]])
+        np.testing.assert_allclose(res.converged, [[0.5]], atol=1e-9)
+
     def test_shadow_pair_density_nondecreasing_along_trajectory(self):
         # shadow-kernel fact: flat-kernel mean shift climbs the Epanechnikov
         # KDE at the same radius (the Epanechnikov profile's derivative is
