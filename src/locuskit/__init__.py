@@ -26,6 +26,7 @@ from .density import (
     dae_chain,
     diffusion_generate,
     kde,
+    kde_values,
     noise_sample,
     score_estimate,
     tweedie_denoise,
@@ -46,6 +47,7 @@ from .estimators import (
     local_centerless_classify,
     local_fit,
     local_linear_predict,
+    local_linear_transform,
     local_mean_predict,
     local_mode_predict,
     local_pca,

@@ -24,11 +24,15 @@ import numpy as np
 from . import synth
 from .adaptive import fit_qkv, tune_bandwidth
 from .dataio import ingest_csv, read_pgm, write_csv, write_json, write_pgm
-from .density import DiffusionSchedule, diffusion_generate, kde
+from .density import (  # kde is unused here, but perfbench/tracer.py wraps it by name
+    DiffusionSchedule, diffusion_generate, kde, kde_values,
+)
 from .embedding import amds_factorize, cooccurrence_embed, lle_embed, lle_weights, read_corpus, trimap_embed
 from .errors import LocusKitError, NumericError, ValidationError
-from .estimators import Dataset, local_linear_predict, local_mean_predict, local_mode_predict, loo_error
-from .kernels import gaussian, gram, make_kernel
+from .estimators import (  # local_linear_predict is unused here, but perfbench/tracer.py wraps it by name
+    Dataset, local_linear_predict, local_linear_transform, local_mean_predict, local_mode_predict, loo_error,
+)
+from .kernels import gaussian, gram, local_reduce, make_kernel
 from .metrics import accuracy, adjusted_rand_index, r2_score, w1_distance
 from .sequence import (
     MlpParams,
@@ -181,19 +185,16 @@ def _feature_header(p: int, prefix="x"):
 def _run_regress(cfg, out, seed, linear: bool):
     data = _resolve_input(cfg["input"], "features+target")
     kernel = make_kernel(cfg["kernel"])
-    preds = []
-    jittered = 0
-    for x in data.X:
-        if linear:
-            pred, _, jit = local_linear_predict(kernel, data, x, lam=cfg["lambda"])
-            jittered += jit
-        else:
-            pred = local_mean_predict(kernel, data, x, fallback=cfg["fallback"])
-        preds.append(float(pred))
-    preds = np.asarray(preds)
-    metrics = {"r2_train": r2_score(data.y, preds), "n": data.n}
     if linear:
-        metrics["diagnostics"] = {"counters": {"jittered": jittered}}
+        preds, jittered = local_linear_transform(kernel, data, data.X, lam=cfg["lambda"])
+        counters = {"jittered": int(jittered.sum())}
+    else:
+        means, empty = local_reduce(kernel, data.X, data.X, data.y)
+        preds = means[:, 0]
+        for i in np.flatnonzero(empty):
+            preds[i] = local_mean_predict(kernel, data, data.X[i], fallback=cfg["fallback"])
+        counters = {"empty_rows": int(empty.sum())}
+    metrics = {"r2_train": r2_score(data.y, preds), "n": data.n, "diagnostics": {"counters": counters}}
     try:
         metrics["loo_error"] = loo_error(kernel, data)
     except LocusKitError:
@@ -214,8 +215,16 @@ def _run_regress(cfg, out, seed, linear: bool):
 def _run_classify(cfg, out, seed):
     data = _resolve_input(cfg["input"], "features+label")
     kernel = make_kernel(cfg["kernel"])
-    preds = np.array([local_mode_predict(kernel, data, x)[0] for x in data.X])
-    metrics = {"accuracy": accuracy(data.y, preds), "n": data.n}
+    onehot = np.eye(int(data.y.max()) + 1)[data.y]
+    shares, empty = local_reduce(kernel, data.X, data.X, onehot)
+    preds = shares.argmax(axis=1)  # ties -> lowest class index
+    for i in np.flatnonzero(empty):
+        preds[i] = local_mode_predict(kernel, data, data.X[i])[0]
+    metrics = {
+        "accuracy": accuracy(data.y, preds),
+        "n": data.n,
+        "diagnostics": {"counters": {"empty_rows": int(empty.sum())}},
+    }
     header = _feature_header(data.p) + ["label", "predicted"]
     rows = [list(x) + [int(y), int(p)] for x, y, p in zip(data.X, data.y, preds)]
     write_csv(os.path.join(out, "results.csv"), header, rows)
@@ -400,8 +409,8 @@ def _run_kde(cfg, out, seed):
     lo = float(data.X.min()) - 3.0 * h
     hi = float(data.X.max()) + 3.0 * h
     grid = np.linspace(lo, hi, int(cfg["grid_count"]))
-    dens = np.array([kde(kernel, data.X, [g]) for g in grid])
-    in_sample = np.array([kde(kernel, data.X, x) for x in data.X])
+    dens = kde_values(kernel, data.X, grid)
+    in_sample = kde_values(kernel, data.X, data.X)
     metrics = {
         "total_log_likelihood": float(np.log(np.maximum(in_sample, 1e-300)).sum()),
         "grid_count": int(cfg["grid_count"]),
@@ -493,7 +502,11 @@ def _run_tune(cfg, out, seed):
     else:
         raise ValidationError("grid must be a {min,max,count} dict or a list of bandwidths")
     res = tune_bandwidth(cfg["predictor"], data, grid=grid)
-    metrics = {"h_star": res.h_star, "loss_star": res.loss_star}
+    metrics = {
+        "h_star": res.h_star,
+        "loss_star": res.loss_star,
+        "diagnostics": {"counters": {"loo_refits": res.loo_refits}},
+    }
     finite = [(h, l) for h, l in res.curve if np.isfinite(l)]
     write_csv(os.path.join(out, "results.csv"), ["h", "loss"], finite)
     hs = np.array([h for h, _ in finite])

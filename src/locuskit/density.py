@@ -26,6 +26,7 @@ from .kernels import (
     GaussianKernel,
     Kernel,
     NeighborhoodKernel,
+    _row_blocks,
     as_point,
     as_point_set,
     gaussian,
@@ -35,6 +36,7 @@ from .kernels import (
 
 __all__ = [
     "kde",
+    "kde_values",
     "conditional_kde",
     "score_estimate",
     "mean_shift_vector",
@@ -69,12 +71,19 @@ def _density_values(k: Kernel, sq_dists: np.ndarray, p: int) -> np.ndarray:
     )
 
 
-def kde(k: Kernel, X, x_star) -> float:
-    """Kernel density estimate ``(1/N) sum_i K_h(x* - x_i)``."""
+def kde_values(k: Kernel, X, queries) -> np.ndarray:
+    """Kernel density estimates ``(1/N) sum_i K_h(q - x_i)`` at every row of ``queries``, in row blocks."""
     X = as_point_set(X)
-    x_star = as_point(x_star)
-    d2 = pairwise_sq_dists(x_star[None, :], X)[0]
-    return float(_density_values(k, d2, X.shape[1]).mean())
+    Q = as_point_set(queries)
+    out = np.empty(Q.shape[0])
+    for rows in _row_blocks(Q.shape[0], X.shape[0]):
+        out[rows] = _density_values(k, pairwise_sq_dists(Q[rows], X), X.shape[1]).mean(axis=1)
+    return out
+
+
+def kde(k: Kernel, X, x_star) -> float:
+    """Kernel density estimate ``(1/N) sum_i K_h(x* - x_i)``: the one-query case of :func:`kde_values`."""
+    return float(kde_values(k, X, as_point(x_star)[None, :])[0])
 
 
 def kde_gradient(h: float, X, x_star) -> np.ndarray:

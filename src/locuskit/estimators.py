@@ -23,8 +23,8 @@ from .errors import (
     ZeroDenominator,
 )
 from .kernels import (  # normalize_rows is unused here, but perfbench/tracer.py wraps it by name
-    Kernel, SelfKernel, as_point, as_point_set, local_reduce, normalize_rows, pairwise_sq_dists,
-    softmax_rows,
+    Kernel, SelfKernel, _local_weights, _row_blocks, as_point, as_point_set, local_reduce, normalize_rows,
+    pairwise_sq_dists, softmax_rows,
 )
 
 __all__ = [
@@ -41,6 +41,7 @@ __all__ = [
     "local_mode_predict",
     "knn_predict",
     "local_linear_predict",
+    "local_linear_transform",
     "self_kernel_local_mean",
     "inference_precompute",
     "inference_predict",
@@ -330,6 +331,92 @@ def knn_predict(n_neighbors: int, data: Dataset, x_star, weight_kernel: Kernel |
 # local linear / ridge regression
 # ---------------------------------------------------------------------------
 
+def _local_linear_blocks(k: Kernel, X: np.ndarray, Q: np.ndarray, lam: float):
+    """Local linear fits of Q's rows over X, in row blocks.
+
+    Yields ``(rows, W, A, L, jittered)`` per block: the kernel weights, the
+    weighted designs ``A_q = Xt^T diag(w_q) Xt``, the equivalent-kernel rows
+    ``L_q = xt_q^T (A_q + lam I)^(-1) Xt^T diag(w_q)`` and the jitter flags.
+    One solve covers the block; a row it leaves non-finite (or the whole
+    block, when that solve fails) is redone on its own by
+    :func:`_solve_one`, so only rows that need the jitter get it.
+    """
+    n, d = X.shape[0], X.shape[1] + 1
+    Xt = np.hstack([np.ones((n, 1)), X])
+    outer = (Xt[:, :, None] * Xt[:, None, :]).reshape(n, d * d)
+    for rows in _row_blocks(Q.shape[0], n):
+        W = k.gram_values(Q[rows], X)
+        A = (W @ outer).reshape(-1, d, d)
+        qt = np.hstack([np.ones((W.shape[0], 1)), Q[rows]])
+        live = ~(W.sum(axis=1) <= 0)  # NaN weights stay live: their solve fails with SingularSystem
+        coef = np.full(qt.shape, np.nan)
+        try:
+            coef[live] = np.linalg.solve(A[live] + lam * np.eye(d), qt[live, :, None])[..., 0]
+        except np.linalg.LinAlgError:
+            pass  # every live row of the block is redone alone below
+        L = (coef @ Xt.T) * W
+        jittered = np.zeros(W.shape[0], dtype=bool)
+        for r in np.flatnonzero(~np.isfinite(L).all(axis=1)):
+            if not live[r]:
+                raise EmptyNeighborhood(f"no positive kernel weights at {Q[rows][r]!r}")
+            L[r], jittered[r] = _solve_one(A[r], qt[r], Xt, W[r], lam)
+        yield rows, W, A, L, jittered
+
+
+def _solve_one(A, xt, Xt, w, lam):
+    """Equivalent-kernel row of one query: ``(L, jittered)``.
+
+    A singular or non-finite system at lam = 0 gets one jitter of
+    ``1e-10 * trace(A)``; if that still fails, ``SingularSystem`` is raised.
+    """
+    def solve(shift):
+        return (Xt @ np.linalg.solve(A + shift * np.eye(A.shape[0]), xt)) * w
+
+    try:
+        L = solve(lam)
+        if np.isfinite(L).all():
+            return L, False
+    except np.linalg.LinAlgError:
+        pass
+    if lam > 0:
+        raise SingularSystem("ridge system singular despite lam > 0")
+    jitter = 1e-10 * np.trace(A)
+    if jitter <= 0:
+        jitter = 1e-10
+    try:
+        L = solve(jitter)
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystem("weighted design is rank deficient") from exc
+    if not np.isfinite(L).all():
+        raise SingularSystem("weighted design is rank deficient")
+    return L, True
+
+
+def _check_ridge(data: Dataset, lam) -> float:
+    data.require("real")
+    if float(lam) < 0:
+        raise InvalidParameter("ridge penalty must be >= 0")
+    return float(lam)
+
+
+def local_linear_transform(k: Kernel, data: Dataset, queries, lam: float = 0.0):
+    """Local linear (ridge) predictions at every row of ``queries``.
+
+    Batch form of :func:`local_linear_predict`, solved block by block.
+    Returns ``(predictions, jittered)``: predictions shaped like the targets
+    with one row per query, and one jitter flag per query.
+    """
+    lam = _check_ridge(data, lam)
+    Q = as_point_set(queries)
+    Y = np.atleast_2d(data.y.T).T
+    preds = np.empty((Q.shape[0], Y.shape[1]))
+    jittered = np.zeros(Q.shape[0], dtype=bool)
+    for rows, _, _, L, jit in _local_linear_blocks(k, data.X, Q, lam):
+        preds[rows] = L @ Y
+        jittered[rows] = jit
+    return (preds if data.y.ndim > 1 else preds[:, 0]), jittered
+
+
 def local_linear_predict(k: Kernel, data: Dataset, x_star, lam: float = 0.0):
     """Locally weighted linear (ridge) regression with an internal intercept.
 
@@ -342,45 +429,14 @@ def local_linear_predict(k: Kernel, data: Dataset, x_star, lam: float = 0.0):
 
     A singular system at lam = 0 gets one automatic jitter of
     ``1e-10 * trace(Xt^T D Xt)`` (reported via the flag); if that still
-    fails, ``SingularSystem`` is raised.
+    fails, ``SingularSystem`` is raised.  This is the one-query case of
+    :func:`local_linear_transform`.
     """
-    data.require("real")
-    if float(lam) < 0:
-        raise InvalidParameter("ridge penalty must be >= 0")
-    w = weights_at(k, data.X, x_star)
-    if w.sum() <= 0:
-        raise EmptyNeighborhood(f"no positive kernel weights at {x_star!r}")
-    Xt = np.hstack([np.ones((data.n, 1)), data.X])
-    xs = np.concatenate([[1.0], as_point(x_star)])
-    XtDW = Xt.T * w
-    A = XtDW @ Xt
-    jittered = False
-
-    def solve(Areg):
-        coef = np.linalg.solve(Areg, xs)  # (A^-1 x*) once; L = coef^T Xt^T D
-        return coef @ XtDW
-
-    try:
-        L = solve(A + float(lam) * np.eye(A.shape[0]))
-        if not np.isfinite(L).all():
-            raise np.linalg.LinAlgError("non-finite solve")
-    except np.linalg.LinAlgError:
-        if float(lam) > 0:
-            raise SingularSystem("ridge system singular despite lam > 0")
-        jitter = 1e-10 * np.trace(A)
-        if jitter <= 0:
-            jitter = 1e-10
-        try:
-            L = solve(A + jitter * np.eye(A.shape[0]))
-            jittered = True
-        except np.linalg.LinAlgError as exc:
-            raise SingularSystem("weighted design is rank deficient") from exc
-        if not np.isfinite(L).all():
-            raise SingularSystem("weighted design is rank deficient")
-    Y = np.atleast_2d(data.y.T).T
-    pred = L @ Y
+    lam = _check_ridge(data, lam)
+    (_, _, _, L, jittered), = _local_linear_blocks(k, data.X, as_point(x_star)[None, :], lam)
+    pred = L[0] @ np.atleast_2d(data.y.T).T
     pred = pred if data.y.ndim > 1 else float(pred[0])
-    return pred, L, jittered
+    return pred, L[0], bool(jittered[0])
 
 
 # ---------------------------------------------------------------------------
@@ -595,9 +651,9 @@ def monte_carlo_local_mean(k: Kernel, data: Dataset, x_star, n: int, rng_seed: i
     n = int(n)
     if n < 1:
         raise InvalidParameter("need at least one draw")
-    w = weights_at(k, data.X, x_star)
+    w = _local_weights(k, as_point(x_star)[None, :], data.X)[0]
     total = w.sum()
-    if total <= 0:
+    if not total > 0:
         raise EmptyNeighborhood(f"no positive kernel weights at {x_star!r}")
     rng = np.random.default_rng(rng_seed)
     idx = rng.choice(data.n, size=n, p=w / total)

@@ -838,6 +838,23 @@ def _row_blocks(n_rows: int, n_cols: int):
     return (slice(i, i + step) for i in range(0, n_rows, step))
 
 
+def _local_weights(k: Kernel, Q, X, skip_from=None) -> np.ndarray:
+    """Weights of Q's rows over X for a local mean; Gaussian rows are max-shifted in the log domain.
+
+    ``skip_from=s`` drops sample ``s + i`` from row i; negative weights raise ``DesmoothingInput``.
+    """
+    gauss = isinstance(k, GaussianKernel)
+    W = pairwise_sq_dists(Q, X) / -(2.0 * k.h * k.h) if gauss else k.gram_values(Q, X)
+    if skip_from is not None:
+        np.fill_diagonal(W[:, skip_from:], -np.inf if gauss else 0.0)
+    if gauss:
+        top = W.max(axis=1, keepdims=True)
+        return np.exp(W - np.where(np.isfinite(top), top, 0.0))
+    if k.sign_class == "desmoothing" or (W < 0).any():
+        raise DesmoothingInput("cannot average desmoothing or negative kernel weights")
+    return W
+
+
 def local_reduce(k: Kernel, Q, X, Y, skip_self: bool = False):
     """Local means ``sum_i K(q, x_i) Y_i / sum_i K(q, x_i)`` of Q's rows, in row blocks.
 
@@ -849,17 +866,7 @@ def local_reduce(k: Kernel, Q, X, Y, skip_self: bool = False):
     means = np.empty((Q.shape[0], Y.shape[1]))
     deg = np.empty(Q.shape[0])
     for rows in _row_blocks(Q.shape[0], X.shape[0]):
-        if isinstance(k, GaussianKernel):
-            W = pairwise_sq_dists(Q[rows], X) / -(2.0 * k.h * k.h)
-        else:
-            W = k.gram_values(Q[rows], X)
-        if skip_self:
-            np.fill_diagonal(W[:, rows.start:], -np.inf if isinstance(k, GaussianKernel) else 0.0)
-        if isinstance(k, GaussianKernel):
-            top = W.max(axis=1, keepdims=True)
-            W = np.exp(W - np.where(np.isfinite(top), top, 0.0))
-        elif k.sign_class == "desmoothing" or (W < 0).any():
-            raise DesmoothingInput("cannot average desmoothing or negative kernel weights")
+        W = _local_weights(k, Q[rows], X, rows.start if skip_self else None)
         deg[rows] = W.sum(axis=1)
         means[rows] = W @ Y
     empty = ~(deg > 0)

@@ -160,8 +160,9 @@ def extract_clusters(converged, merge_radius: float):
                 labels[frontier] = count
                 frontier = np.flatnonzero(near[frontier].any(axis=0) & (labels < 0))
             count += 1
-    centers = np.stack([P[labels == c].mean(axis=0) for c in range(count)])
-    return labels, centers
+    sums = np.zeros((count, P.shape[1]))
+    np.add.at(sums, labels, P)
+    return labels, sums / np.bincount(labels, minlength=count)[:, None]
 
 
 @dataclass

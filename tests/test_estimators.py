@@ -512,6 +512,12 @@ class TestMonteCarlo:
         b = monte_carlo_local_mean(gaussian(1.0), data, [0.0], 50, rng_seed=99)
         assert a == b
 
+    def test_midway_gaussian_query_does_not_underflow(self):
+        # both linear-domain weights underflow to 0; the log-domain ones are equal
+        data = Dataset([[0.0], [1.0]], [0.0, 1.0])
+        val = monte_carlo_local_mean(gaussian(0.01), data, [0.5], 10, 0)
+        assert 0.0 <= val <= 1.0
+
 
 def test_knn_weighted_label_votes():
     # weighted class sums inside the neighbor set
