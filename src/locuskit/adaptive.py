@@ -23,7 +23,9 @@ from .errors import (
     ShapeMismatch,
 )
 from .estimators import Dataset, _local_linear_blocks, local_linear_predict, loo_error
-from .kernels import gaussian, gram, normalize_rows, softmax_rows
+from .kernels import (  # normalize_rows is unused here, but perfbench/tracer.py wraps it by name
+    gaussian, gram, local_reduce, normalize_rows, softmax_rows,
+)
 
 __all__ = [
     "TuneResult",
@@ -219,8 +221,9 @@ def fit_multikernel(kernels, data: Dataset, n_iter: int = 500) -> MultiKernelFit
     Y = np.atleast_2d(data.y.T).T
     cols = []
     for k in kernels:
-        S = normalize_rows(gram(k, data.X, data.X))
-        cols.append((Y - S.values @ Y).ravel())
+        KY, empty = local_reduce(k, data.X, data.X, Y)
+        KY[empty] = 0.0  # an empty row of K_tilde is zero, so its residual is y itself
+        cols.append((Y - KY).ravel())
     R = np.stack(cols, axis=1)  # (N*r, M)
     G = R.T @ R
     lip = 2.0 * float(np.linalg.eigvalsh(G)[-1])

@@ -87,13 +87,8 @@ def kde(k: Kernel, X, x_star) -> float:
 
 
 def kde_gradient(h: float, X, x_star) -> np.ndarray:
-    """Analytic gradient of the Gaussian KDE at x*."""
-    X = as_point_set(X)
-    x_star = as_point(x_star)
-    p = X.shape[1]
-    c = (2.0 * math.pi * h * h) ** (-p / 2.0)
-    w = c * gaussian(h).gram_values(x_star[None, :], X)[0]
-    return (w @ (X - x_star)) / (h * h * X.shape[0])
+    """Analytic gradient of the Gaussian KDE at x*: ``kde(x*) (m_K(x*) - x*) / h^2``."""
+    return kde(gaussian(h), X, x_star) * mean_shift_vector(h, X, x_star) / (h * h)
 
 
 def conditional_kde(k1: Kernel, k2: Kernel, X, Y, x_star, y_star) -> float:

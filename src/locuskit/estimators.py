@@ -24,7 +24,7 @@ from .errors import (
 )
 from .kernels import (  # normalize_rows is unused here, but perfbench/tracer.py wraps it by name
     Kernel, SelfKernel, _local_weights, _row_blocks, as_point, as_point_set, local_reduce, normalize_rows,
-    pairwise_sq_dists, softmax_rows,
+    pairwise_sq_dists, softmax_rows, uniform,
 )
 
 __all__ = [
@@ -78,6 +78,8 @@ class Dataset:
                     f"targets ({y.shape[0]}) do not match rows ({X.shape[0]})"
                 )
             if np.issubdtype(y.dtype, np.integer) and y.ndim == 1:
+                if (y < 0).any():
+                    raise InvalidParameter("class labels must be >= 0")
                 kind = "labels"
             else:
                 y = y.astype(float)
@@ -153,6 +155,10 @@ def local_fit(loss, k: Kernel, data: Dataset, x_star, **opts) -> LocalFitResult:
         ``grad_theta(x, theta)``, plus optional ``theta0``, ``step``,
         ``max_iter``, ``tol``.
     """
+    if loss == "zero-one":
+        theta, delta = local_mode_predict(k, data, x_star)
+        return LocalFitResult(theta, float(delta.sum() - delta[theta]))
+
     w = weights_at(k, data.X, x_star)
     total = w.sum()
 
@@ -166,17 +172,6 @@ def local_fit(loss, k: Kernel, data: Dataset, x_star, **opts) -> LocalFitResult:
         value = float((w * (resid**2).sum(1)).sum())
         theta = theta if data.y.ndim > 1 else float(theta[0])
         return LocalFitResult(theta, value, w / total, normalized=True)
-
-    if loss == "zero-one":
-        data.require("labels")
-        if total <= 0:
-            raise EmptyNeighborhood("no positive weights at the query")
-        classes = int(data.y.max()) + 1
-        delta = np.zeros(classes)
-        np.add.at(delta, data.y, w)
-        theta = int(np.argmax(delta))  # argmax ties -> lowest class index
-        value = float(total - delta[theta])
-        return LocalFitResult(theta, value)
 
     if loss == "distance":
         data.require("real")
@@ -282,9 +277,10 @@ def loo_error(k: Kernel, data: Dataset) -> float:
 def local_mode_predict(k: Kernel, data: Dataset, x_star):
     """Class-weight sums delta_k = sum_{y_i = k} K(x*, x_i); argmax wins.
 
-    Returns ``(class, delta)``; ties break to the lowest class index.  For
-    +/-1-coded binary problems the margin form is sign(sum K y), which is
-    the same argmax.
+    Returns ``(class, delta)``; ties break to the lowest class index.
+    Labels are class indices 0..C-1 (``Dataset`` rejects negative ones), so
+    a binary problem is coded 0/1, not +/-1; its argmax is the margin form
+    sign(delta_1 - delta_0).
     """
     data.require("labels")
     w = weights_at(k, data.X, x_star)
@@ -300,10 +296,9 @@ def knn_predict(n_neighbors: int, data: Dataset, x_star, weight_kernel: Kernel |
     """Nearest-neighbor mean or majority, optionally kernel-weighted in-set.
 
     Neighbors are the ``n_neighbors`` closest samples by Euclidean distance
-    (distance ties break by ascending index).  With a weight kernel, label
-    votes become weighted class sums and real targets a weighted mean over
-    the neighbor set, which keeps predictions invariant under kernel
-    rescaling.
+    (distance ties break by ascending index).  The prediction is
+    :func:`local_mode_predict` or :func:`local_mean_predict` over the
+    neighbor set, under the weight kernel or, by default, uniform weights.
     """
     n_neighbors = int(n_neighbors)
     if not 1 <= n_neighbors <= data.n:
@@ -311,20 +306,11 @@ def knn_predict(n_neighbors: int, data: Dataset, x_star, weight_kernel: Kernel |
     if data.kind == "none":
         raise InvalidParameter("knn prediction needs targets")
     idx = _nearest_order(data.X, x_star)[:n_neighbors]
-    if weight_kernel is None:
-        w = np.ones(n_neighbors)
-    else:
-        w = weights_at(weight_kernel, data.X[idx], x_star)
-        if w.sum() <= 0:
-            raise EmptyNeighborhood("weight kernel vanished on the whole neighbor set")
+    k = uniform() if weight_kernel is None else weight_kernel
+    neighbors = Dataset(data.X[idx], data.y[idx])
     if data.kind == "labels":
-        classes = int(data.y.max()) + 1
-        delta = np.zeros(classes)
-        np.add.at(delta, data.y[idx], w)
-        return int(np.argmax(delta))
-    Y = np.atleast_2d(data.y.T).T[idx]
-    pred = (w @ Y) / w.sum()
-    return pred if data.y.ndim > 1 else float(pred[0])
+        return local_mode_predict(k, neighbors, x_star)[0]
+    return local_mean_predict(k, neighbors, x_star)
 
 
 # ---------------------------------------------------------------------------
@@ -460,7 +446,7 @@ def self_kernel_local_mean(
     data.require("real")
     if not isinstance(k_self, SelfKernel):
         raise InvalidParameter("self_kernel_local_mean needs a SelfKernel")
-    wx = weights_at(k_self.k_x, data.X, x_star)
+    wx = _local_weights(k_self.k_x, as_point(x_star)[None, :], data.X)[0]
     if wx.sum() <= 0:
         raise EmptyNeighborhood(f"no positive input-space weights at {x_star!r}")
     Y = np.atleast_2d(data.y.T).T
@@ -471,8 +457,7 @@ def self_kernel_local_mean(
     converged = False
     it = 0
     for it in range(1, max_iter + 1):
-        wy = k_self.k_y.gram_values(y[None, :], Y)[0]
-        w = wx * wy
+        w = wx * _local_weights(k_self.k_y, y[None, :], Y)[0]
         total = w.sum()
         if total <= 0:
             raise EmptyNeighborhood("the joint kernel vanished during iteration")
@@ -526,9 +511,9 @@ def local_centerless_classify(k: Kernel, d, data: Dataset, x_star, with_dispersi
     weights all vanish score -inf.
     """
     data.require("labels")
-    w = weights_at(k, data.X, x_star)
-    classes = int(data.y.max()) + 1
     x_star = as_point(x_star)
+    w = _local_weights(k, x_star[None, :], data.X)[0]
+    classes = int(data.y.max()) + 1
     dist_to_query = np.array([d(x_star, xi) for xi in data.X])
     delta = np.full(classes, -np.inf)
     any_class = False
@@ -591,7 +576,7 @@ def local_pca(k: Kernel, data: Dataset, x_star, r: int) -> LocalPcaBasis:
     r = int(r)
     if not 1 <= r < data.p:
         raise InvalidParameter(f"target dimension must be in [1, {data.p - 1}]")
-    w = weights_at(k, data.X, x_star)
+    w = _local_weights(k, as_point(x_star)[None, :], data.X)[0]
     total = w.sum()
     if total <= 0:
         raise EmptyNeighborhood(f"no positive kernel weights at {x_star!r}")

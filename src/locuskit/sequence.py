@@ -17,7 +17,9 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DimensionMismatch, InvalidParameter, ShapeMismatch
-from .kernels import Kernel, KernelMatrix, as_point_set, gram, local_reduce, normalize_rows, softmax_rows
+from .kernels import (
+    Kernel, KernelMatrix, _local_weights, as_point_set, gram, local_reduce, normalize_rows, softmax_rows,
+)
 
 __all__ = [
     "Sequence",
@@ -376,16 +378,21 @@ class TemporalMeanModel:
             enc = sinusoidal_encoding(np.concatenate([seq.times, [t_new]]), seq.width)
             tokens = tokens + enc[:-1]
             query_content = query_content + enc[-1]
-        w = self.static_kernel.gram_values(query_content[None, :], tokens)[0]
         tdiff = t_new - seq.times
         if self.pe.kind == "window":
-            w = np.where(np.abs(tdiff) < self.pe.delta, w, 0.0)
+            factor = (np.abs(tdiff) < self.pe.delta).astype(float)
         elif self.pe.kind == "relative-factor":
-            w = w * np.array([self.pe.factor(dv) for dv in tdiff])
+            factor = np.array([self.pe.factor(dv) for dv in tdiff], dtype=float)
+        else:
+            factor = np.ones(seq.length)
+        keep = factor != 0  # the static weights are max-shifted over the kept tokens only
+        w = factor[keep]
+        if keep.any():
+            w = w * _local_weights(self.static_kernel, query_content[None, :], tokens[keep])[0]
         total = w.sum()
         if total <= 0:
             return seq.tokens[-1].copy()
-        return (w @ seq.tokens) / total
+        return (w @ seq.tokens[keep]) / total
 
 
 class TransformerModel:

@@ -241,11 +241,10 @@ def medoid_shift(k: Kernel, d, X, merge_radius: float | None = None):
     """
     X = as_point_set(X)
     n = X.shape[0]
-    S = normalize_rows(gram(k, X, X))
-    if S.empty_rows.size:
-        raise EmptyNeighborhood(f"rows {S.empty_rows.tolist()} have zero degree")
     D = np.array([[d(a, b) for b in X] for a in X], dtype=float)
-    cost = S.values @ D
+    cost, empty = local_reduce(k, X, X, D)
+    if empty.any():
+        raise EmptyNeighborhood(f"rows {np.flatnonzero(empty).tolist()} have zero degree")
     mapping = cost.argmin(axis=1)
 
     reps = np.empty(n, dtype=int)

@@ -334,3 +334,20 @@ def test_qkv_linear_learn_v_self_objective_gate():
     vg = qkv_objective("linear", learn_v=True)
     err = finite_diff_gradcheck(vg, [phi, psi, V], eps=1e-5)
     assert err < 1e-4
+
+
+def test_multikernel_hollow_kernel_with_empty_rows():
+    # the hollow neighbourhood kernel leaves the two isolated rows empty;
+    # an empty row of K_tilde is zero, so its residual is y itself
+    from locuskit.kernels import HollowKernel, gram, neighborhood, normalize_rows
+
+    data = Dataset([[0.0], [0.2], [0.3], [3.0], [6.0]], [1.0, -1.0, 0.5, 2.0, -2.0])
+    kernels = [HollowKernel(neighborhood(0.5)), gaussian(1.0)]
+    fit = fit_multikernel(kernels, data)
+    R = np.stack(
+        [data.y - normalize_rows(gram(k, data.X, data.X)).values @ data.y for k in kernels], axis=1
+    )
+    assert normalize_rows(gram(kernels[0], data.X, data.X)).empty_rows.tolist() == [3, 4]
+    assert fit.objective == pytest.approx(fit.weights @ R.T @ R @ fit.weights, rel=1e-12)
+    ws = np.linspace(0, 1, 201)
+    assert fit.objective <= min(((w * R[:, 0] + (1 - w) * R[:, 1]) ** 2).sum() for w in ws) + 1e-9

@@ -429,3 +429,14 @@ def test_console_script_subprocess(tmp_path):
     )
     assert proc.returncode == 0
     assert '"n_clusters": 2' in proc.stdout
+
+
+def test_classify_negative_label_exit_two(tmp_path, capsys):
+    data = tmp_path / "d.csv"
+    data.write_text("x0,label\n0,-1\n0.1,-1\n5,1\n")
+    cfg = write_config(tmp_path, "c.json", {"input": str(data), "kernel": {"kind": "gaussian", "h": 1.0}})
+    code = main(["classify-local", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert code == 2
+    payload = json.loads(capsys.readouterr().err.strip())
+    assert payload["error"] == "validation"
+    assert "labels must be >= 0" in payload["message"]

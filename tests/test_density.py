@@ -321,3 +321,16 @@ def test_mean_shift_vector_matches_estimators():
     q = rng.normal(size=2)
     m = local_mean_predict(gaussian(0.9), data, q)
     np.testing.assert_allclose(mean_shift_vector(0.9, X, q), m - q, atol=1e-12)
+
+
+def test_kde_gradient_matches_central_differences():
+    rng = np.random.default_rng(21)
+    X = rng.normal(size=(20, 2))
+    h, eps = 0.6, 1e-5
+    for _ in range(5):
+        q = rng.normal(size=2)
+        numeric = [
+            (kde(gaussian(h), X, q + eps * e) - kde(gaussian(h), X, q - eps * e)) / (2 * eps)
+            for e in np.eye(2)
+        ]
+        np.testing.assert_allclose(kde_gradient(h, X, q), numeric, rtol=1e-6, atol=1e-12)

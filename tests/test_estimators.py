@@ -527,3 +527,34 @@ def test_knn_weighted_label_votes():
     # at K=3 the two class-1 votes outweigh only if their weights add up
     pred = knn_predict(3, data, [0.29], weight_kernel=gaussian(5.0))
     assert pred == 1
+
+
+class TestUnderflowIsNotEmpty:
+    """At h=0.01 every linear-domain Gaussian weight of these queries is 0;
+    the max-shifted log-domain weights still define the local mean."""
+
+    def test_weighted_knn_midway_mean(self):
+        data = Dataset([[0.0], [1.0]], [0.0, 1.0])
+        assert knn_predict(2, data, [0.5], weight_kernel=gaussian(0.01)) == 0.5
+
+    def test_self_kernel_midway_mean(self):
+        data = Dataset([[0.0], [1.0]], [0.0, 1.0])
+        res = self_kernel_local_mean(SelfKernel(gaussian(0.01), gaussian(1.0)), data, [0.5])
+        assert res.value == pytest.approx(0.5)
+
+    def test_centerless_nearer_class_wins(self):
+        data = Dataset([[0.0], [1.0]], np.array([0, 1]))
+        cls, delta = local_centerless_classify(gaussian(0.01), sq_euclid, data, [0.4])
+        assert cls == 0
+        assert delta[1] == -math.inf
+
+    def test_local_pca_mean_of_two_tied_nearest(self):
+        data = Dataset([[0, 0], [1, 0], [0, 1], [1, 1], [0.5, 0.2]])
+        basis = local_pca(gaussian(0.01), data, [0.25, 0.6], 1)
+        np.testing.assert_allclose(basis.mu, [0.25, 0.6], atol=1e-15)
+
+
+def test_negative_class_label_rejected():
+    # np.add.at would count label -1 as the highest class
+    with pytest.raises(errors.InvalidParameter, match="labels must be >= 0"):
+        Dataset([[0.0], [0.1], [5.0]], np.array([-1, -1, 1]))

@@ -471,3 +471,13 @@ def test_causal_hollow_first_row_passes_through():
     out = temporal_local_mean(seq, G)
     np.testing.assert_array_equal(out.tokens[0], seq.tokens[0])
     assert not np.allclose(out.tokens[1], seq.tokens[1])
+
+
+def test_temporal_mean_shifts_weights_over_kept_tokens_only():
+    # the factor drops the last token, which sits on the query content; the
+    # kept tokens' linear weights at h=0.01 all underflow
+    model = TemporalMeanModel(
+        gaussian(0.01), PositionEncoding("relative-factor", factor=lambda dt: float(dt >= 2))
+    )
+    out = model.next_token(Sequence([[0.0], [1.0], [0.4]]))
+    np.testing.assert_array_equal(out, [0.0])
