@@ -3,7 +3,9 @@
 Every task reads one self-describing JSON config, writes ``results.csv``
 and ``metrics.json`` (plus ``plot.svg`` where a figure makes sense) into
 the output directory, and exits 0 on success, 2 on validation failure, 3
-on numeric failure.  Errors also go to stderr as single-line JSON.
+on numeric failure.  Errors also go to stderr as single-line JSON.  A
+task's runner only computes; ``run_task`` writes every file once the
+runner has returned, so a task that raises leaves no output file.
 
 All randomness flows from the config's 64-bit ``seed`` through one
 splitting rule: the effective seed is ``seed XOR blake2b(task_name)``.
@@ -179,10 +181,27 @@ def _feature_header(p: int, prefix="x"):
 
 
 # ---------------------------------------------------------------------------
-# task runners (each returns the metrics dict)
+# task runners: runner(cfg, seed) -> (metrics, files, plot).  ``files`` maps an
+# output file name to ``(header, rows)`` for a CSV or a 2-D array for a PGM;
+# ``plot`` is emit_svg's ``(kind, payload)``, or None for no figure.
 # ---------------------------------------------------------------------------
 
-def _run_regress(cfg, out, seed, linear: bool):
+def _rows(X, *columns):
+    """CSV rows, generated as they are written: each row of X, then its entries of ``columns``."""
+    return (list(x) + list(cells) for x, *cells in zip(X, *columns))
+
+
+def _time_rows(seq):
+    """CSV rows of a sequence, generated as they are written: each time, then its token."""
+    return ([t] + list(row) for t, row in zip(seq.times, seq.tokens))
+
+
+def _label_scatter(X, labels):
+    """The first two features coloured by label; no figure for a single feature."""
+    return ("scatter", {"points": X[:, :2], "labels": labels}) if X.shape[1] >= 2 else None
+
+
+def _run_regress(cfg, seed, linear: bool):
     data = _resolve_input(cfg["input"], "features+target")
     kernel = make_kernel(cfg["kernel"])
     if linear:
@@ -199,20 +218,15 @@ def _run_regress(cfg, out, seed, linear: bool):
         metrics["loo_error"] = loo_error(kernel, data)
     except LocusKitError:
         metrics["loo_error"] = None
-    header = _feature_header(data.p) + ["target", "prediction"]
-    rows = [list(x) + [y, p] for x, y, p in zip(data.X, data.y, preds)]
-    write_csv(os.path.join(out, "results.csv"), header, rows)
+    files = {"results.csv": (_feature_header(data.p) + ["target", "prediction"], _rows(data.X, data.y, preds))}
+    plot = None
     if data.p == 1:
         order = np.argsort(data.X[:, 0])
-        emit_svg(
-            "line",
-            {"series": [(data.X[order, 0], data.y[order]), (data.X[order, 0], preds[order])]},
-            os.path.join(out, "plot.svg"),
-        )
-    return metrics
+        plot = ("line", {"series": [(data.X[order, 0], data.y[order]), (data.X[order, 0], preds[order])]})
+    return metrics, files, plot
 
 
-def _run_classify(cfg, out, seed):
+def _run_classify(cfg, seed):
     data = _resolve_input(cfg["input"], "features+label")
     kernel = make_kernel(cfg["kernel"])
     onehot = np.eye(int(data.y.max()) + 1)[data.y]
@@ -225,15 +239,11 @@ def _run_classify(cfg, out, seed):
         "n": data.n,
         "diagnostics": {"counters": {"empty_rows": int(empty.sum())}},
     }
-    header = _feature_header(data.p) + ["label", "predicted"]
-    rows = [list(x) + [int(y), int(p)] for x, y, p in zip(data.X, data.y, preds)]
-    write_csv(os.path.join(out, "results.csv"), header, rows)
-    if data.p >= 2:
-        emit_svg("scatter", {"points": data.X[:, :2], "labels": preds}, os.path.join(out, "plot.svg"))
-    return metrics
+    files = {"results.csv": (_feature_header(data.p) + ["label", "predicted"], _rows(data.X, data.y, preds))}
+    return metrics, files, _label_scatter(data.X, preds)
 
 
-def _run_meanshift(cfg, out, seed):
+def _run_meanshift(cfg, seed):
     data = _resolve_input(cfg["input"], "features+label" if cfg["labeled"] else "features-only")
     kernel = make_kernel(cfg["kernel"])
     res = mean_shift(
@@ -256,30 +266,18 @@ def _run_meanshift(cfg, out, seed):
     }
     if cfg["labeled"]:
         metrics["ari"] = adjusted_rand_index(data.y, res.labels)
-    header = _feature_header(data.p) + ["cluster"]
-    write_csv(
-        os.path.join(out, "results.csv"),
-        header,
-        [list(x) + [int(c)] for x, c in zip(data.X, res.labels)],
-    )
-    write_csv(
-        os.path.join(out, "trajectories.csv"),
-        ["query", "iteration"] + _feature_header(data.p),
-        [
-            [int(i), int(t)] + list(snap[i])
-            for i in range(data.n)
-            for t, snap in enumerate(res.trajectories)
-        ],
-    )
-    emit_svg(
-        "trajectories",
-        {"trajectories": [res.trajectory_of(i) for i in range(data.n)]},
-        os.path.join(out, "plot.svg"),
-    )
-    return metrics
+    header = _feature_header(data.p)
+    files = {
+        "results.csv": (header + ["cluster"], _rows(data.X, res.labels)),
+        "trajectories.csv": (
+            ["query", "iteration"] + header,
+            ([i, t] + list(snap[i]) for i in range(data.n) for t, snap in enumerate(res.trajectories)),
+        ),
+    }
+    return metrics, files, ("trajectories", {"trajectories": (res.trajectory_of(i) for i in range(data.n))})
 
 
-def _run_medoidshift(cfg, out, seed):
+def _run_medoidshift(cfg, seed):
     data = _resolve_input(cfg["input"], "features+label" if cfg["labeled"] else "features-only")
     kernel = make_kernel(cfg["kernel"])
 
@@ -290,18 +288,11 @@ def _run_medoidshift(cfg, out, seed):
     metrics = {"n_clusters": int(labels.max()) + 1}
     if cfg["labeled"]:
         metrics["ari"] = adjusted_rand_index(data.y, labels)
-    header = _feature_header(data.p) + ["cluster", "medoid"]
-    write_csv(
-        os.path.join(out, "results.csv"),
-        header,
-        [list(x) + [int(c), int(m)] for x, c, m in zip(data.X, labels, mapping)],
-    )
-    if data.p >= 2:
-        emit_svg("scatter", {"points": data.X[:, :2], "labels": labels}, os.path.join(out, "plot.svg"))
-    return metrics
+    files = {"results.csv": (_feature_header(data.p) + ["cluster", "medoid"], _rows(data.X, labels, mapping))}
+    return metrics, files, _label_scatter(data.X, labels)
 
 
-def _run_relax(cfg, out, seed):
+def _run_relax(cfg, seed):
     data = _resolve_input(cfg["input"], "features+label" if cfg["labeled"] else "features-only")
     kernel = make_kernel(cfg["kernel"])
     init = synth.kmeans_labels(data.X, int(cfg["n_classes"]), rng_seed=seed)
@@ -314,49 +305,31 @@ def _run_relax(cfg, out, seed):
     metrics = {"n_classes_found": int(len(np.unique(labels)))}
     if cfg["labeled"]:
         metrics["ari"] = adjusted_rand_index(data.y, labels)
-    write_csv(
-        os.path.join(out, "results.csv"),
-        _feature_header(data.p) + ["cluster"],
-        [list(x) + [int(c)] for x, c in zip(data.X, labels)],
-    )
-    if data.p >= 2:
-        emit_svg("scatter", {"points": data.X[:, :2], "labels": labels}, os.path.join(out, "plot.svg"))
-    return metrics
+    files = {"results.csv": (_feature_header(data.p) + ["cluster"], _rows(data.X, labels))}
+    return metrics, files, _label_scatter(data.X, labels)
 
 
-def _run_lle(cfg, out, seed):
+def _run_lle(cfg, seed):
     data = _resolve_input(cfg["input"], "features-only")
     S = lle_weights(data.X, int(cfg["n_neighbors"]))
     res = lle_embed(S, int(cfg["dim"]))
-    metrics = {"objective": res.objective, "n": data.n}
-    write_csv(
-        os.path.join(out, "results.csv"),
-        [f"z{i}" for i in range(res.Z.shape[1])],
-        [list(z) for z in res.Z],
-    )
-    emit_svg("scatter", {"points": res.Z[:, :2] if res.Z.shape[1] >= 2 else res.Z}, os.path.join(out, "plot.svg"))
-    return metrics
+    files = {"results.csv": ([f"z{i}" for i in range(res.Z.shape[1])], res.Z)}
+    return {"objective": res.objective, "n": data.n}, files, ("scatter", {"points": res.Z[:, :2]})
 
 
-def _run_amds(cfg, out, seed):
+def _run_amds(cfg, seed):
     data = _resolve_input(cfg["input"], "features-only")
     kernel = make_kernel(cfg["kernel"])
     K = gram(kernel, data.X, data.X)
     Phi, Psi, strain, history = amds_factorize(
         K, int(cfg["q"]), method=cfg["method"], iters=int(cfg["iters"]), rng_seed=seed
     )
-    metrics = {"strain": strain, "sweeps": len(history)}
     header = [f"phi{i}" for i in range(Phi.shape[1])] + [f"psi{i}" for i in range(Psi.shape[1])]
-    write_csv(
-        os.path.join(out, "results.csv"),
-        header,
-        [list(a) + list(b) for a, b in zip(Phi, Psi)],
-    )
-    emit_svg("scatter", {"points": Phi[:, :2] if Phi.shape[1] >= 2 else Phi}, os.path.join(out, "plot.svg"))
-    return metrics
+    files = {"results.csv": (header, np.hstack([Phi, Psi]))}
+    return {"strain": strain, "sweeps": len(history)}, files, ("scatter", {"points": Phi[:, :2]})
 
 
-def _run_trimap(cfg, out, seed):
+def _run_trimap(cfg, seed):
     data = _resolve_input(cfg["input"], "features-only")
     res = trimap_embed(
         data.X,
@@ -368,16 +341,11 @@ def _run_trimap(cfg, out, seed):
         rng_seed=seed,
     )
     metrics = {"objective": res.objective, "initial_objective": float(res.history[0])}
-    write_csv(
-        os.path.join(out, "results.csv"),
-        [f"z{i}" for i in range(res.Z.shape[1])],
-        [list(z) for z in res.Z],
-    )
-    emit_svg("scatter", {"points": res.Z[:, :2] if res.Z.shape[1] >= 2 else res.Z}, os.path.join(out, "plot.svg"))
-    return metrics
+    files = {"results.csv": ([f"z{i}" for i in range(res.Z.shape[1])], res.Z)}
+    return metrics, files, ("scatter", {"points": res.Z[:, :2]})
 
 
-def _run_words(cfg, out, seed):
+def _run_words(cfg, seed):
     path = cfg["input"]
     if not isinstance(path, str) or not os.path.exists(path):
         raise ValidationError(f"input text file does not exist: {path!r}")
@@ -385,17 +353,11 @@ def _run_words(cfg, out, seed):
     wv = cooccurrence_embed(windows, int(cfg["dim"]))
     metrics = {"vocabulary": len(wv.vocabulary), "windows": len(windows)}
     header = ["symbol"] + [f"v{i}" for i in range(wv.input_vectors.shape[1])]
-    write_csv(
-        os.path.join(out, "results.csv"),
-        header,
-        [[tok] + list(vec) for tok, vec in zip(wv.vocabulary, wv.input_vectors)],
-    )
-    pts = wv.input_vectors[:, :2] if wv.input_vectors.shape[1] >= 2 else wv.input_vectors
-    emit_svg("scatter", {"points": pts}, os.path.join(out, "plot.svg"))
-    return metrics
+    files = {"results.csv": (header, ([tok] + list(vec) for tok, vec in zip(wv.vocabulary, wv.input_vectors)))}
+    return metrics, files, ("scatter", {"points": wv.input_vectors[:, :2]})
 
 
-def _run_kde(cfg, out, seed):
+def _run_kde(cfg, seed):
     data = _resolve_input(cfg["input"], "features-only")
     kernel = make_kernel(cfg["kernel"])
     if data.p != 1:
@@ -410,12 +372,11 @@ def _run_kde(cfg, out, seed):
         "total_log_likelihood": float(np.log(np.maximum(in_sample, 1e-300)).sum()),
         "grid_count": int(cfg["grid_count"]),
     }
-    write_csv(os.path.join(out, "results.csv"), ["x", "density"], np.stack([grid, dens], 1))
-    emit_svg("line", {"series": [(grid, dens)]}, os.path.join(out, "plot.svg"))
-    return metrics
+    files = {"results.csv": (["x", "density"], np.stack([grid, dens], 1))}
+    return metrics, files, ("line", {"series": [(grid, dens)]})
 
 
-def _run_diffusion(cfg, out, seed):
+def _run_diffusion(cfg, seed):
     data = _resolve_input(cfg["input"], "features-only")
     sched = DiffusionSchedule.linear_variance_preserving(
         int(cfg["steps"]), float(cfg["s2_min"]), float(cfg["s2_max"])
@@ -429,37 +390,24 @@ def _run_diffusion(cfg, out, seed):
         inject_noise=bool(cfg["inject_noise"]),
     )
     metrics = {"n_samples": int(cfg["n_samples"])}
-    if data.p == 1:
-        idx = np.random.default_rng(seed).choice(data.n, size=min(data.n, len(gen)), replace=False)
-        metrics["w1_to_training_subset"] = w1_distance(gen[: len(idx), 0], data.X[idx, 0])
-        metrics["left_mass"] = float((gen[:, 0] < np.median(data.X[:, 0])).mean())
-    write_csv(
-        os.path.join(out, "results.csv"),
-        _feature_header(data.p, prefix="g"),
-        [list(g) for g in gen],
-    )
+    files = {"results.csv": (_feature_header(data.p, prefix="g"), gen)}
     if data.p >= 2:
-        emit_svg("scatter", {"points": gen[:, :2]}, os.path.join(out, "plot.svg"))
-    else:
-        sorted_gen = np.sort(gen[:, 0])
-        emit_svg(
-            "line",
-            {"series": [(np.linspace(0, 1, len(sorted_gen)), sorted_gen)]},
-            os.path.join(out, "plot.svg"),
-        )
-    return metrics
+        return metrics, files, ("scatter", {"points": gen[:, :2]})
+    idx = np.random.default_rng(seed).choice(data.n, size=min(data.n, len(gen)), replace=False)
+    metrics["w1_to_training_subset"] = w1_distance(gen[: len(idx), 0], data.X[idx, 0])
+    metrics["left_mass"] = float((gen[:, 0] < np.median(data.X[:, 0])).mean())
+    sorted_gen = np.sort(gen[:, 0])
+    return metrics, files, ("line", {"series": [(np.linspace(0, 1, len(sorted_gen)), sorted_gen)]})
 
 
-def _run_nlm(cfg, out, seed):
+def _run_nlm(cfg, seed):
     if cfg["image"] is not None:
         img = read_pgm(cfg["image"]).astype(float) / 255.0
         den = nlm_denoise_image(
             img, int(cfg["patch_radius"]), float(cfg["bandwidth"]), int(cfg["search_radius"])
         )
-        write_pgm(os.path.join(out, "denoised.pgm"), den * 255.0)
-        metrics = {"pixels": int(img.size)}
-        write_csv(os.path.join(out, "results.csv"), ["mse_change"], [[float(((den - img) ** 2).mean())]])
-        return metrics
+        files = {"denoised.pgm": den * 255.0, "results.csv": (["mse_change"], [[float(((den - img) ** 2).mean())]])}
+        return {"pixels": int(img.size)}, files, None
     seq = _resolve_input(cfg["input"], "sequence")
     den = nlm_denoise(seq, int(cfg["patch_radius"]), float(cfg["bandwidth"]), int(cfg["search_radius"]))
     metrics = {"length": seq.length}
@@ -468,20 +416,11 @@ def _run_nlm(cfg, out, seed):
         metrics["mse_vs_clean"] = float(((den.tokens - clean.tokens) ** 2).mean())
         base = gaussian_moving_average(seq, int(cfg["search_radius"]))
         metrics["mse_moving_average"] = float(((base.tokens - clean.tokens) ** 2).mean())
-    write_csv(
-        os.path.join(out, "results.csv"),
-        ["t"] + _feature_header(seq.width),
-        [[t] + list(row) for t, row in zip(den.times, den.tokens)],
-    )
-    emit_svg(
-        "line",
-        {"series": [(seq.times, seq.tokens[:, 0]), (den.times, den.tokens[:, 0])]},
-        os.path.join(out, "plot.svg"),
-    )
-    return metrics
+    files = {"results.csv": (["t"] + _feature_header(seq.width), _time_rows(den))}
+    return metrics, files, ("line", {"series": [(seq.times, seq.tokens[:, 0]), (den.times, den.tokens[:, 0])]})
 
 
-def _run_tune(cfg, out, seed):
+def _run_tune(cfg, seed):
     data = _resolve_input(cfg["input"], "features+target")
     grid_cfg = cfg["grid"]
     if isinstance(grid_cfg, dict):
@@ -497,14 +436,12 @@ def _run_tune(cfg, out, seed):
         "diagnostics": {"counters": {"loo_refits": res.loo_refits}},
     }
     finite = [(h, l) for h, l in res.curve if np.isfinite(l)]
-    write_csv(os.path.join(out, "results.csv"), ["h", "loss"], finite)
     hs = np.array([h for h, _ in finite])
     ls = np.array([l for _, l in finite])
-    emit_svg("curve+argmin", {"x": np.log10(hs), "y": ls}, os.path.join(out, "plot.svg"))
-    return metrics
+    return metrics, {"results.csv": (["h", "loss"], finite)}, ("curve+argmin", {"x": np.log10(hs), "y": ls})
 
 
-def _run_qkv(cfg, out, seed):
+def _run_qkv(cfg, seed):
     data = _resolve_input(cfg["input"], "features-only")
     params, trace = fit_qkv(
         data.X,
@@ -519,16 +456,11 @@ def _run_qkv(cfg, out, seed):
         "final_loss": float(trace[-1]),
         "loss_ratio": float(trace[-1] / trace[0]) if trace[0] else 0.0,
     }
-    write_csv(
-        os.path.join(out, "results.csv"),
-        ["step", "loss"],
-        [[i, v] for i, v in enumerate(trace)],
-    )
-    emit_svg("line", {"series": [(np.arange(len(trace)), trace)]}, os.path.join(out, "plot.svg"))
-    return metrics
+    files = {"results.csv": (["step", "loss"], enumerate(trace))}
+    return metrics, files, ("line", {"series": [(np.arange(len(trace)), trace)]})
 
 
-def _run_transformer(cfg, out, seed):
+def _run_transformer(cfg, seed):
     if cfg["input"] is not None:
         seq = _resolve_input(cfg["input"], "sequence")
     else:
@@ -555,17 +487,8 @@ def _run_transformer(cfg, out, seed):
         metrics["causality_ok"] = bool(
             np.array_equal(out2.tokens[:s], out_seq.tokens[:s])
         )
-    write_csv(
-        os.path.join(out, "results.csv"),
-        ["t"] + _feature_header(seq.width, prefix="y"),
-        [[t] + list(row) for t, row in zip(out_seq.times, out_seq.tokens)],
-    )
-    emit_svg(
-        "line",
-        {"series": [(seq.times, seq.tokens[:, 0]), (out_seq.times, out_seq.tokens[:, 0])]},
-        os.path.join(out, "plot.svg"),
-    )
-    return metrics
+    files = {"results.csv": (["t"] + _feature_header(seq.width, prefix="y"), _time_rows(out_seq))}
+    return metrics, files, ("line", {"series": [(seq.times, seq.tokens[:, 0]), (out_seq.times, out_seq.tokens[:, 0])]})
 
 
 # ---------------------------------------------------------------------------
@@ -587,13 +510,13 @@ _register(
     "regress-local-mean",
     "kernel-weighted average regression over a features+target CSV",
     [_INPUT_KEY, _KERNEL_KEY, _SEED_KEY, Key("fallback", str, default="error", help="empty-window policy")],
-    lambda cfg, out, seed: _run_regress(cfg, out, seed, linear=False),
+    lambda cfg, seed: _run_regress(cfg, seed, linear=False),
 )
 _register(
     "regress-local-linear",
     "locally weighted linear/ridge regression",
     [_INPUT_KEY, _KERNEL_KEY, _SEED_KEY, Key("lambda", float, default=0.0, help="ridge penalty")],
-    lambda cfg, out, seed: _run_regress(cfg, out, seed, linear=True),
+    lambda cfg, seed: _run_regress(cfg, seed, linear=True),
 )
 _register(
     "classify-local",
@@ -777,7 +700,7 @@ _register(
 # ---------------------------------------------------------------------------
 
 def run_task(task: str, config: dict, out_dir: str, seed_override=None) -> dict:
-    """Validate and execute one task; returns the metrics it wrote."""
+    """Validate and execute one task, then write its files into out_dir; returns the metrics it wrote."""
     if task not in TASKS:
         raise ValidationError(f"unknown task {task!r}; have {sorted(TASKS)}")
     spec = TASKS[task]
@@ -788,8 +711,16 @@ def run_task(task: str, config: dict, out_dir: str, seed_override=None) -> dict:
     os.makedirs(out_dir, exist_ok=True)
     seed = _task_seed(task, cfg.get("seed"))
     start = time.perf_counter()
-    metrics = spec.runner(cfg, out_dir, seed)
-    metrics["runtime_s"] = time.perf_counter() - start  # the whole runner: ingest, compute, output files
+    metrics, files, plot = spec.runner(cfg, seed)
+    for name, content in files.items():  # paths go positionally: perfbench/tracer.py reads them from args
+        path = os.path.join(out_dir, name)
+        if name.endswith(".pgm"):
+            write_pgm(path, content)
+        else:
+            write_csv(path, *content)
+    if plot is not None:
+        emit_svg(*plot, os.path.join(out_dir, "plot.svg"))
+    metrics["runtime_s"] = time.perf_counter() - start  # the runner and its output files
     metrics["task"] = task
     write_json(os.path.join(out_dir, "metrics.json"), metrics)
     return metrics

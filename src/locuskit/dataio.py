@@ -105,7 +105,7 @@ def ingest_csv(path, schema: str):
         return Dataset(table[:, :-1], table[:, -1])
     if schema == "features+label":
         labels = table[:, -1]
-        if not np.allclose(labels, np.round(labels)):
+        if (labels != np.round(labels)).any():
             raise SchemaMismatch("label column contains non-integer values")
         return Dataset(table[:, :-1], labels.astype(int))
     times = table[:, 0]

@@ -23,8 +23,8 @@ from .errors import (
     ZeroDenominator,
 )
 from .kernels import (  # normalize_rows is unused here, but perfbench/tracer.py wraps it by name
-    Kernel, SelfKernel, _local_weights, _row_blocks, as_point, as_point_set, local_reduce, normalize_rows,
-    pairwise_sq_dists, softmax_rows, uniform,
+    GaussianKernel, Kernel, SelfKernel, _local_weights, _row_blocks, as_point, as_point_set, local_reduce,
+    normalize_rows, pairwise_sq_dists, softmax_rows, uniform,
 )
 
 __all__ = [
@@ -429,6 +429,23 @@ def local_linear_predict(k: Kernel, data: Dataset, x_star, lam: float = 0.0):
 # self-localization kernel fixed point
 # ---------------------------------------------------------------------------
 
+def _factor_weights(k: Kernel, q, X):
+    """One product-kernel factor at point q as ``(log weights, linear weights)``: a Gaussian is all log."""
+    if isinstance(k, GaussianKernel):
+        return pairwise_sq_dists(q[None, :], X)[0] / -(2.0 * k.h * k.h), 1.0
+    return 0.0, _local_weights(k, q[None, :], X)[0]
+
+
+def _product_weights(log_w, lin_w, n: int) -> np.ndarray:
+    """``lin_w * exp(log_w)`` over n samples, the log part max-shifted once over the samples lin_w keeps."""
+    log_w, lin_w = np.broadcast_to(log_w, n), np.broadcast_to(lin_w, n)
+    keep = lin_w != 0
+    top = log_w[keep].max(initial=-np.inf)
+    w = np.zeros(n)
+    w[keep] = lin_w[keep] * np.exp(log_w[keep] - (top if np.isfinite(top) else 0.0))
+    return w
+
+
 def self_kernel_local_mean(
     k_self: SelfKernel,
     data: Dataset,
@@ -441,12 +458,15 @@ def self_kernel_local_mean(
 
     Iterates ``y* <- sum K1(x*, x_i) K2(y*, y_i) y_i / sum K1 K2`` until the
     update moves less than ``tol``.  Non-convergence is flagged on the
-    result, not raised.
+    result, not raised.  The Gaussian factors' log weights are summed and
+    max-shifted once, over the samples the other factors keep, so the joint
+    weights all vanish only when the non-Gaussian factors zero every sample.
     """
     data.require("real")
     if not isinstance(k_self, SelfKernel):
         raise InvalidParameter("self_kernel_local_mean needs a SelfKernel")
-    wx = _local_weights(k_self.k_x, as_point(x_star)[None, :], data.X)[0]
+    log_x, lin_x = _factor_weights(k_self.k_x, as_point(x_star), data.X)
+    wx = _product_weights(log_x, lin_x, data.n)
     if wx.sum() <= 0:
         raise EmptyNeighborhood(f"no positive input-space weights at {x_star!r}")
     Y = np.atleast_2d(data.y.T).T
@@ -457,7 +477,8 @@ def self_kernel_local_mean(
     converged = False
     it = 0
     for it in range(1, max_iter + 1):
-        w = wx * _local_weights(k_self.k_y, y[None, :], Y)[0]
+        log_y, lin_y = _factor_weights(k_self.k_y, y, Y)
+        w = _product_weights(log_x + log_y, lin_x * lin_y, data.n)
         total = w.sum()
         if total <= 0:
             raise EmptyNeighborhood("the joint kernel vanished during iteration")

@@ -387,7 +387,8 @@ def relaxation_label(
     labeling stops changing.  Rows with zero kernel degree are frozen.
     """
     X = as_point_set(X)
-    S = normalize_rows(gram(k, X, X))
+    G = gram(k, X, X)
+    S = normalize_rows(G)
     frozen = S.empty_rows
     if mode == "soft":
         R = np.asarray(init, dtype=float).copy()
@@ -410,12 +411,11 @@ def relaxation_label(
         labels = np.asarray(init, dtype=int).copy()
         if labels.shape != (X.shape[0],):
             raise InvalidParameter("hard init must be a length-N label vector")
-        K = gram(k, X, X).values
         classes = int(labels.max()) + 1
         for _ in range(max_iter):
             onehot = np.zeros((X.shape[0], classes))
             onehot[np.arange(X.shape[0]), labels] = 1.0
-            scores = K @ onehot
+            scores = G.values @ onehot
             new = scores.argmax(axis=1)
             new[frozen] = labels[frozen]
             if np.array_equal(new, labels):

@@ -42,6 +42,13 @@ class TestIngest:
         data = ingest_csv(p, "features+label")
         assert data.kind == "labels"
 
+    @pytest.mark.parametrize("label", ["0.99999999999", "1000000.4"])
+    def test_near_integer_label_rejected(self, tmp_path, label):
+        p = tmp_path / "d.csv"
+        p.write_text(f"x,c\n1,0\n3,{label}\n")
+        with pytest.raises(SchemaMismatch, match="non-integer"):
+            ingest_csv(p, "features+label")
+
     def test_sequence_schema(self, tmp_path):
         p = tmp_path / "s.csv"
         p.write_text("t,v\n0,1\n1,2\n2,3\n")
@@ -367,7 +374,69 @@ class TestMainExitCodes:
                 assert k.name in text
 
 
+_GAUSS = {"kind": "gaussian", "h": 0.5}
+_SWISS = {"synthetic": {"kind": "swiss-roll", "n": 40, "seed": 3}}
+_TWO_MODE = {"synthetic": {"kind": "two-mode", "n": 40, "seed": 2}}
+_LINE_BLOBS = {"synthetic": {"kind": "blobs", "n_per_blob": 10, "centers": [[0.0], [3.0]], "seed": 1}}
+_STEP = {"synthetic": {"kind": "step", "n": 40, "seed": 5}}
+
+# (task, config from the directory of written inputs, files written besides results.csv and metrics.json)
+EVERY_TASK = [
+    ("regress-local-mean", lambda d: {"input": "bundled:noisy-sine", "kernel": _GAUSS}, {"plot.svg"}),
+    ("regress-local-mean", lambda d: {"input": str(d / "plane.csv"), "kernel": _GAUSS}, set()),
+    ("regress-local-linear", lambda d: {"input": "bundled:noisy-sine", "kernel": _GAUSS}, {"plot.svg"}),
+    ("regress-local-linear", lambda d: {"input": str(d / "plane.csv"), "kernel": _GAUSS}, set()),
+    ("classify-local", lambda d: {"input": "bundled:two-blobs", "kernel": _GAUSS}, {"plot.svg"}),
+    ("classify-local", lambda d: {"input": _LINE_BLOBS, "kernel": _GAUSS}, set()),
+    ("cluster-meanshift", lambda d: {"input": "bundled:two-blobs"}, {"plot.svg", "trajectories.csv"}),
+    ("cluster-medoidshift", lambda d: {"input": "bundled:two-blobs", "kernel": _GAUSS}, {"plot.svg"}),
+    ("cluster-medoidshift", lambda d: {"input": _LINE_BLOBS, "kernel": _GAUSS}, set()),
+    ("cluster-relax", lambda d: {"input": "bundled:two-blobs", "n_classes": 2, "seed": 3}, {"plot.svg"}),
+    ("cluster-relax", lambda d: {"input": _LINE_BLOBS, "n_classes": 2, "seed": 3}, set()),
+    ("embed-lle", lambda d: {"input": _SWISS, "n_neighbors": 6, "dim": 1}, {"plot.svg"}),
+    ("embed-amds", lambda d: {"input": _SWISS, "q": 1, "iters": 20, "seed": 5}, {"plot.svg"}),
+    ("embed-trimap", lambda d: {"input": _SWISS, "steps": 5, "seed": 5}, {"plot.svg"}),
+    ("embed-words", lambda d: {"input": str(d / "corpus.txt"), "window": 3}, {"plot.svg"}),
+    ("density-kde", lambda d: {"input": _TWO_MODE, "grid_count": 21}, {"plot.svg"}),
+    ("generate-diffusion", lambda d: {"input": _TWO_MODE, "seed": 7, "n_samples": 20}, {"plot.svg"}),
+    ("generate-diffusion", lambda d: {"input": "bundled:two-blobs", "seed": 7, "n_samples": 20}, {"plot.svg"}),
+    ("denoise-nlm", lambda d: {"input": _STEP, "search_radius": 3}, {"plot.svg"}),
+    ("denoise-nlm", lambda d: {"image": str(d / "image.pgm"), "search_radius": 2}, {"denoised.pgm"}),
+    ("tune-bandwidth", lambda d: {"input": "bundled:noisy-sine", "grid": [0.2, 0.5]}, {"plot.svg"}),
+    ("fit-qkv", lambda d: {"input": "bundled:qkv-toy", "seed": 7, "steps": 10}, {"plot.svg"}),
+    ("transformer-demo", lambda d: {"seed": 9, "length": 12, "depth": 2}, {"plot.svg"}),
+]
+DETERMINISTIC_FILES = ("results.csv", "plot.svg", "trajectories.csv", "denoised.pgm")
+
+
+@pytest.fixture(scope="module")
+def task_inputs(tmp_path_factory):
+    d = tmp_path_factory.mktemp("inputs")
+    rng = np.random.default_rng(4)
+    X = rng.normal(size=(30, 2))
+    write_csv(d / "plane.csv", ["x0", "x1", "y"], np.column_stack([X, X[:, 0] - X[:, 1]]))
+    (d / "corpus.txt").write_text("alpha beta gamma alpha beta delta epsilon zeta " * 4)
+    write_pgm(d / "image.pgm", rng.integers(0, 256, size=(8, 8)))
+    return d
+
+
 class TestDeterminism:
+    def test_every_task_is_covered(self):
+        assert {task for task, _, _ in EVERY_TASK} == set(TASKS)
+
+    @pytest.mark.parametrize(
+        "task, config, extra", EVERY_TASK, ids=[f"{t}-{i}" for i, (t, _, _) in enumerate(EVERY_TASK)]
+    )
+    def test_every_task_writes_its_files_byte_identically(self, tmp_path, task_inputs, task, config, extra):
+        cfg = config(task_inputs)
+        run_task(task, cfg, str(tmp_path / "a"))
+        run_task(task, cfg, str(tmp_path / "b"))
+        written = {p.name for p in (tmp_path / "a").iterdir()}
+        assert written == {"results.csv", "metrics.json"} | extra
+        assert {p.name for p in (tmp_path / "b").iterdir()} == written
+        for name in written.intersection(DETERMINISTIC_FILES):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes(), name
+
     def test_identical_runs_byte_identical(self, tmp_path):
         cfg = {"input": "bundled:two-blobs", "seed": 7}
         run_task("cluster-meanshift", cfg, str(tmp_path / "a"))
@@ -429,6 +498,18 @@ def test_console_script_subprocess(tmp_path):
     )
     assert proc.returncode == 0
     assert '"n_clusters": 2' in proc.stdout
+
+
+def test_classify_near_integer_label_exit_two(tmp_path, capsys):
+    data = tmp_path / "d.csv"
+    data.write_text("x0,label\n0,0\n0.1,0.99999999999\n5,1\n")
+    cfg = write_config(tmp_path, "c.json", {"input": str(data), "kernel": {"kind": "gaussian", "h": 1.0}})
+    code = main(["classify-local", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert code == 2
+    payload = json.loads(capsys.readouterr().err.strip())
+    assert payload["error"] == "validation"
+    assert "non-integer" in payload["message"]
+    assert not (tmp_path / "o" / "results.csv").exists()
 
 
 def test_classify_negative_label_exit_two(tmp_path, capsys):

@@ -542,6 +542,13 @@ class TestUnderflowIsNotEmpty:
         res = self_kernel_local_mean(SelfKernel(gaussian(0.01), gaussian(1.0)), data, [0.5])
         assert res.value == pytest.approx(0.5)
 
+    def test_self_kernel_joint_weights_share_one_shift(self):
+        # each factor's maximum sits on the other sample, so the factors max-shifted
+        # apart multiply to zero; the joint log weights (-20000, -1800) pick sample 1
+        data = Dataset([[0.0], [0.3]], [1.0, 0.0])
+        k = SelfKernel(gaussian(0.005), gaussian(0.005))
+        assert self_kernel_local_mean(k, data, [0.0], init=0.0).value == 0.0
+
     def test_centerless_nearer_class_wins(self):
         data = Dataset([[0.0], [1.0]], np.array([0, 1]))
         cls, delta = local_centerless_classify(gaussian(0.01), sq_euclid, data, [0.4])

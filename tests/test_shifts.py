@@ -6,6 +6,7 @@ import pytest
 
 from locuskit import errors
 from locuskit.kernels import (
+    GaussianKernel,
     concrete,
     dirac,
     epanechnikov,
@@ -339,6 +340,20 @@ class TestRelaxation:
         oracle = (K @ onehot).argmax(1)
         np.testing.assert_array_equal(out, oracle)
         np.testing.assert_array_equal(out, labels)
+
+
+    def test_hard_mode_evaluates_the_gram_once(self, monkeypatch):
+        calls = []
+        original = GaussianKernel.gram_values
+
+        def counting(self, rows, cols):
+            calls.append((len(rows), len(cols)))
+            return original(self, rows, cols)
+
+        monkeypatch.setattr(GaussianKernel, "gram_values", counting)
+        X, labels = two_blobs(seed=11, n=12)
+        relaxation_label(gaussian(1.0), X, labels, mode="hard")
+        assert calls == [(len(X), len(X))]
 
 
 class TestMedoidMergeAndPcShiftEdge:
