@@ -18,7 +18,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DimensionMismatch, InvalidParameter, ShapeMismatch
 from .kernels import (
-    Kernel, KernelMatrix, _local_weights, as_point_set, gram, local_reduce, normalize_rows, softmax_rows,
+    Kernel, KernelMatrix, _local_weights, _row_blocks, as_point_set, gram, local_reduce, normalize_rows,
+    softmax_rows,
 )
 
 __all__ = [
@@ -152,17 +153,27 @@ def temporal_local_mean(seq: Sequence, gram_matrix) -> Sequence:
 
 
 def attention_layer(V, phi, psi, causal: bool = False) -> np.ndarray:
-    """Scaled-dot softmax attention ``softmax(phi psi^T / sqrt(d) + mask) V``."""
+    """Scaled-dot softmax attention ``softmax(phi psi^T / sqrt(d) + mask) V``, in row blocks.
+
+    Each block of query rows scores only the keys it can see: a causal block
+    reads keys up to its last row and masks the entries of its own rows that
+    lie above the diagonal, so no T x T score matrix is built.
+    """
     V = np.asarray(V, dtype=float)
     phi = np.asarray(phi, dtype=float)
     psi = np.asarray(psi, dtype=float)
     if phi.shape != psi.shape or phi.shape[0] != V.shape[0]:
         raise ShapeMismatch("phi, psi must be (T, d) and V (T, q)")
-    S = phi @ psi.T / math.sqrt(phi.shape[1])
-    if causal:
-        T = S.shape[0]
-        S = np.where(np.arange(T)[None, :] > np.arange(T)[:, None], -np.inf, S)
-    return softmax_rows(S) @ V
+    T = phi.shape[0]
+    scale = math.sqrt(phi.shape[1])
+    out = np.empty(V.shape)
+    for rows in _row_blocks(T, T):
+        stop = min(rows.stop, T) if causal else T
+        S = phi[rows] @ psi[:stop].T / scale
+        if causal:  # only the trailing square of a causal block reaches past the diagonal
+            S[:, rows.start:][np.triu_indices(stop - rows.start, 1)] = -np.inf
+        out[rows] = softmax_rows(S) @ V[:stop]
+    return out
 
 
 @dataclass(frozen=True)

@@ -1,14 +1,16 @@
-"""Sequence-model tests: temporal grams, attention stochasticity and
-causality, the encoder against a straight-line oracle, hierarchical local
-means, NLM, and autoregressive completion."""
+"""Sequence-model tests: temporal grams, attention stochasticity, causality
+and row blocks, the encoder against a straight-line oracle, hierarchical
+local means, NLM, and autoregressive completion."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
-from locuskit import errors
-from locuskit.kernels import dirac, gaussian, uniform
+from locuskit import errors, kernels
+from locuskit.kernels import dirac, gaussian, softmax_rows, uniform
 from locuskit.sequence import (
     MlpParams,
     PositionEncoding,
@@ -152,6 +154,89 @@ class TestAttention:
         np.testing.assert_allclose(A.sum(1), 1.0, atol=1e-12)
         shifted = attention_layer(np.eye(6), phi, psi)
         np.testing.assert_allclose(shifted.sum(1), 1.0, atol=1e-12)
+
+    def test_one_dimensional_values_give_a_one_dimensional_result(self):
+        rng = np.random.default_rng(14)
+        V, phi, psi = rng.normal(size=6), rng.normal(size=(6, 2)), rng.normal(size=(6, 2))
+        for causal in (False, True):
+            out = attention_layer(V, phi, psi, causal=causal)
+            assert out.shape == (6,)
+            np.testing.assert_allclose(out, full_attention(V[:, None], phi, psi, causal)[:, 0], rtol=1e-13)
+
+    def test_empty_sequence_gives_an_empty_result(self):
+        for V in (np.zeros(0), np.zeros((0, 2))):
+            for causal in (False, True):
+                out = attention_layer(V, np.zeros((0, 3)), np.zeros((0, 3)), causal=causal)
+                assert out.shape == V.shape
+
+
+# Attention runs in row blocks of ``kernels._BLOCK_ENTRIES // T`` rows; the
+# properties below hold at every block height.  Queries and keys lie on a grid
+# of quarter-integers, where every score is exact whichever rows share a block.
+EPS = np.finfo(float).eps
+BLOCK_ENTRIES = (1, 5, 13, 2**16)
+QUARTERS = st.integers(-8, 8).map(lambda v: v / 4.0)
+ATTENTION_PROPERTY = settings(derandomize=True, max_examples=60, deadline=None)
+
+
+@st.composite
+def attention_problems(draw, lengths=st.integers(1, 70)):
+    """``(V, phi, psi)`` with T tokens of d <= 3 features and q <= 2 values."""
+    T, d, q = draw(lengths), draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    phi = draw(arrays(float, (T, d), elements=QUARTERS))
+    psi = draw(arrays(float, (T, d), elements=QUARTERS))
+    V = draw(arrays(float, (T, q), elements=st.floats(-1e3, 1e3)))
+    return V, phi, psi
+
+
+def full_attention(V, phi, psi, causal):
+    """Reference: softmax over the whole masked T x T score matrix."""
+    S = phi @ psi.T / math.sqrt(phi.shape[1])
+    if causal:
+        T = S.shape[0]
+        S = np.where(np.arange(T)[None, :] > np.arange(T)[:, None], -np.inf, S)
+    return softmax_rows(S) @ V
+
+
+def blocked_attention(entries, V, phi, psi, causal):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "_BLOCK_ENTRIES", entries)
+        return attention_layer(V, phi, psi, causal=causal)
+
+
+@ATTENTION_PROPERTY
+@given(attention_problems(), st.booleans())
+def test_attention_blocks_match_the_full_matrix(problem, causal):
+    V, phi, psi = problem
+    ref = full_attention(V, phi, psi, causal)
+    for entries in BLOCK_ENTRIES:
+        out = blocked_attention(entries, V, phi, psi, causal)
+        assert np.abs(out - ref).max() <= 16 * EPS * np.abs(V).max()
+
+
+@ATTENTION_PROPERTY
+@given(attention_problems())
+def test_causal_first_row_is_the_first_value(problem):
+    V, phi, psi = problem
+    for entries in BLOCK_ENTRIES:
+        np.testing.assert_array_equal(blocked_attention(entries, V, phi, psi, True)[0], V[0])
+
+
+@ATTENTION_PROPERTY
+@given(attention_problems(lengths=st.integers(2, 70)), st.data())
+def test_causal_rows_before_a_perturbed_token_are_unchanged(problem, data):
+    V, phi, psi = problem
+    T = V.shape[0]
+    for entries in BLOCK_ENTRIES:
+        height = max(1, entries // T)
+        # a token past the first row of its block, where the block itself must mask it
+        inside = [s for s in range(1, T) if s % height] or list(range(1, T))
+        s = data.draw(st.sampled_from(inside))
+        moved = [a.copy() for a in (V, phi, psi)]
+        for a in moved:
+            a[s] += 0.75
+        out = blocked_attention(entries, V, phi, psi, True)
+        np.testing.assert_array_equal(blocked_attention(entries, *moved, True)[:s], out[:s])
 
 
 class TestTransformer:
