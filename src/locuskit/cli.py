@@ -136,28 +136,64 @@ def _bundled_path(name: str) -> str:
     return os.path.join(here, "data", _BUNDLED[name])
 
 
+def _count(value) -> int:
+    n = int(value)
+    if n < 1 or n != float(value):
+        raise ValueError("must be an integer >= 1")
+    return n
+
+
+def _scale(value) -> float:
+    s = float(value)
+    if not s >= 0:
+        raise ValueError("must be >= 0")
+    return s
+
+
+def _bound(value) -> float:
+    b = float(value)
+    if not b > 0:
+        raise ValueError("must be > 0")
+    return b
+
+
+def _field(descr: dict, name: str, convert, default=None):
+    """``convert(descr[name])``, or ``default`` when the field is absent and has one.
+
+    A missing field, or one that ``convert`` rejects, raises ``ValidationError`` naming it.
+    """
+    if name not in descr:
+        if default is None:
+            raise ValidationError(f"field {name!r} is required")
+        return default
+    try:
+        return convert(descr[name])
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"field {name!r} is malformed ({descr[name]!r}): {exc}") from None
+
+
 def _synthetic(descr: dict):
     kind = descr.get("kind")
-    rng_seed = descr.get("seed", 0)
+    rng_seed = _field(descr, "seed", int, 0)
     if kind == "blobs":
         X, labels = synth.make_blobs(
-            int(descr.get("n_per_blob", 100)),
-            descr.get("centers", [[0.0, 0.0], [5.0, 0.0], [2.5, 4.5]]),
-            float(descr.get("spread", 0.4)),
+            _field(descr, "n_per_blob", _count, 100),
+            _field(descr, "centers", lambda c: np.asarray(c, dtype=float), [[0.0, 0.0], [5.0, 0.0], [2.5, 4.5]]),
+            _field(descr, "spread", _scale, 0.4),
             rng_seed,
         )
         return Dataset(X, labels)
     if kind == "noisy-sine":
-        x, y = synth.noisy_sine(int(descr.get("n", 100)), float(descr.get("noise", 0.1)), rng_seed)
+        x, y = synth.noisy_sine(_field(descr, "n", _count, 100), _field(descr, "noise", _scale, 0.1), rng_seed)
         return Dataset(x, y)
     if kind == "swiss-roll":
-        X, _ = synth.swiss_roll(int(descr.get("n", 400)), rng_seed)
+        X, _ = synth.swiss_roll(_field(descr, "n", _count, 400), rng_seed)
         return Dataset(X)
     if kind == "two-mode":
-        v = synth.two_mode_mixture(int(descr.get("n", 200)), rng_seed, var=float(descr.get("var", 0.1)))
+        v = synth.two_mode_mixture(_field(descr, "n", _count, 200), rng_seed, var=_field(descr, "var", _scale, 0.1))
         return Dataset(v[:, None])
     if kind == "step":
-        clean, noisy = synth.step_signal(int(descr.get("n", 200)), float(descr.get("noise", 0.1)), rng_seed)
+        clean, noisy = synth.step_signal(_field(descr, "n", _count, 200), _field(descr, "noise", _scale, 0.1), rng_seed)
         return Sequence(tokens=noisy[:, None])
     raise ValidationError(f"unknown synthetic kind {kind!r}")
 
@@ -165,7 +201,7 @@ def _synthetic(descr: dict):
 def _resolve_input(source, schema: str):
     """Accept a path, "bundled:<name>", or a {"synthetic": {...}} dict."""
     if isinstance(source, dict):
-        if "synthetic" not in source:
+        if not isinstance(source.get("synthetic"), dict):
             raise ValidationError("input dict must carry a 'synthetic' descriptor")
         return _synthetic(source["synthetic"])
     if not isinstance(source, str):
@@ -424,9 +460,14 @@ def _run_tune(cfg, seed):
     data = _resolve_input(cfg["input"], "features+target")
     grid_cfg = cfg["grid"]
     if isinstance(grid_cfg, dict):
-        grid = np.geomspace(float(grid_cfg["min"]), float(grid_cfg["max"]), int(grid_cfg["count"]))
+        grid = np.geomspace(
+            _field(grid_cfg, "min", _bound), _field(grid_cfg, "max", _bound), _field(grid_cfg, "count", _count)
+        )
     elif isinstance(grid_cfg, list):
-        grid = [float(g) for g in grid_cfg]
+        try:
+            grid = [float(g) for g in grid_cfg]
+        except (TypeError, ValueError):
+            raise ValidationError(f"config key 'grid' must list numbers, got {grid_cfg!r}") from None
     else:
         raise ValidationError("grid must be a {min,max,count} dict or a list of bandwidths")
     res = tune_bandwidth(cfg["predictor"], data, grid=grid)

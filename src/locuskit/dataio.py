@@ -155,7 +155,13 @@ def read_pgm(path) -> np.ndarray:
         raise ParseError("not a binary PGM (P5) file")
     if len(tokens) < 4:
         raise ParseError("truncated PGM header")
-    width, height, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
+    try:
+        width, height, maxval = (int(t) for t in tokens[1:4])
+    except ValueError:
+        fields = b" ".join(tokens[1:4]).decode("ascii", "replace")
+        raise ParseError(f"PGM width, height and maxval must be integers, got {fields!r}") from None
+    if width < 1 or height < 1:
+        raise ParseError(f"PGM width and height must be >= 1, got {width}x{height}")
     if maxval != 255:
         raise ParseError(f"only 8-bit PGM supported, maxval={maxval}")
     i += 1  # single whitespace after maxval

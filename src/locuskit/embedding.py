@@ -65,9 +65,9 @@ def lle_weights(X, n_neighbors: int) -> StochasticMatrix:
         raise InvalidParameter(f"neighbor count must be in [1, {n - 1}]")
     D2 = pairwise_sq_dists(X, X)
     np.fill_diagonal(D2, np.inf)
+    nbrs = np.argsort(D2, axis=1, kind="stable")[:, :n_neighbors]
     W = np.zeros((n, n))
-    for i in range(n):
-        nbr = np.lexsort((np.arange(n), D2[i]))[:n_neighbors]
+    for i, nbr in enumerate(nbrs):
         Z = X[nbr] - X[i]
         C = Z @ Z.T
         ones = np.ones(n_neighbors)

@@ -133,8 +133,7 @@ def weights_at(k: Kernel, X: np.ndarray, x_star) -> np.ndarray:
 
 def _nearest_order(X, x_star) -> np.ndarray:
     """Sample indices by distance to x*, distance ties broken by ascending index."""
-    d2 = pairwise_sq_dists(as_point(x_star)[None, :], X)[0]
-    return np.lexsort((np.arange(len(d2)), d2))
+    return np.argsort(pairwise_sq_dists(as_point(x_star)[None, :], X)[0], kind="stable")
 
 
 # ---------------------------------------------------------------------------

@@ -102,12 +102,16 @@ def as_point_set(X) -> np.ndarray:
     return arr
 
 
+_EXACT_DIMS = 7  # numpy's .sum() adds left to right below 8 terms and pairwise from 8
+
+
 def pairwise_sq_dists(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Squared Euclidean distances between the rows of A (N, p) and B (M, p).
 
-    Both sets are shifted by the coordinate-wise midrange of A before
-    ``||a||^2 + ||b||^2 - 2 a.b`` is expanded, so data far from the origin
-    keep their precision; a single query row is shifted to exactly 0.
+    Up to ``_EXACT_DIMS`` coordinates each entry sums exact per-coordinate squared differences
+    in order, ``((a - b) ** 2).sum()`` bit for bit, so no row depends on the rows passed with it.
+    Wider sets are centred on A's midrange before ``||a||^2 + ||b||^2 - 2 a.b`` is expanded,
+    which keeps data far from the origin precise and a single query row exact.
     """
     A = as_point_set(A)
     B = as_point_set(B)
@@ -115,6 +119,14 @@ def pairwise_sq_dists(A: np.ndarray, B: np.ndarray) -> np.ndarray:
         raise DimensionMismatch(
             f"point dimensions differ: {A.shape[1]} vs {B.shape[1]}"
         )
+    if A.shape[1] <= _EXACT_DIMS:
+        d2 = np.zeros((A.shape[0], B.shape[0]))
+        t = np.empty_like(d2)
+        for a, b in zip(A.T.copy(), B.T.copy()):  # contiguous coordinate rows
+            np.subtract.outer(a, b, out=t)
+            t *= t
+            d2 += t
+        return d2
     if A.shape[0]:
         center = 0.5 * (A.min(axis=0) + A.max(axis=0))
         A = A - center
@@ -286,14 +298,13 @@ class KnnKernel(Kernel):
 
     def _selected(self, x):
         """Indices of the k nearest reference points to x (index tie-break)."""
-        d2 = ((self.reference - as_point(x)) ** 2).sum(1)
-        order = np.lexsort((np.arange(len(d2)), d2))
-        return order[: self.k], d2
+        d2 = pairwise_sq_dists(as_point(x)[None, :], self.reference)[0]
+        return np.argsort(d2, kind="stable")[: self.k], d2
 
     def eval(self, x, y):
         sel, d2 = self._selected(x)
         y = as_point(y)
-        dy = float(((y - as_point(x)) ** 2).sum())
+        dy = pairwise_sq_dists(as_point(x)[None, :], y[None, :])[0, 0]
         kth = d2[sel[-1]]
         if dy < kth:
             return 1.0

@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidParameter
+from .kernels import as_point_set, pairwise_sq_dists
 
 __all__ = [
     "make_blobs",
@@ -104,15 +105,12 @@ def orthogonal_patterns(n_patterns: int, n_bits: int):
 
 def kmeans_labels(X, n_clusters: int, rng_seed: int, n_iter: int = 50):
     """Plain Lloyd iterations, used only to seed relaxation labeling demos."""
-    X = np.asarray(X, dtype=float)
-    if X.ndim == 1:
-        X = X[:, None]
+    X = as_point_set(X)
     rng = np.random.default_rng(rng_seed)
     centers = X[rng.choice(X.shape[0], size=n_clusters, replace=False)]
     labels = np.zeros(X.shape[0], dtype=int)
     for _ in range(n_iter):
-        d2 = ((X[:, None, :] - centers[None, :, :]) ** 2).sum(-1)
-        new = d2.argmin(axis=1)
+        new = pairwise_sq_dists(X, centers).argmin(axis=1)
         if (new == labels).all():
             break
         labels = new

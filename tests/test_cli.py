@@ -521,3 +521,49 @@ def test_classify_negative_label_exit_two(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().err.strip())
     assert payload["error"] == "validation"
     assert "labels must be >= 0" in payload["message"]
+
+
+def assert_validation_exit(tmp_path, capsys, task, cfg):
+    """Exit 2, one JSON line on stderr, and no file in the output directory."""
+    out = tmp_path / "o"
+    code = main([task, "--config", cfg, "--out", str(out)])
+    assert code == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "validation"
+    assert not out.exists() or not os.listdir(out)
+    return json.loads(lines[0])["message"]
+
+
+@pytest.mark.parametrize("header", [b"P5\nabc 4\n255\n", b"P5\n0 4\n255\n"], ids=["non-integer", "zero-width"])
+def test_malformed_pgm_header_exit_two(tmp_path, capsys, header):
+    path = tmp_path / "bad.pgm"
+    path.write_bytes(header + bytes(16))
+    with pytest.raises(ParseError):
+        read_pgm(path)
+    cfg = write_config(tmp_path, "c.json", {"image": str(path)})
+    assert "PGM" in assert_validation_exit(tmp_path, capsys, "denoise-nlm", cfg)
+
+
+@pytest.mark.parametrize(
+    "grid, field",
+    [({"max": 1.0, "count": 3}, "min"), ({"min": 0, "max": 1.0, "count": 3}, "min"), (["wide"], "grid")],
+    ids=["missing-min", "zero-min", "non-numeric-list"],
+)
+def test_malformed_grid_exit_two(tmp_path, capsys, grid, field):
+    cfg = write_config(tmp_path, "c.json", {"input": "bundled:noisy-sine", "grid": grid})
+    assert repr(field) in assert_validation_exit(tmp_path, capsys, "tune-bandwidth", cfg)
+
+
+@pytest.mark.parametrize(
+    "task, synthetic, field",
+    [
+        ("cluster-meanshift", {"kind": "blobs", "n_per_blob": "many"}, "n_per_blob"),
+        ("regress-local-mean", {"kind": "noisy-sine", "n": [3]}, "n"),
+        ("regress-local-mean", {"kind": "noisy-sine", "noise": -0.1}, "noise"),
+    ],
+    ids=["string-count", "list-count", "negative-scale"],
+)
+def test_malformed_synthetic_field_exit_two(tmp_path, capsys, task, synthetic, field):
+    cfg = write_config(tmp_path, "c.json", {"input": {"synthetic": synthetic}, "seed": 1})
+    assert repr(field) in assert_validation_exit(tmp_path, capsys, task, cfg)

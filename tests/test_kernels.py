@@ -10,7 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
-from locuskit import errors
+from locuskit import errors, kernels
 from locuskit.kernels import (
     DiracKernel,
     SelfKernel,
@@ -159,6 +159,16 @@ def expanded_sq_dists(A, B):
     return np.maximum((A * A).sum(1)[:, None] + (B * B).sum(1)[None, :] - 2.0 * (A @ B.T), 0.0)
 
 
+def plain_sq_dists(A, B):
+    """Per-coordinate squared differences summed, written as one expression."""
+    return ((A[:, None, :] - B[None, :, :]) ** 2).sum(-1)
+
+
+def reference_sq_dists(A, B):
+    """The rule pairwise_sq_dists follows: plain up to 7 coordinates, expanded above."""
+    return plain_sq_dists(A, B) if A.shape[1] <= 7 else expanded_sq_dists(A, B)
+
+
 class TestDistanceArithmetic:
     """pairwise_sq_dists and the Gaussian gram work in place on their own
     temporaries; the values must equal the plain expression bit for bit."""
@@ -169,6 +179,7 @@ class TestDistanceArithmetic:
         "single-query": (2, 0.0, 1, 300, 2),
         "no-rows": (3, 0.0, 0, 7, 2),
         "no-cols": (4, 0.0, 6, 0, 2),
+        "wide": (5, 1e3, 20, 30, 9),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -179,7 +190,7 @@ class TestDistanceArithmetic:
         B = rng.normal(size=(m, p)) + offset
         A0, B0 = A.copy(), B.copy()
         D = pairwise_sq_dists(A, B)
-        want = expanded_sq_dists(A0, B0)
+        want = reference_sq_dists(A0, B0)
         assert D.shape == want.shape == (n, m)
         assert np.array_equal(D, want)
         W = gaussian(0.7).gram_values(A, B)
@@ -195,7 +206,17 @@ class TestDistanceArithmetic:
         D = pairwise_sq_dists(X, X)
         assert not np.shares_memory(D, X)
         assert np.array_equal(X, X0)
-        assert np.array_equal(D, expanded_sq_dists(X0, X0))
+        assert np.array_equal(D, reference_sq_dists(X0, X0))
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 7])
+    @pytest.mark.parametrize("offset", [0.0, 5e3, 1e8])
+    def test_each_row_is_its_own_one_row_call(self, p, offset):
+        rng = np.random.default_rng(p)
+        A = rng.normal(size=(23, p)) + offset
+        B = rng.normal(size=(31, p)) + offset
+        D = pairwise_sq_dists(A, B)
+        for i in range(A.shape[0]):
+            assert np.array_equal(D[i], pairwise_sq_dists(A[i : i + 1], B)[0])
 
 
 class TestBuiltinSymmetry:
@@ -272,6 +293,19 @@ class TestDeriveKernel:
         assert eval_kernel(k, [0.0], [-1.0]) == 1.0
         assert eval_kernel(k, [0.0], [1.0]) == 0.0
 
+    @pytest.mark.parametrize("p", [2, 9])
+    def test_knn_selection_matches_index_tie_break_reference(self, p):
+        rng = np.random.default_rng(p)
+        base = rng.integers(-2, 3, size=(6, p)).astype(float)
+        ref = np.vstack([base, base[:3], -base[:2], rng.normal(size=(5, p)) + 1e3])
+        for x in [np.zeros(p), base[0], rng.normal(size=p), np.full(p, 1e3)]:
+            d2 = ((ref - x) ** 2).sum(1)
+            want = np.lexsort((np.arange(len(d2)), d2))
+            for k in (1, 4, len(ref)):
+                sel, got = knn_kernel(k, ref)._selected(x)
+                np.testing.assert_array_equal(sel, want[:k])
+                np.testing.assert_array_equal(got, d2)
+
 
 class TestNormalizeRows:
     def test_plain_arithmetic(self):
@@ -338,6 +372,32 @@ class TestLocalReduce:
         signed = concrete([[1.0, -0.5], [0.5, 1.0]])
         with pytest.raises(errors.DesmoothingInput):
             local_reduce(signed, [0, 1], [0, 1], [1.0, 2.0])
+
+    def test_huge_or_nan_query_row_leaves_other_rows_alone(self):
+        with np.errstate(over="ignore"):
+            means, empty = local_reduce(gaussian(1), [[0.0], [1e200]], [[0.0], [1.0]], [1.0, 2.0])
+        np.testing.assert_array_equal(empty, [False, True])
+        e = math.exp(-0.5)
+        assert means[0, 0] == pytest.approx((1 + 2 * e) / (1 + e), rel=1e-15)
+        means, empty = local_reduce(gaussian(1), [[0.0], [np.nan]], [[0.0], [1.0]], [1.0, 2.0])
+        assert not empty[0] and np.isfinite(means[0, 0])
+
+    def test_gaussian_weights_do_not_depend_on_block_height(self):
+        k = gaussian(0.7)
+        rng = np.random.default_rng(12)
+        X = rng.normal(size=(40, 2)) + 5e3
+        Q = rng.normal(size=(17, 2)) + 5e3
+        Y = rng.normal(size=(40, 2))
+        results = []
+        for entries in (1, 5, 13, 2**16):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(kernels, "_BLOCK_ENTRIES", entries)
+                W = np.vstack([kernels._local_weights(k, Q[r], X) for r in kernels._row_blocks(len(Q), len(X))])
+                results.append((W, local_reduce(k, Q, X, Y)[0]))
+        W0, M0 = results[-1]
+        for W, M in results:
+            np.testing.assert_array_equal(W, W0)
+            assert np.abs(M - M0).max() <= 16 * np.finfo(float).eps * np.abs(Y).max()
 
     def test_row_without_finite_log_weight_is_empty_without_warnings(self):
         # skip_self on one sample leaves the Gaussian row all -inf

@@ -2,11 +2,10 @@
 
 Every property is checked at several block heights, set by patching the
 module constant ``kernels._BLOCK_ENTRIES``.  Points lie on a grid of
-quarter-integers, where every squared distance is exact whichever rows share
-a block.  On general data ``pairwise_sq_dists`` centres on the midrange of
-the rows it is given, so a row's distances, and with them its mean, may move
-at the ulp level with the block it is reduced in; that is a property of the
-distances, not of the blocked reduction tested here.
+quarter-integers, where every squared distance is exact.  On general data a
+row's weights are also the same in every block, but its mean ``W @ Y`` is
+summed by BLAS, whose rounding depends on the block height, so means are
+compared within ``16 eps max|Y|``.
 """
 
 import numpy as np
