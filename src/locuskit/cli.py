@@ -80,6 +80,13 @@ class TaskSpec:
         return "\n".join(lines)
 
 
+def _is_integer(value) -> bool:
+    """True for a JSON number with an integral value: 3 and 3.0, not 3.5, True or "3"."""
+    if isinstance(value, bool):
+        return False
+    return isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+
+
 def _validate_config(spec: TaskSpec, config: dict) -> dict:
     if not isinstance(config, dict):
         raise ValidationError("config must be a JSON object")
@@ -91,8 +98,10 @@ def _validate_config(spec: TaskSpec, config: dict) -> dict:
     for k in spec.keys:
         if k.name in config:
             value = config[k.name]
-            if k.type in (int, float) and isinstance(value, (int, float)) and not isinstance(value, bool):
-                value = k.type(value)
+            if k.type is int and _is_integer(value):
+                value = int(value)
+            elif k.type is float and isinstance(value, (int, float)) and not isinstance(value, bool):
+                value = float(value)
             elif k.type is bool and isinstance(value, bool):
                 pass
             elif k.type in (dict, list, str) and isinstance(value, k.type):
@@ -136,11 +145,18 @@ def _bundled_path(name: str) -> str:
     return os.path.join(here, "data", _BUNDLED[name])
 
 
-def _count(value) -> int:
-    n = int(value)
-    if n < 1 or n != float(value):
-        raise ValueError("must be an integer >= 1")
-    return n
+def _integer(minimum: int):
+    """Converter for an integral JSON number >= minimum; bools and fractional values raise."""
+
+    def convert(value) -> int:
+        if not _is_integer(value) or value < minimum:
+            raise ValueError(f"must be an integer >= {minimum}")
+        return int(value)
+
+    return convert
+
+
+_count = _integer(1)
 
 
 def _scale(value) -> float:
@@ -174,7 +190,7 @@ def _field(descr: dict, name: str, convert, default=None):
 
 def _synthetic(descr: dict):
     kind = descr.get("kind")
-    rng_seed = _field(descr, "seed", int, 0)
+    rng_seed = _field(descr, "seed", _integer(0), 0)
     if kind == "blobs":
         X, labels = synth.make_blobs(
             _field(descr, "n_per_blob", _count, 100),

@@ -65,7 +65,8 @@ def lle_weights(X, n_neighbors: int) -> StochasticMatrix:
         raise InvalidParameter(f"neighbor count must be in [1, {n - 1}]")
     D2 = pairwise_sq_dists(X, X)
     np.fill_diagonal(D2, np.inf)
-    nbrs = np.argsort(D2, axis=1, kind="stable")[:, :n_neighbors]
+    nbrs = np.argsort(D2, axis=1, kind="stable")[:, :n_neighbors].copy()  # a copy, so the N×N argsort is freed
+    del D2
     W = np.zeros((n, n))
     for i, nbr in enumerate(nbrs):
         Z = X[nbr] - X[i]

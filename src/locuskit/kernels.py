@@ -102,16 +102,12 @@ def as_point_set(X) -> np.ndarray:
     return arr
 
 
-_EXACT_DIMS = 7  # numpy's .sum() adds left to right below 8 terms and pairwise from 8
-
-
 def pairwise_sq_dists(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Squared Euclidean distances between the rows of A (N, p) and B (M, p).
 
-    Up to ``_EXACT_DIMS`` coordinates each entry sums exact per-coordinate squared differences
-    in order, ``((a - b) ** 2).sum()`` bit for bit, so no row depends on the rows passed with it.
-    Wider sets are centred on A's midrange before ``||a||^2 + ||b||^2 - 2 a.b`` is expanded,
-    which keeps data far from the origin precise and a single query row exact.
+    Each entry sums the exact per-coordinate squared differences from the first coordinate
+    to the last, so no row depends on the rows passed with it; up to 7 coordinates, where
+    numpy's ``.sum()`` also adds left to right, this is ``((a - b) ** 2).sum()`` bit for bit.
     """
     A = as_point_set(A)
     B = as_point_set(B)
@@ -119,23 +115,13 @@ def pairwise_sq_dists(A: np.ndarray, B: np.ndarray) -> np.ndarray:
         raise DimensionMismatch(
             f"point dimensions differ: {A.shape[1]} vs {B.shape[1]}"
         )
-    if A.shape[1] <= _EXACT_DIMS:
-        d2 = np.zeros((A.shape[0], B.shape[0]))
-        t = np.empty_like(d2)
-        for a, b in zip(A.T.copy(), B.T.copy()):  # contiguous coordinate rows
-            np.subtract.outer(a, b, out=t)
-            t *= t
-            d2 += t
-        return d2
-    if A.shape[0]:
-        center = 0.5 * (A.min(axis=0) + A.max(axis=0))
-        A = A - center
-        B = B - center
-    G = A @ B.T
-    G *= 2.0
-    d2 = np.add.outer((A * A).sum(1), (B * B).sum(1))
-    d2 -= G
-    return np.maximum(d2, 0.0, out=d2)
+    d2 = np.zeros((A.shape[0], B.shape[0]))
+    t = np.empty_like(d2)
+    for a, b in zip(A.T.copy(), B.T.copy()):  # contiguous coordinate rows
+        np.subtract.outer(a, b, out=t)
+        t *= t
+        d2 += t
+    return d2
 
 
 def softmax_rows(S) -> np.ndarray:

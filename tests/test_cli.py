@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from locuskit.cli import TASKS, main, run_task
+from locuskit.cli import TASKS, _validate_config, main, run_task
 from locuskit.dataio import ingest_csv, read_pgm, write_csv, write_pgm
 from locuskit.errors import ParseError, SchemaMismatch, ValidationError
 from locuskit.estimators import Dataset
@@ -561,9 +561,23 @@ def test_malformed_grid_exit_two(tmp_path, capsys, grid, field):
         ("cluster-meanshift", {"kind": "blobs", "n_per_blob": "many"}, "n_per_blob"),
         ("regress-local-mean", {"kind": "noisy-sine", "n": [3]}, "n"),
         ("regress-local-mean", {"kind": "noisy-sine", "noise": -0.1}, "noise"),
+        ("regress-local-mean", {"kind": "noisy-sine", "n": True}, "n"),
+        ("regress-local-mean", {"kind": "noisy-sine", "seed": -1}, "seed"),
+        ("regress-local-mean", {"kind": "noisy-sine", "seed": 1.5}, "seed"),
     ],
-    ids=["string-count", "list-count", "negative-scale"],
+    ids=["string-count", "list-count", "negative-scale", "bool-count", "negative-seed", "fractional-seed"],
 )
 def test_malformed_synthetic_field_exit_two(tmp_path, capsys, task, synthetic, field):
     cfg = write_config(tmp_path, "c.json", {"input": {"synthetic": synthetic}, "seed": 1})
     assert repr(field) in assert_validation_exit(tmp_path, capsys, task, cfg)
+
+
+@pytest.mark.parametrize("value", [10.7, True, "10"], ids=["fractional", "bool", "string"])
+def test_non_integer_int_key_exit_two(tmp_path, capsys, value):
+    cfg = write_config(tmp_path, "c.json", {"input": "bundled:two-blobs", "n_neighbors": value})
+    assert "'n_neighbors' must be int" in assert_validation_exit(tmp_path, capsys, "embed-lle", cfg)
+
+
+def test_integral_float_for_int_key_is_read_as_int():
+    cfg = _validate_config(TASKS["embed-lle"], {"input": "x", "n_neighbors": 10.0})
+    assert cfg["n_neighbors"] == 10 and type(cfg["n_neighbors"]) is int

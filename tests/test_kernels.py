@@ -150,28 +150,23 @@ class TestGram:
                     assert G[i, j] == pytest.approx(eval_kernel(k, X[i], X[j]), abs=1e-14)
 
 
-def expanded_sq_dists(A, B):
-    """The midrange-shifted expansion written as one expression."""
-    A, B = as_point_set(A), as_point_set(B)
-    if A.shape[0]:
-        center = 0.5 * (A.min(axis=0) + A.max(axis=0))
-        A, B = A - center, B - center
-    return np.maximum((A * A).sum(1)[:, None] + (B * B).sum(1)[None, :] - 2.0 * (A @ B.T), 0.0)
-
-
-def plain_sq_dists(A, B):
-    """Per-coordinate squared differences summed, written as one expression."""
-    return ((A[:, None, :] - B[None, :, :]) ** 2).sum(-1)
-
-
 def reference_sq_dists(A, B):
-    """The rule pairwise_sq_dists follows: plain up to 7 coordinates, expanded above."""
-    return plain_sq_dists(A, B) if A.shape[1] <= 7 else expanded_sq_dists(A, B)
+    """Per-coordinate squared differences added from the first coordinate to the last.
+
+    Up to 7 coordinates numpy's ``.sum()`` adds in that order, so the plain expression is the
+    reference; from 8 it sums pairwise, so the order is spelled out as a loop.
+    """
+    if A.shape[1] <= 7:
+        return ((A[:, None, :] - B[None, :, :]) ** 2).sum(-1)
+    d2 = np.zeros((A.shape[0], B.shape[0]))
+    for j in range(A.shape[1]):
+        d2 = d2 + (A[:, None, j] - B[None, :, j]) ** 2
+    return d2
 
 
 class TestDistanceArithmetic:
     """pairwise_sq_dists and the Gaussian gram work in place on their own
-    temporaries; the values must equal the plain expression bit for bit."""
+    temporaries; the values must equal ``reference_sq_dists`` bit for bit."""
 
     CASES = {
         "random": (0, 0.0, 40, 55, 3),
@@ -179,7 +174,7 @@ class TestDistanceArithmetic:
         "single-query": (2, 0.0, 1, 300, 2),
         "no-rows": (3, 0.0, 0, 7, 2),
         "no-cols": (4, 0.0, 6, 0, 2),
-        "wide": (5, 1e3, 20, 30, 9),
+        "nine-coordinates": (5, 1e3, 20, 30, 9),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -208,7 +203,7 @@ class TestDistanceArithmetic:
         assert np.array_equal(X, X0)
         assert np.array_equal(D, reference_sq_dists(X0, X0))
 
-    @pytest.mark.parametrize("p", [1, 2, 3, 7])
+    @pytest.mark.parametrize("p", [1, 2, 3, 7, 9])
     @pytest.mark.parametrize("offset", [0.0, 5e3, 1e8])
     def test_each_row_is_its_own_one_row_call(self, p, offset):
         rng = np.random.default_rng(p)
@@ -304,7 +299,7 @@ class TestDeriveKernel:
             for k in (1, 4, len(ref)):
                 sel, got = knn_kernel(k, ref)._selected(x)
                 np.testing.assert_array_equal(sel, want[:k])
-                np.testing.assert_array_equal(got, d2)
+                np.testing.assert_array_equal(got, reference_sq_dists(x[None, :], ref)[0])
 
 
 class TestNormalizeRows:
