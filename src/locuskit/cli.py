@@ -340,6 +340,7 @@ def _run_medoidshift(cfg, seed):
     metrics = {"n_clusters": int(labels.max()) + 1}
     if cfg["labeled"]:
         metrics["ari"] = adjusted_rand_index(data.y, labels)
+    metrics["diagnostics"] = {"counters": {"terminal_medoids": int(np.unique(reps).size)}}
     files = {"results.csv": (_feature_header(data.p) + ["cluster", "medoid"], _rows(data.X, labels, mapping))}
     return metrics, files, _label_scatter(data.X, labels)
 

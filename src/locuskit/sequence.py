@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DimensionMismatch, InvalidParameter, ShapeMismatch
 from .kernels import (
@@ -301,8 +300,9 @@ def _window_mean(values: np.ndarray, radius: int, weights) -> np.ndarray:
 
 
 def _nlm(values: np.ndarray, patch_radius: int, h: float, search_radius: int) -> np.ndarray:
-    """Non-local means of ``values`` (*grid, c) with zero-padded square
-    patches; shared by the sequence and image variants."""
+    """Non-local means of ``values`` (*grid, c) with zero-padded square patches,
+    shared by the sequence and image variants; patch distances are box sums of
+    squared differences, never prefix sums, whose rounding would cross windows."""
     r, s = int(patch_radius), int(search_radius)
     if r < 0 or s < r:
         raise InvalidParameter("need 0 <= patch_radius <= search_radius")
@@ -310,14 +310,14 @@ def _nlm(values: np.ndarray, patch_radius: int, h: float, search_radius: int) ->
         raise InvalidParameter("bandwidth must be positive")
     ndim = values.ndim - 1
     padded = np.pad(values, [(r, r)] * ndim + [(0, 0)])
-    windows = sliding_window_view(padded, (2 * r + 1,) * ndim, axis=tuple(range(ndim)))
-    # (*grid, c, *window) -> (*grid, *window, c): patch entries in window-major order
-    P = np.moveaxis(windows, ndim, -1).reshape(*values.shape[:-1], -1)
-    psize = P.shape[-1]
+    psize = (2 * r + 1) ** ndim * values.shape[-1]
 
     def weights(here, there):
-        d2 = ((P[there] - P[here]) ** 2).sum(axis=-1) / psize
-        return np.exp(-d2 / (2.0 * h * h))
+        wide_here, wide_there = (tuple(slice(a.start, a.stop + 2 * r) for a in sl) for sl in (here, there))
+        e = ((padded[wide_there] - padded[wide_here]) ** 2).sum(axis=-1)  # slices widened to whole patches
+        for axis in range(ndim):  # box sums of width 2r+1, added left to right
+            e = sum(e[(slice(None),) * axis + (slice(j, e.shape[axis] - 2 * r + j),)] for j in range(2 * r + 1))
+        return np.exp(-(e / psize) / (2.0 * h * h))
 
     return _window_mean(values, s, weights)
 

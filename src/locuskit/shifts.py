@@ -247,17 +247,13 @@ def medoid_shift(k: Kernel, d, X, merge_radius: float | None = None):
         raise EmptyNeighborhood(f"rows {np.flatnonzero(empty).tolist()} have zero degree")
     mapping = cost.argmin(axis=1)
 
-    reps = np.empty(n, dtype=int)
-    for i in range(n):
-        seen = {}
-        path = []
-        cur = i
-        while cur not in seen:
-            seen[cur] = len(path)
-            path.append(cur)
-            cur = mapping[cur]
-        cycle = path[seen[cur]:]
-        reps[i] = min(cycle)
+    # pointer doubling: after k rounds step = mapping^(2^k) and low[i] is the least of
+    # i's first 2^k iterates; 2^k > n puts step[i] on i's cycle and low spans it
+    low, step = np.arange(n), mapping
+    for _ in range(n.bit_length()):
+        low = np.minimum(low, low[step])
+        step = step[step]
+    reps = low[step]
     if merge_radius is not None:
         roots = np.unique(reps)
         root_labels, _ = extract_clusters(X[roots], merge_radius)

@@ -129,6 +129,15 @@ class TestRunTask:
         )
         assert metrics["n_clusters"] == 2
         assert metrics["ari"] == 1.0
+        assert metrics["diagnostics"] == {"counters": {"terminal_medoids": 2}}
+
+    def test_medoidshift_counts_terminal_medoids_before_the_merge(self, tmp_path):
+        cfg = {"input": "bundled:two-blobs", "kernel": {"kind": "gaussian", "h": 0.3}, "seed": 7}
+        merged = run_task("cluster-medoidshift", {**cfg, "merge_radius": 2.0}, str(tmp_path / "merged"))
+        raw = run_task("cluster-medoidshift", cfg, str(tmp_path / "raw"))
+        assert merged["n_clusters"] == 2
+        assert merged["diagnostics"] == raw["diagnostics"] == {"counters": {"terminal_medoids": raw["n_clusters"]}}
+        assert raw["n_clusters"] > 2
 
     def test_relax_recovers_blobs(self, tmp_path):
         metrics = run_task(

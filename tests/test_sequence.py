@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from locuskit import errors, kernels
+from locuskit import errors, kernels, sequence
 from locuskit.kernels import dirac, gaussian, softmax_rows, uniform
 from locuskit.sequence import (
     MlpParams,
@@ -489,6 +489,42 @@ class TestWindowMeanAgainstLoops:
         out = gaussian_moving_average(Sequence(tokens), 6)
         assert_close_to_scale(out.tokens, ref_moving_average(tokens, 6, 3.0), tokens)
         np.testing.assert_array_equal(gaussian_moving_average(Sequence(tokens), 0).tokens, tokens)
+
+
+# The patch-array non-local means that the box-summed patch distances replaced:
+# whole (2r+1)^ndim*c patch vectors compared at every offset.
+
+def patch_array_nlm(values, r, h, s):
+    ndim = values.ndim - 1
+    padded = np.pad(values, [(r, r)] * ndim + [(0, 0)])
+    windows = np.lib.stride_tricks.sliding_window_view(padded, (2 * r + 1,) * ndim, axis=tuple(range(ndim)))
+    P = np.moveaxis(windows, ndim, -1).reshape(*values.shape[:-1], -1)
+
+    def weights(here, there):
+        d2 = ((P[there] - P[here]) ** 2).sum(axis=-1) / P.shape[-1]
+        return np.exp(-d2 / (2.0 * h * h))
+
+    return sequence._window_mean(values, s, weights)
+
+
+class TestBoxSummedPatchDistances:
+    def test_image_with_full_interior_windows(self):
+        rng = np.random.default_rng(27)
+        img = 3.0 * rng.random((17, 13))
+        assert_close_to_scale(nlm_denoise_image(img, 2, 0.4, 3), ref_nlm_image(img, 2, 0.4, 3), img)
+
+    def test_three_channel_sequence_wide_patches(self):
+        rng = np.random.default_rng(28)
+        tokens = 5.0 * rng.normal(size=(30, 3))
+        out = nlm_denoise(Sequence(tokens), 3, 4.0, 5)
+        assert_close_to_scale(out.tokens, ref_nlm(tokens, 3, 4.0, 5), tokens)
+
+    def test_integer_image_equals_patch_array_bit_for_bit(self):
+        # squared differences of integers sum exactly in any order
+        rng = np.random.default_rng(29)
+        img = rng.integers(0, 256, (21, 18)).astype(float)
+        want = patch_array_nlm(img[..., None], 2, 40.0, 4)[..., 0]
+        np.testing.assert_array_equal(nlm_denoise_image(img, 2, 40.0, 4), want)
 
 
 class TestAutoregressive:

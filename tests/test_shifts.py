@@ -526,3 +526,58 @@ class TestLiveRowMeanShiftAgainstAllRows:
         X, _ = two_blobs(seed=44, n=10)
         got = self.check(gaussian(1.0), X, max_iter=2, tol=1e-12)
         assert not got.converged_flags.any()
+
+
+# The per-point walk that found medoid-shift representatives before pointer
+# doubling: follow the mapping until a point repeats, take the cycle's least index.
+
+def walked_representatives(mapping):
+    reps = np.empty(len(mapping), dtype=int)
+    for i in range(len(mapping)):
+        seen = {}
+        path = []
+        cur = i
+        while cur not in seen:
+            seen[cur] = len(path)
+            path.append(cur)
+            cur = mapping[cur]
+        reps[i] = min(path[seen[cur]:])
+    return reps
+
+
+def shifted_along(target):
+    """medoid_shift of points 0..n-1 whose mapping is ``target``: under the
+    dirac kernel row i's cost is row i of D, and d is 0 only at i's target."""
+    X = np.arange(len(target), dtype=float)[:, None]
+    return medoid_shift(dirac(), lambda a, b: float(target[int(a[0])] != int(b[0])), X)
+
+
+def tailed_cycle(rng, n, cycle):
+    """A shuffled cycle of ``cycle`` points fed by one chain through the rest."""
+    order = rng.permutation(n)
+    target = np.empty(n, dtype=int)
+    target[order[:-1]] = order[1:]
+    target[order[-1]] = order[n - cycle]
+    return target
+
+
+class TestMedoidRepresentativesAgainstWalk:
+    def mappings(self):
+        rng = np.random.default_rng(31)
+        yield np.array([0])
+        for n in (2, 3, 7, 20, 60):
+            for _ in range(6):
+                yield rng.integers(0, n, n)
+            fixed = rng.integers(0, n, n)
+            fixed[rng.random(n) < 0.3] = -1
+            yield np.where(fixed < 0, np.arange(n), fixed)  # many self-loops
+        yield tailed_cycle(rng, 200, 1)  # a 199-step tail onto a self-loop
+        yield tailed_cycle(rng, 200, 3)
+        yield tailed_cycle(rng, 150, 150)  # one cycle through every point
+        yield np.roll(np.arange(129), -1)
+
+    def test_representatives_match_the_walk(self):
+        for target in self.mappings():
+            mapping, _, reps = shifted_along(target)
+            np.testing.assert_array_equal(mapping, target)
+            np.testing.assert_array_equal(reps, walked_representatives(target))
