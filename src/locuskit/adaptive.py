@@ -24,7 +24,7 @@ from .errors import (
 )
 from .estimators import Dataset, _local_linear_blocks, local_linear_predict, loo_error
 from .kernels import (  # normalize_rows is unused here, but perfbench/tracer.py wraps it by name
-    gaussian, gram, local_reduce, normalize_rows, softmax_rows,
+    _row_blocks, gaussian, local_reduce, normalize_rows, softmax_rows,
 )
 
 __all__ = [
@@ -99,10 +99,14 @@ def _loo_kde_nll(h, data: Dataset) -> float:
     # negative leave-one-out log likelihood of the Gaussian KDE
     X = data.X
     n, p = X.shape
-    W = gram(gaussian(h), X, X).values
-    np.fill_diagonal(W, 0.0)
+    k = gaussian(h)
+    sums = np.empty(n)
+    for rows in _row_blocks(n, n):
+        W = k.gram_values(X[rows], X)
+        np.fill_diagonal(W[:, rows.start:], 0.0)
+        sums[rows] = W.sum(1)
     c = (2.0 * math.pi * h * h) ** (-p / 2.0)
-    dens = c * W.sum(1) / (n - 1)
+    dens = c * sums / (n - 1)
     if (dens <= 0).any():
         raise EmptyNeighborhood("leave-one-out density underflowed to zero")
     return float(-np.log(dens).sum())

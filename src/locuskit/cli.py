@@ -55,11 +55,13 @@ __all__ = ["main", "run_task", "TASKS"]
 # config schema machinery
 # ---------------------------------------------------------------------------
 
+_REQUIRED = object()  # the default of a key or field that must be given
+
+
 @dataclass(frozen=True)
 class Key:
     name: str
-    type: object
-    required: bool = False
+    convert: object  # a ``_rule`` converter
     default: object = None
     help: str = ""
 
@@ -75,16 +77,77 @@ class TaskSpec:
     def key_help(self) -> str:
         lines = [f"config keys for {self.name}:"]
         for k in self.keys:
-            req = "required" if k.required else f"default {k.default!r}"
-            lines.append(f"  {k.name} ({getattr(k.type, '__name__', k.type)}; {req}) {k.help}")
+            req = "required" if k.default is _REQUIRED else f"default {k.default!r}"
+            lines.append(f"  {k.name} ({k.convert.rule}; {req}) {k.help}")
         return "\n".join(lines)
+
+
+def _rule(rule: str, accept, cast=lambda value: value):
+    """Converter: ``cast(value)`` if ``accept(value)``, else ``ValueError``; errors and ``--help`` print ``rule``."""
+
+    def convert(value):
+        if not accept(value):
+            raise ValueError(rule)
+        return cast(value)
+
+    convert.rule = rule
+    return convert
+
+
+def _is_real(value) -> bool:
+    """True for a JSON number: 3 and 3.5, not True or "3"."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _is_integer(value) -> bool:
     """True for a JSON number with an integral value: 3 and 3.0, not 3.5, True or "3"."""
-    if isinstance(value, bool):
-        return False
-    return isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+    return _is_real(value) and (isinstance(value, int) or value.is_integer())
+
+
+def _integer(minimum=None):
+    rule = "int" if minimum is None else f"int >= {minimum}"
+    return _rule(rule, lambda v: _is_integer(v) and (minimum is None or v >= minimum), int)
+
+
+def _choice(*names: str):
+    return _rule("one of " + ", ".join(map(repr, names)), lambda v: v in names)
+
+
+_any = _rule("any value", lambda v: True)
+_bool = _rule("bool", lambda v: isinstance(v, bool))
+_str = _rule("str", lambda v: isinstance(v, str))
+_dict = _rule("dict", lambda v: isinstance(v, dict))
+_int = _integer()
+_count = _integer(1)
+_float = _rule("float", _is_real, float)
+_scale = _rule("float >= 0", lambda v: _is_real(v) and v >= 0, float)
+_bound = _rule("float > 0", lambda v: _is_real(v) and v > 0, float)
+_points = _rule("a list of points", lambda v: isinstance(v, list), lambda v: np.asarray(v, dtype=float))
+
+
+def _field(descr: dict, name: str, convert, default=_REQUIRED):
+    """``convert(descr[name])``, or ``default`` when the field is absent and has one.
+
+    A missing required field, or one that ``convert`` rejects, raises ``ValidationError``
+    saying ``'<name>' must be <rule>``.
+    """
+    if name not in descr:
+        if default is _REQUIRED:
+            raise ValidationError(f"{name!r} must be {convert.rule}; it is required")
+        return default
+    try:
+        return convert(descr[name])
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError(f"{name!r} must be {convert.rule}, got {descr[name]!r}") from None
+
+
+def _grid_values(grid):
+    if isinstance(grid, dict):
+        return np.geomspace(_field(grid, "min", _bound), _field(grid, "max", _bound), _field(grid, "count", _count))
+    return [_float(h) for h in grid]
+
+
+_grid = _rule("a {min, max, count} dict or a list of numbers", lambda v: isinstance(v, (dict, list)), _grid_values)
 
 
 def _validate_config(spec: TaskSpec, config: dict) -> dict:
@@ -94,29 +157,7 @@ def _validate_config(spec: TaskSpec, config: dict) -> dict:
     unknown = sorted(set(config) - known)
     if unknown:
         raise ValidationError(f"unknown config keys for {spec.name}: {unknown}")
-    out = {}
-    for k in spec.keys:
-        if k.name in config:
-            value = config[k.name]
-            if k.type is int and _is_integer(value):
-                value = int(value)
-            elif k.type is float and isinstance(value, (int, float)) and not isinstance(value, bool):
-                value = float(value)
-            elif k.type is bool and isinstance(value, bool):
-                pass
-            elif k.type in (dict, list, str) and isinstance(value, k.type):
-                pass
-            elif k.type is object:
-                pass
-            else:
-                raise ValidationError(
-                    f"config key {k.name!r} must be {getattr(k.type, '__name__', k.type)}"
-                )
-            out[k.name] = value
-        elif k.required:
-            raise ValidationError(f"config key {k.name!r} is required for {spec.name}")
-        else:
-            out[k.name] = k.default
+    out = {k.name: _field(config, k.name, k.convert, k.default) for k in spec.keys}
     if spec.stochastic and out.get("seed") is None:
         raise ValidationError(f"task {spec.name} is stochastic: config key 'seed' is required")
     return out
@@ -124,7 +165,7 @@ def _validate_config(spec: TaskSpec, config: dict) -> dict:
 
 def _task_seed(task: str, seed) -> int:
     digest = hashlib.blake2b(task.encode("utf-8"), digest_size=8).digest()
-    return (int(seed or 0) ^ int.from_bytes(digest, "big")) & (2**63 - 1)
+    return ((seed or 0) ^ int.from_bytes(digest, "big")) & (2**63 - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -145,56 +186,13 @@ def _bundled_path(name: str) -> str:
     return os.path.join(here, "data", _BUNDLED[name])
 
 
-def _integer(minimum: int):
-    """Converter for an integral JSON number >= minimum; bools and fractional values raise."""
-
-    def convert(value) -> int:
-        if not _is_integer(value) or value < minimum:
-            raise ValueError(f"must be an integer >= {minimum}")
-        return int(value)
-
-    return convert
-
-
-_count = _integer(1)
-
-
-def _scale(value) -> float:
-    s = float(value)
-    if not s >= 0:
-        raise ValueError("must be >= 0")
-    return s
-
-
-def _bound(value) -> float:
-    b = float(value)
-    if not b > 0:
-        raise ValueError("must be > 0")
-    return b
-
-
-def _field(descr: dict, name: str, convert, default=None):
-    """``convert(descr[name])``, or ``default`` when the field is absent and has one.
-
-    A missing field, or one that ``convert`` rejects, raises ``ValidationError`` naming it.
-    """
-    if name not in descr:
-        if default is None:
-            raise ValidationError(f"field {name!r} is required")
-        return default
-    try:
-        return convert(descr[name])
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValidationError(f"field {name!r} is malformed ({descr[name]!r}): {exc}") from None
-
-
 def _synthetic(descr: dict):
-    kind = descr.get("kind")
+    kind = _field(descr, "kind", _choice("blobs", "noisy-sine", "swiss-roll", "two-mode", "step"))
     rng_seed = _field(descr, "seed", _integer(0), 0)
     if kind == "blobs":
         X, labels = synth.make_blobs(
             _field(descr, "n_per_blob", _count, 100),
-            _field(descr, "centers", lambda c: np.asarray(c, dtype=float), [[0.0, 0.0], [5.0, 0.0], [2.5, 4.5]]),
+            _field(descr, "centers", _points, [[0.0, 0.0], [5.0, 0.0], [2.5, 4.5]]),
             _field(descr, "spread", _scale, 0.4),
             rng_seed,
         )
@@ -208,18 +206,14 @@ def _synthetic(descr: dict):
     if kind == "two-mode":
         v = synth.two_mode_mixture(_field(descr, "n", _count, 200), rng_seed, var=_field(descr, "var", _scale, 0.1))
         return Dataset(v[:, None])
-    if kind == "step":
-        clean, noisy = synth.step_signal(_field(descr, "n", _count, 200), _field(descr, "noise", _scale, 0.1), rng_seed)
-        return Sequence(tokens=noisy[:, None])
-    raise ValidationError(f"unknown synthetic kind {kind!r}")
+    clean, noisy = synth.step_signal(_field(descr, "n", _count, 200), _field(descr, "noise", _scale, 0.1), rng_seed)
+    return Sequence(tokens=noisy[:, None])
 
 
 def _resolve_input(source, schema: str):
     """Accept a path, "bundled:<name>", or a {"synthetic": {...}} dict."""
     if isinstance(source, dict):
-        if not isinstance(source.get("synthetic"), dict):
-            raise ValidationError("input dict must carry a 'synthetic' descriptor")
-        return _synthetic(source["synthetic"])
+        return _synthetic(_field(source, "synthetic", _dict))
     if not isinstance(source, str):
         raise ValidationError("input must be a path, bundled:<name>, or a synthetic dict")
     path = _bundled_path(source.split(":", 1)[1]) if source.startswith("bundled:") else source
@@ -348,9 +342,9 @@ def _run_medoidshift(cfg, seed):
 def _run_relax(cfg, seed):
     data = _resolve_input(cfg["input"], "features+label" if cfg["labeled"] else "features-only")
     kernel = make_kernel(cfg["kernel"])
-    init = synth.kmeans_labels(data.X, int(cfg["n_classes"]), rng_seed=seed)
+    init = synth.kmeans_labels(data.X, cfg["n_classes"], rng_seed=seed)
     if cfg["mode"] == "soft":
-        R0 = np.eye(int(cfg["n_classes"]))[init]
+        R0 = np.eye(cfg["n_classes"])[init]
         R = relaxation_label(kernel, data.X, R0, mode="soft", max_iter=cfg["max_iter"])
         labels = R.argmax(axis=1)
     else:
@@ -364,8 +358,8 @@ def _run_relax(cfg, seed):
 
 def _run_lle(cfg, seed):
     data = _resolve_input(cfg["input"], "features-only")
-    S = lle_weights(data.X, int(cfg["n_neighbors"]))
-    res = lle_embed(S, int(cfg["dim"]))
+    S = lle_weights(data.X, cfg["n_neighbors"])
+    res = lle_embed(S, cfg["dim"])
     files = {"results.csv": ([f"z{i}" for i in range(res.Z.shape[1])], res.Z)}
     return {"objective": res.objective, "n": data.n}, files, ("scatter", {"points": res.Z[:, :2]})
 
@@ -374,9 +368,7 @@ def _run_amds(cfg, seed):
     data = _resolve_input(cfg["input"], "features-only")
     kernel = make_kernel(cfg["kernel"])
     K = gram(kernel, data.X, data.X)
-    Phi, Psi, strain, history = amds_factorize(
-        K, int(cfg["q"]), method=cfg["method"], iters=int(cfg["iters"]), rng_seed=seed
-    )
+    Phi, Psi, strain, history = amds_factorize(K, cfg["q"], method=cfg["method"], iters=cfg["iters"], rng_seed=seed)
     header = [f"phi{i}" for i in range(Phi.shape[1])] + [f"psi{i}" for i in range(Psi.shape[1])]
     files = {"results.csv": (header, np.hstack([Phi, Psi]))}
     return {"strain": strain, "sweeps": len(history)}, files, ("scatter", {"points": Phi[:, :2]})
@@ -386,11 +378,11 @@ def _run_trimap(cfg, seed):
     data = _resolve_input(cfg["input"], "features-only")
     res = trimap_embed(
         data.X,
-        gaussian(float(cfg["similarity_h"])),
-        q=int(cfg["q"]),
+        gaussian(cfg["similarity_h"]),
+        q=cfg["q"],
         h=cfg["transform"],
-        steps=int(cfg["steps"]),
-        lr=float(cfg["lr"]),
+        steps=cfg["steps"],
+        lr=cfg["lr"],
         rng_seed=seed,
     )
     metrics = {"objective": res.objective, "initial_objective": float(res.history[0])}
@@ -399,11 +391,10 @@ def _run_trimap(cfg, seed):
 
 
 def _run_words(cfg, seed):
-    path = cfg["input"]
-    if not isinstance(path, str) or not os.path.exists(path):
-        raise ValidationError(f"input text file does not exist: {path!r}")
-    windows = read_corpus(path, int(cfg["window"]))
-    wv = cooccurrence_embed(windows, int(cfg["dim"]))
+    if not os.path.exists(cfg["input"]):
+        raise ValidationError(f"input text file does not exist: {cfg['input']!r}")
+    windows = read_corpus(cfg["input"], cfg["window"])
+    wv = cooccurrence_embed(windows, cfg["dim"])
     metrics = {"vocabulary": len(wv.vocabulary), "windows": len(windows)}
     header = ["symbol"] + [f"v{i}" for i in range(wv.input_vectors.shape[1])]
     files = {"results.csv": (header, ([tok] + list(vec) for tok, vec in zip(wv.vocabulary, wv.input_vectors)))}
@@ -418,12 +409,12 @@ def _run_kde(cfg, seed):
     h = getattr(kernel, "h", getattr(kernel, "eps", 1.0))
     lo = float(data.X.min()) - 3.0 * h
     hi = float(data.X.max()) + 3.0 * h
-    grid = np.linspace(lo, hi, int(cfg["grid_count"]))
+    grid = np.linspace(lo, hi, cfg["grid_count"])
     dens = kde_values(kernel, data.X, grid)
     in_sample = kde_values(kernel, data.X, data.X)
     metrics = {
         "total_log_likelihood": float(np.log(np.maximum(in_sample, 1e-300)).sum()),
-        "grid_count": int(cfg["grid_count"]),
+        "grid_count": cfg["grid_count"],
     }
     files = {"results.csv": (["x", "density"], np.stack([grid, dens], 1))}
     return metrics, files, ("line", {"series": [(grid, dens)]})
@@ -431,18 +422,16 @@ def _run_kde(cfg, seed):
 
 def _run_diffusion(cfg, seed):
     data = _resolve_input(cfg["input"], "features-only")
-    sched = DiffusionSchedule.linear_variance_preserving(
-        int(cfg["steps"]), float(cfg["s2_min"]), float(cfg["s2_max"])
-    )
+    sched = DiffusionSchedule.linear_variance_preserving(cfg["steps"], cfg["s2_min"], cfg["s2_max"])
     gen, _ = diffusion_generate(
         data.X,
         sched,
-        n=int(cfg["n_samples"]),
+        n=cfg["n_samples"],
         rng_seed=seed,
-        alpha=float(cfg["alpha"]),
-        inject_noise=bool(cfg["inject_noise"]),
+        alpha=cfg["alpha"],
+        inject_noise=cfg["inject_noise"],
     )
-    metrics = {"n_samples": int(cfg["n_samples"])}
+    metrics = {"n_samples": cfg["n_samples"]}
     files = {"results.csv": (_feature_header(data.p, prefix="g"), gen)}
     if data.p >= 2:
         return metrics, files, ("scatter", {"points": gen[:, :2]})
@@ -456,18 +445,16 @@ def _run_diffusion(cfg, seed):
 def _run_nlm(cfg, seed):
     if cfg["image"] is not None:
         img = read_pgm(cfg["image"]).astype(float) / 255.0
-        den = nlm_denoise_image(
-            img, int(cfg["patch_radius"]), float(cfg["bandwidth"]), int(cfg["search_radius"])
-        )
+        den = nlm_denoise_image(img, cfg["patch_radius"], cfg["bandwidth"], cfg["search_radius"])
         files = {"denoised.pgm": den * 255.0, "results.csv": (["mse_change"], [[float(((den - img) ** 2).mean())]])}
         return {"pixels": int(img.size)}, files, None
     seq = _resolve_input(cfg["input"], "sequence")
-    den = nlm_denoise(seq, int(cfg["patch_radius"]), float(cfg["bandwidth"]), int(cfg["search_radius"]))
+    den = nlm_denoise(seq, cfg["patch_radius"], cfg["bandwidth"], cfg["search_radius"])
     metrics = {"length": seq.length}
     if cfg["clean"] is not None:
         clean = _resolve_input(cfg["clean"], "sequence")
         metrics["mse_vs_clean"] = float(((den.tokens - clean.tokens) ** 2).mean())
-        base = gaussian_moving_average(seq, int(cfg["search_radius"]))
+        base = gaussian_moving_average(seq, cfg["search_radius"])
         metrics["mse_moving_average"] = float(((base.tokens - clean.tokens) ** 2).mean())
     files = {"results.csv": (["t"] + _feature_header(seq.width), _time_rows(den))}
     return metrics, files, ("line", {"series": [(seq.times, seq.tokens[:, 0]), (den.times, den.tokens[:, 0])]})
@@ -475,19 +462,7 @@ def _run_nlm(cfg, seed):
 
 def _run_tune(cfg, seed):
     data = _resolve_input(cfg["input"], "features+target")
-    grid_cfg = cfg["grid"]
-    if isinstance(grid_cfg, dict):
-        grid = np.geomspace(
-            _field(grid_cfg, "min", _bound), _field(grid_cfg, "max", _bound), _field(grid_cfg, "count", _count)
-        )
-    elif isinstance(grid_cfg, list):
-        try:
-            grid = [float(g) for g in grid_cfg]
-        except (TypeError, ValueError):
-            raise ValidationError(f"config key 'grid' must list numbers, got {grid_cfg!r}") from None
-    else:
-        raise ValidationError("grid must be a {min,max,count} dict or a list of bandwidths")
-    res = tune_bandwidth(cfg["predictor"], data, grid=grid)
+    res = tune_bandwidth(cfg["predictor"], data, grid=cfg["grid"])
     metrics = {
         "h_star": res.h_star,
         "loss_star": res.loss_star,
@@ -503,10 +478,10 @@ def _run_qkv(cfg, seed):
     data = _resolve_input(cfg["input"], "features-only")
     params, trace = fit_qkv(
         data.X,
-        d=int(cfg["d"]),
+        d=cfg["d"],
         form=cfg["form"],
-        lr=float(cfg["lr"]),
-        steps=int(cfg["steps"]),
+        lr=cfg["lr"],
+        steps=cfg["steps"],
         rng_seed=seed,
     )
     metrics = {
@@ -522,21 +497,21 @@ def _run_transformer(cfg, seed):
     if cfg["input"] is not None:
         seq = _resolve_input(cfg["input"], "sequence")
     else:
-        t = np.arange(int(cfg["length"]), dtype=float)
+        t = np.arange(cfg["length"], dtype=float)
         tokens = np.stack([np.sin(0.3 * t), np.cos(0.2 * t), 0.05 * t], axis=1)
         seq = Sequence(tokens=tokens, times=t)
     rng = np.random.default_rng(seed)
     p = seq.width
     layers = [
         TransformerLayer(
-            wq=0.4 * rng.standard_normal((p, int(cfg["d"]))),
-            wk=0.4 * rng.standard_normal((p, int(cfg["d"]))),
-            mlp=MlpParams.random(p, int(cfg["hidden"]), rng, scale=0.4),
+            wq=0.4 * rng.standard_normal((p, cfg["d"])),
+            wk=0.4 * rng.standard_normal((p, cfg["d"])),
+            mlp=MlpParams.random(p, cfg["hidden"], rng, scale=0.4),
         )
-        for _ in range(int(cfg["depth"]))
+        for _ in range(cfg["depth"])
     ]
-    out_seq = transformer_encode(seq, layers, causal=bool(cfg["causal"]))
-    metrics = {"depth": int(cfg["depth"]), "length": seq.length}
+    out_seq = transformer_encode(seq, layers, causal=cfg["causal"])
+    metrics = {"depth": cfg["depth"], "length": seq.length}
     if cfg["causal"] and seq.length > 2:
         s = seq.length // 2
         pert = seq.tokens.copy()
@@ -553,9 +528,9 @@ def _run_transformer(cfg, seed):
 # registry
 # ---------------------------------------------------------------------------
 
-_KERNEL_KEY = Key("kernel", dict, default={"kind": "gaussian", "h": 1.0}, help="kernel descriptor")
-_INPUT_KEY = Key("input", object, required=True, help="path, bundled:<name>, or {synthetic: {...}}")
-_SEED_KEY = Key("seed", int, default=None, help="base 64-bit seed")
+_KERNEL_KEY = Key("kernel", _dict, default={"kind": "gaussian", "h": 1.0}, help="kernel descriptor")
+_INPUT_KEY = Key("input", _any, default=_REQUIRED, help="path, bundled:<name>, or {synthetic: {...}}")
+_SEED_KEY = Key("seed", _int, default=None, help="base 64-bit seed")
 
 TASKS = {}
 
@@ -567,13 +542,18 @@ def _register(name, description, keys, runner, stochastic=False):
 _register(
     "regress-local-mean",
     "kernel-weighted average regression over a features+target CSV",
-    [_INPUT_KEY, _KERNEL_KEY, _SEED_KEY, Key("fallback", str, default="error", help="empty-window policy")],
+    [
+        _INPUT_KEY,
+        _KERNEL_KEY,
+        _SEED_KEY,
+        Key("fallback", _choice("error", "nearest-neighbor"), default="error", help="empty-window policy"),
+    ],
     lambda cfg, seed: _run_regress(cfg, seed, linear=False),
 )
 _register(
     "regress-local-linear",
     "locally weighted linear/ridge regression",
-    [_INPUT_KEY, _KERNEL_KEY, _SEED_KEY, Key("lambda", float, default=0.0, help="ridge penalty")],
+    [_INPUT_KEY, _KERNEL_KEY, _SEED_KEY, Key("lambda", _float, default=0.0, help="ridge penalty")],
     lambda cfg, seed: _run_regress(cfg, seed, linear=True),
 )
 _register(
@@ -589,11 +569,11 @@ _register(
         _INPUT_KEY,
         _KERNEL_KEY,
         _SEED_KEY,
-        Key("alpha", float, default=1.0, help="damped step size in (0, 1]"),
-        Key("tol", float, default=None, help="convergence tolerance (default scale-relative)"),
-        Key("max_iter", int, default=500),
-        Key("merge_radius", float, default=None, help="cluster merge radius (default scale-relative)"),
-        Key("labeled", bool, default=True, help="input carries a label column for ARI"),
+        Key("alpha", _float, default=1.0, help="damped step size in (0, 1]"),
+        Key("tol", _float, default=None, help="convergence tolerance (default scale-relative)"),
+        Key("max_iter", _int, default=500),
+        Key("merge_radius", _float, default=None, help="cluster merge radius (default scale-relative)"),
+        Key("labeled", _bool, default=True, help="input carries a label column for ARI"),
     ],
     _run_meanshift,
 )
@@ -604,8 +584,8 @@ _register(
         _INPUT_KEY,
         _KERNEL_KEY,
         _SEED_KEY,
-        Key("labeled", bool, default=True),
-        Key("merge_radius", float, default=None, help="optional root-merging radius"),
+        Key("labeled", _bool, default=True),
+        Key("merge_radius", _float, default=None, help="optional root-merging radius"),
     ],
     _run_medoidshift,
 )
@@ -616,10 +596,10 @@ _register(
         _INPUT_KEY,
         _KERNEL_KEY,
         _SEED_KEY,
-        Key("n_classes", int, required=True),
-        Key("mode", str, default="hard", help="hard or soft"),
-        Key("max_iter", int, default=200),
-        Key("labeled", bool, default=True),
+        Key("n_classes", _count, default=_REQUIRED),
+        Key("mode", _choice("hard", "soft"), default="hard"),
+        Key("max_iter", _int, default=200),
+        Key("labeled", _bool, default=True),
     ],
     _run_relax,
     stochastic=True,
@@ -630,8 +610,8 @@ _register(
     [
         _INPUT_KEY,
         _SEED_KEY,
-        Key("n_neighbors", int, default=10),
-        Key("dim", int, default=2),
+        Key("n_neighbors", _int, default=10),
+        Key("dim", _int, default=2),
     ],
     _run_lle,
 )
@@ -642,9 +622,9 @@ _register(
         _INPUT_KEY,
         _KERNEL_KEY,
         _SEED_KEY,
-        Key("q", int, default=2),
-        Key("method", str, default="svd", help="svd or nmf"),
-        Key("iters", int, default=200),
+        Key("q", _int, default=2),
+        Key("method", _str, default="svd", help="svd or nmf"),
+        Key("iters", _int, default=200),
     ],
     _run_amds,
     stochastic=True,
@@ -655,11 +635,11 @@ _register(
     [
         _INPUT_KEY,
         _SEED_KEY,
-        Key("q", int, default=2),
-        Key("transform", str, default="log1p", help="identity or log1p"),
-        Key("steps", int, default=200),
-        Key("lr", float, default=0.05),
-        Key("similarity_h", float, default=1.0),
+        Key("q", _int, default=2),
+        Key("transform", _str, default="log1p", help="identity or log1p"),
+        Key("steps", _int, default=200),
+        Key("lr", _float, default=0.05),
+        Key("similarity_h", _float, default=1.0),
     ],
     _run_trimap,
     stochastic=True,
@@ -668,17 +648,17 @@ _register(
     "embed-words",
     "co-occurrence SVD word vectors from a text file",
     [
-        Key("input", str, required=True, help="plain-text corpus path"),
+        Key("input", _str, default=_REQUIRED, help="plain-text corpus path"),
         _SEED_KEY,
-        Key("window", int, default=5),
-        Key("dim", int, default=2),
+        Key("window", _int, default=5),
+        Key("dim", _int, default=2),
     ],
     _run_words,
 )
 _register(
     "density-kde",
     "kernel density estimate on a 1-D grid",
-    [_INPUT_KEY, _KERNEL_KEY, _SEED_KEY, Key("grid_count", int, default=201)],
+    [_INPUT_KEY, _KERNEL_KEY, _SEED_KEY, Key("grid_count", _count, default=201)],
     _run_kde,
 )
 _register(
@@ -687,12 +667,12 @@ _register(
     [
         _INPUT_KEY,
         _SEED_KEY,
-        Key("steps", int, default=20),
-        Key("s2_min", float, default=1e-4),
-        Key("s2_max", float, default=0.2),
-        Key("alpha", float, default=0.8),
-        Key("n_samples", int, default=500),
-        Key("inject_noise", bool, default=True),
+        Key("steps", _int, default=20),
+        Key("s2_min", _float, default=1e-4),
+        Key("s2_max", _float, default=0.2),
+        Key("alpha", _float, default=0.8),
+        Key("n_samples", _int, default=500),
+        Key("inject_noise", _bool, default=True),
     ],
     _run_diffusion,
     stochastic=True,
@@ -701,13 +681,13 @@ _register(
     "denoise-nlm",
     "non-local means denoising of a sequence CSV or PGM image",
     [
-        Key("input", object, default=None, help="sequence CSV (t, features...)"),
-        Key("image", str, default=None, help="binary PGM path (overrides input)"),
+        Key("input", _any, default=None, help="sequence CSV (t, features...)"),
+        Key("image", _str, default=None, help="binary PGM path (overrides input)"),
         _SEED_KEY,
-        Key("patch_radius", int, default=2),
-        Key("bandwidth", float, default=0.2),
-        Key("search_radius", int, default=10),
-        Key("clean", object, default=None, help="clean reference sequence for MSE"),
+        Key("patch_radius", _int, default=2),
+        Key("bandwidth", _float, default=0.2),
+        Key("search_radius", _int, default=10),
+        Key("clean", _any, default=None, help="clean reference sequence for MSE"),
     ],
     _run_nlm,
 )
@@ -717,8 +697,8 @@ _register(
     [
         _INPUT_KEY,
         _SEED_KEY,
-        Key("predictor", str, default="local-mean", help="local-mean, local-linear, kde-loo"),
-        Key("grid", object, required=True, help="{min,max,count} or [h, ...]"),
+        Key("predictor", _str, default="local-mean", help="local-mean, local-linear, kde-loo"),
+        Key("grid", _grid, default=_REQUIRED),
     ],
     _run_tune,
 )
@@ -728,10 +708,10 @@ _register(
     [
         _INPUT_KEY,
         _SEED_KEY,
-        Key("d", int, default=2),
-        Key("form", str, default="softmax", help="softmax or linear"),
-        Key("steps", int, default=500),
-        Key("lr", float, default=0.1),
+        Key("d", _int, default=2),
+        Key("form", _str, default="softmax", help="softmax or linear"),
+        Key("steps", _integer(0), default=500),
+        Key("lr", _float, default=0.1),
     ],
     _run_qkv,
     stochastic=True,
@@ -740,13 +720,13 @@ _register(
     "transformer-demo",
     "seeded random encoder forward pass with causality check",
     [
-        Key("input", object, default=None, help="sequence CSV; omit for the synthetic demo"),
+        Key("input", _any, default=None, help="sequence CSV; omit for the synthetic demo"),
         _SEED_KEY,
-        Key("length", int, default=24),
-        Key("depth", int, default=6, help="encoder layers (classic default 6)"),
-        Key("d", int, default=4),
-        Key("hidden", int, default=8),
-        Key("causal", bool, default=True),
+        Key("length", _int, default=24),
+        Key("depth", _int, default=6, help="encoder layers (classic default 6)"),
+        Key("d", _count, default=4),
+        Key("hidden", _int, default=8),
+        Key("causal", _bool, default=True),
     ],
     _run_transformer,
     stochastic=True,
@@ -762,9 +742,8 @@ def run_task(task: str, config: dict, out_dir: str, seed_override=None) -> dict:
     if task not in TASKS:
         raise ValidationError(f"unknown task {task!r}; have {sorted(TASKS)}")
     spec = TASKS[task]
-    if seed_override is not None:
-        config = dict(config)
-        config["seed"] = int(seed_override)
+    if seed_override is not None and isinstance(config, dict):
+        config = {**config, "seed": seed_override}
     cfg = _validate_config(spec, config)
     os.makedirs(out_dir, exist_ok=True)
     seed = _task_seed(task, cfg.get("seed"))
@@ -815,24 +794,18 @@ def main(argv=None) -> int:
         max_threads()  # fail fast on a malformed env var
         with open(args.config, "r", encoding="utf-8") as fh:
             config = json.load(fh)
-    except FileNotFoundError as exc:
-        _emit_error("validation", str(exc))
-        return 2
     except json.JSONDecodeError as exc:
         _emit_error("validation", f"config is not valid JSON: {exc}")
         return 2
-    except ValidationError as exc:
+    except (FileNotFoundError, ValidationError) as exc:
         _emit_error("validation", str(exc))
         return 2
     try:
         metrics = run_task(args.task, config, args.out, seed_override=args.seed)
-    except (ValidationError, FileNotFoundError) as exc:
-        _emit_error("validation", str(exc))
-        return 2
     except (NumericError, np.linalg.LinAlgError) as exc:
         _emit_error("numeric", str(exc))
         return 3
-    except LocusKitError as exc:
+    except (LocusKitError, FileNotFoundError) as exc:
         _emit_error("validation", str(exc))
         return 2
     print(json.dumps(metrics, sort_keys=True))

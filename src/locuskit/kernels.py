@@ -144,9 +144,8 @@ def softmax_rows(S) -> np.ndarray:
 class Kernel:
     """Immutable kernel evaluator.
 
-    Subclasses implement :meth:`eval` on a pair of points and, when a
-    vectorized form exists, override :meth:`gram_values` for whole point
-    sets.
+    Subclasses implement :meth:`eval` on a pair of points and
+    :meth:`gram_values` on whole point sets.
 
     ``sign_class`` records how entries may behave: ``"nonnegative"`` for the
     usual localization kinds, ``"signed"`` for kinds that may dip negative
@@ -161,13 +160,7 @@ class Kernel:
         raise NotImplementedError
 
     def gram_values(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        rows = as_point_set(rows)
-        cols = as_point_set(cols)
-        out = np.empty((rows.shape[0], cols.shape[0]))
-        for i, r in enumerate(rows):
-            for j, c in enumerate(cols):
-                out[i, j] = self.eval(r, c)
-        return out
+        raise NotImplementedError
 
     def __call__(self, x, y) -> float:
         return self.eval(x, y)
@@ -301,6 +294,23 @@ class KnnKernel(Kernel):
         if matches.size:
             return 1.0 if np.isin(matches, sel).any() else 0.0
         return 1.0
+
+    def gram_values(self, rows, cols):
+        """``eval`` at every pair. A column exactly at a row's k-th distance counts when it equals no
+        reference point, or when its lowest-indexed copy's index is at most the k-th neighbor's."""
+        rows, cols = as_point_set(rows), as_point_set(cols)
+        d2 = pairwise_sq_dists(rows, self.reference)
+        last = np.argsort(d2, axis=1, kind="stable")[:, self.k - 1]
+        kth = d2[np.arange(rows.shape[0]), last][:, None]
+        dy = pairwise_sq_dists(rows, cols)
+        out = (dy < kth).astype(float)
+        ti, tj = np.nonzero(dy == kth)
+        if ti.size:
+            tied = np.unique(tj)
+            same = (cols[tied, None, :] == self.reference[None, :, :]).all(axis=2)
+            first = np.where(same.any(axis=1), same.argmax(axis=1), -1)
+            out[ti, tj] = first[np.searchsorted(tied, tj)] <= last[ti]
+        return out
 
     def __repr__(self):
         return f"KnnKernel(k={self.k}, reference=<{self.reference.shape[0]} pts>)"
@@ -628,6 +638,13 @@ class SelfKernel(Kernel):
         (xs, ys), (xi, yi) = x, y
         return self.eval_pair(xs, ys, xi, yi)
 
+    def gram_values(self, rows, cols):
+        """``eval`` at every pair of two-column (x, y) points: ``K1`` on column 0 times ``K2`` on column 1."""
+        rows, cols = as_point_set(rows), as_point_set(cols)
+        if rows.shape[1] != 2 or cols.shape[1] != 2:
+            raise DimensionMismatch("a self kernel's gram needs (x, y) points of two columns")
+        return self.k_x.gram_values(rows[:, :1], cols[:, :1]) * self.k_y.gram_values(rows[:, 1:], cols[:, 1:])
+
 
 # ---------------------------------------------------------------------------
 # factories
@@ -709,23 +726,25 @@ def make_kernel(spec) -> Kernel:
             args["phi"], args["psi"], args.get("relation", "dot")
         ),
     }
-    if kind in simple:
-        try:
+    try:
+        if kind in simple:
             return simple[kind]()
-        except KeyError as exc:
-            raise InvalidParameter(f"kernel kind {kind!r} missing key {exc}") from exc
-    if kind == "multi":
-        parts = [make_kernel(p) for p in args["parts"]]
-        return MultiKernel(args["weights"], parts)
-    if kind in ("dual", "regularized", "hollow", "power"):
-        base = make_kernel(args.pop("base"))
-        return derive_kernel(kind, base, **args)
-    if kind in ("product", "difference"):
-        a = make_kernel(args.pop("first"))
-        b = make_kernel(args.pop("second"))
-        return derive_kernel(kind, a, b, **args)
-    if kind == "self":
-        return SelfKernel(make_kernel(args["k_x"]), make_kernel(args["k_y"]))
+        if kind == "multi":
+            parts = [make_kernel(p) for p in args["parts"]]
+            return MultiKernel(args["weights"], parts)
+        if kind in ("dual", "regularized", "hollow", "power"):
+            base = make_kernel(args.pop("base"))
+            return derive_kernel(kind, base, **args)
+        if kind in ("product", "difference"):
+            a = make_kernel(args.pop("first"))
+            b = make_kernel(args.pop("second"))
+            return derive_kernel(kind, a, b, **args)
+        if kind == "self":
+            return SelfKernel(make_kernel(args["k_x"]), make_kernel(args["k_y"]))
+    except KeyError as exc:
+        raise InvalidParameter(f"kernel kind {kind!r} missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise InvalidParameter(f"kernel kind {kind!r} has a malformed value: {exc}") from exc
     raise InvalidParameter(f"unknown kernel kind {kind!r}")
 
 

@@ -106,6 +106,8 @@ def orthogonal_patterns(n_patterns: int, n_bits: int):
 def kmeans_labels(X, n_clusters: int, rng_seed: int, n_iter: int = 50):
     """Plain Lloyd iterations, used only to seed relaxation labeling demos."""
     X = as_point_set(X)
+    if not 1 <= n_clusters <= X.shape[0]:
+        raise InvalidParameter(f"n_clusters must be in [1, {X.shape[0]}], got {n_clusters}")
     rng = np.random.default_rng(rng_seed)
     centers = X[rng.choice(X.shape[0], size=n_clusters, replace=False)]
     labels = np.zeros(X.shape[0], dtype=int)

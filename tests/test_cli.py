@@ -590,3 +590,38 @@ def test_non_integer_int_key_exit_two(tmp_path, capsys, value):
 def test_integral_float_for_int_key_is_read_as_int():
     cfg = _validate_config(TASKS["embed-lle"], {"input": "x", "n_neighbors": 10.0})
     assert cfg["n_neighbors"] == 10 and type(cfg["n_neighbors"]) is int
+
+
+_RELAX = {"input": "bundled:two-blobs", "seed": 1, "n_classes": 2}
+_SINE = {"input": "bundled:noisy-sine"}
+
+
+@pytest.mark.parametrize(
+    "task, config, named",
+    [
+        ("cluster-relax", {**_RELAX, "n_classes": 0}, "'n_classes' must be int >= 1"),
+        ("cluster-relax", {**_RELAX, "n_classes": -2}, "'n_classes' must be int >= 1"),
+        ("cluster-relax", {**_RELAX, "n_classes": 1000}, "n_clusters must be in [1, 60]"),
+        ("cluster-relax", {**_RELAX, "mode": "bogus"}, "'mode' must be one of 'hard', 'soft'"),
+        ("density-kde", {"input": _TWO_MODE, "grid_count": -1}, "'grid_count' must be int >= 1"),
+        ("fit-qkv", {"input": "bundled:qkv-toy", "seed": 1, "steps": -1}, "'steps' must be int >= 0"),
+        ("transformer-demo", {"seed": 1, "d": 0}, "'d' must be int >= 1"),
+        ("regress-local-mean", {**_SINE, "fallback": "bogus"}, "'fallback' must be one of 'error', 'nearest-neighbor'"),
+        ("regress-local-mean", {**_SINE, "kernel": {"kind": "dual"}}, "'base'"),
+        ("regress-local-mean", {**_SINE, "kernel": {"kind": "multi", "parts": [{"kind": "uniform"}]}}, "'weights'"),
+        ("regress-local-mean", {**_SINE, "kernel": {"kind": "knn", "k": 2, "reference": "abc"}}, "'knn'"),
+    ],
+    ids=[
+        "zero-classes", "negative-classes", "more-classes-than-rows", "unknown-mode", "negative-grid-count",
+        "negative-steps", "zero-attention-width", "unknown-fallback", "dual-without-base", "multi-without-weights",
+        "knn-non-numeric-reference",
+    ],
+)
+def test_out_of_range_config_value_exit_two(tmp_path, capsys, task, config, named):
+    cfg = write_config(tmp_path, "c.json", config)
+    assert named in assert_validation_exit(tmp_path, capsys, task, cfg)
+
+
+def test_seed_override_on_non_object_config_is_a_validation_error(tmp_path):
+    with pytest.raises(ValidationError, match="config must be a JSON object"):
+        run_task("fit-qkv", [1], str(tmp_path), seed_override=5)

@@ -301,6 +301,19 @@ class TestDeriveKernel:
                 np.testing.assert_array_equal(sel, want[:k])
                 np.testing.assert_array_equal(got, reference_sq_dists(x[None, :], ref)[0])
 
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_knn_gram_equals_eval_ties_included(self, p):
+        # integer grid points with duplicated rows put many columns exactly at the k-th distance
+        rng = np.random.default_rng(10 + p)
+        base = rng.integers(-2, 3, size=(8, p)).astype(float)
+        ref = np.vstack([base, base[::2], base[:1]])
+        rows = np.vstack([ref[:4], rng.integers(-2, 3, size=(6, p)).astype(float), np.full((1, p), 0.5)])
+        cols = np.vstack([ref, rng.integers(-3, 4, size=(10, p)).astype(float)])
+        for k in (1, 2, 5, len(ref)):
+            kern = knn_kernel(k, ref)
+            want = np.array([[kern.eval(r, c) for c in cols] for r in rows])
+            np.testing.assert_array_equal(kern.gram_values(rows, cols), want)
+
 
 class TestNormalizeRows:
     def test_plain_arithmetic(self):
@@ -544,6 +557,15 @@ class TestSelfKernel:
         k = SelfKernel(gaussian(1.0), gaussian(2.0))
         v = k.eval_pair([0.0], [1.0], [1.0], [2.0])
         assert v == pytest.approx(math.exp(-0.5) * math.exp(-1.0 / 8.0), rel=1e-12)
+
+    def test_gram_over_two_column_points_matches_eval(self):
+        k = SelfKernel(gaussian(1.0), epanechnikov(2.0))
+        rng = np.random.default_rng(5)
+        rows, cols = rng.normal(size=(4, 2)), rng.normal(size=(6, 2))
+        want = np.array([[k.eval(r, c) for c in cols] for r in rows])
+        np.testing.assert_allclose(k.gram_values(rows, cols), want, rtol=1e-14, atol=0)
+        with pytest.raises(errors.DimensionMismatch):
+            k.gram_values(rng.normal(size=(4, 3)), rng.normal(size=(6, 3)))
 
 
 class TestFeatureKernel:
