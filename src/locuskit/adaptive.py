@@ -24,7 +24,7 @@ from .errors import (
 )
 from .estimators import Dataset, _local_linear_blocks, local_linear_predict, loo_error
 from .kernels import (  # normalize_rows is unused here, but perfbench/tracer.py wraps it by name
-    _row_blocks, gaussian, local_reduce, normalize_rows, softmax_rows,
+    _row_blocks, _softmax_in_place, gaussian, local_reduce, normalize_rows,
 )
 
 __all__ = [
@@ -310,10 +310,11 @@ def _attention_matrix(form, phi, psi, mask_diagonal):
     """Row-stochastic attention (softmax) or normalized positive weights (linear)."""
     d = phi.shape[1]
     if form == "softmax":
-        S = phi @ psi.T / math.sqrt(d)
+        S = phi @ psi.T
+        S /= math.sqrt(d)
         if mask_diagonal:
             np.fill_diagonal(S, -np.inf)
-        return softmax_rows(S)
+        return _softmax_in_place(S)
     B = softplus(phi) @ softplus(psi).T
     if mask_diagonal:
         np.fill_diagonal(B, 0.0)

@@ -571,7 +571,7 @@ _register(
         _SEED_KEY,
         Key("alpha", _float, default=1.0, help="damped step size in (0, 1]"),
         Key("tol", _float, default=None, help="convergence tolerance (default scale-relative)"),
-        Key("max_iter", _int, default=500),
+        Key("max_iter", _integer(0), default=500),
         Key("merge_radius", _float, default=None, help="cluster merge radius (default scale-relative)"),
         Key("labeled", _bool, default=True, help="input carries a label column for ARI"),
     ],
@@ -598,7 +598,7 @@ _register(
         _SEED_KEY,
         Key("n_classes", _count, default=_REQUIRED),
         Key("mode", _choice("hard", "soft"), default="hard"),
-        Key("max_iter", _int, default=200),
+        Key("max_iter", _integer(0), default=200),
         Key("labeled", _bool, default=True),
     ],
     _run_relax,
@@ -722,7 +722,7 @@ _register(
     [
         Key("input", _any, default=None, help="sequence CSV; omit for the synthetic demo"),
         _SEED_KEY,
-        Key("length", _int, default=24),
+        Key("length", _count, default=24),
         Key("depth", _int, default=6, help="encoder layers (classic default 6)"),
         Key("d", _count, default=4),
         Key("hidden", _int, default=8),

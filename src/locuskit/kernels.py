@@ -102,12 +102,13 @@ def as_point_set(X) -> np.ndarray:
     return arr
 
 
-def pairwise_sq_dists(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+def pairwise_sq_dists(A: np.ndarray, B: np.ndarray, out=None) -> np.ndarray:
     """Squared Euclidean distances between the rows of A (N, p) and B (M, p).
 
     Each entry sums the exact per-coordinate squared differences from the first coordinate
     to the last, so no row depends on the rows passed with it; up to 7 coordinates, where
     numpy's ``.sum()`` also adds left to right, this is ``((a - b) ** 2).sum()`` bit for bit.
+    The result is written into ``out`` (an (N, M) float array) when it is given.
     """
     A = as_point_set(A)
     B = as_point_set(B)
@@ -115,13 +116,26 @@ def pairwise_sq_dists(A: np.ndarray, B: np.ndarray) -> np.ndarray:
         raise DimensionMismatch(
             f"point dimensions differ: {A.shape[1]} vs {B.shape[1]}"
         )
-    d2 = np.zeros((A.shape[0], B.shape[0]))
-    t = np.empty_like(d2)
-    for a, b in zip(A.T.copy(), B.T.copy()):  # contiguous coordinate rows
+    d2 = np.empty((A.shape[0], B.shape[0])) if out is None else out
+    if A.shape[1] == 0:
+        d2.fill(0.0)
+        return d2
+    a_rows, b_rows = A.T.copy(), B.T.copy()  # contiguous coordinate rows
+    np.subtract.outer(a_rows[0], b_rows[0], out=d2)
+    d2 *= d2
+    t = np.empty_like(d2) if A.shape[1] > 1 else None
+    for a, b in zip(a_rows[1:], b_rows[1:]):
         np.subtract.outer(a, b, out=t)
         t *= t
         d2 += t
     return d2
+
+
+def _softmax_in_place(S: np.ndarray) -> np.ndarray:
+    S -= S.max(axis=1, keepdims=True)
+    np.exp(S, out=S)
+    S /= S.sum(axis=1, keepdims=True)
+    return S
 
 
 def softmax_rows(S) -> np.ndarray:
@@ -130,11 +144,7 @@ def softmax_rows(S) -> np.ndarray:
     Subtracting the row max first keeps large scores from overflowing and
     gives ``-inf`` (masked) scores weight exactly 0.  S is left untouched.
     """
-    S = np.asarray(S, dtype=float)
-    A = S - S.max(axis=1, keepdims=True)
-    np.exp(A, out=A)
-    A /= A.sum(axis=1, keepdims=True)
-    return A
+    return _softmax_in_place(np.array(S, dtype=float))
 
 
 # ---------------------------------------------------------------------------
@@ -849,26 +859,36 @@ def normalize_rows(K) -> StochasticMatrix:
 _BLOCK_ENTRIES = 2**16  # weights per row block of a reduction: 21 rows at N=3000
 
 
+def _block_height(n_cols: int) -> int:
+    return max(1, _BLOCK_ENTRIES // max(n_cols, 1))
+
+
 def _row_blocks(n_rows: int, n_cols: int):
-    step = max(1, _BLOCK_ENTRIES // max(n_cols, 1))
+    step = _block_height(n_cols)
     return (slice(i, i + step) for i in range(0, n_rows, step))
 
 
-def _local_weights(k: Kernel, Q, X, skip_from=None) -> np.ndarray:
+def _local_weights(k: Kernel, Q, X, skip_from=None, out=None) -> np.ndarray:
     """Weights of Q's rows over X for a local mean; Gaussian rows are max-shifted in the log domain.
 
     ``skip_from=s`` drops sample ``s + i`` from row i; negative weights raise ``DesmoothingInput``.
+    Gaussian weights are computed in ``out`` (a (len(Q), len(X)) float array) when it is given.
     """
-    gauss = isinstance(k, GaussianKernel)
-    W = pairwise_sq_dists(Q, X) / -(2.0 * k.h * k.h) if gauss else k.gram_values(Q, X)
+    if not isinstance(k, GaussianKernel):
+        W = k.gram_values(Q, X)
+        if skip_from is not None:
+            np.fill_diagonal(W[:, skip_from:], 0.0)
+        if k.sign_class == "desmoothing" or (W < 0).any():
+            raise DesmoothingInput("cannot average desmoothing or negative kernel weights")
+        return W
+    W = pairwise_sq_dists(Q, X, out=out)
+    W /= -(2.0 * k.h * k.h)
     if skip_from is not None:
-        np.fill_diagonal(W[:, skip_from:], -np.inf if gauss else 0.0)
-    if gauss:
-        top = W.max(axis=1, keepdims=True)
-        return np.exp(W - np.where(np.isfinite(top), top, 0.0))
-    if k.sign_class == "desmoothing" or (W < 0).any():
-        raise DesmoothingInput("cannot average desmoothing or negative kernel weights")
-    return W
+        np.fill_diagonal(W[:, skip_from:], -np.inf)
+    top = W.max(axis=1, keepdims=True)
+    top[~np.isfinite(top)] = 0.0
+    W -= top
+    return np.exp(W, out=W)
 
 
 def local_reduce(k: Kernel, Q, X, Y, skip_self: bool = False):
@@ -881,8 +901,13 @@ def local_reduce(k: Kernel, Q, X, Y, skip_self: bool = False):
     Q, X, Y = as_point_set(Q), as_point_set(X), as_point_set(Y)
     means = np.empty((Q.shape[0], Y.shape[1]))
     deg = np.empty(Q.shape[0])
+    buf = None  # one Gaussian weight block, reused by every row block
+    if isinstance(k, GaussianKernel):
+        buf = np.empty((min(_block_height(X.shape[0]), Q.shape[0]), X.shape[0]))
     for rows in _row_blocks(Q.shape[0], X.shape[0]):
-        W = _local_weights(k, Q[rows], X, rows.start if skip_self else None)
+        Qb = Q[rows]
+        out = None if buf is None else buf[: Qb.shape[0]]
+        W = _local_weights(k, Qb, X, rows.start if skip_self else None, out)
         deg[rows] = W.sum(axis=1)
         means[rows] = W @ Y
     empty = ~(deg > 0)

@@ -17,8 +17,8 @@ import numpy as np
 
 from .errors import DimensionMismatch, InvalidParameter, ShapeMismatch
 from .kernels import (
-    Kernel, KernelMatrix, _local_weights, _row_blocks, as_point_set, gram, local_reduce, normalize_rows,
-    softmax_rows,
+    Kernel, KernelMatrix, _block_height, _local_weights, _row_blocks, _softmax_in_place, as_point_set, gram,
+    local_reduce, normalize_rows,
 )
 
 __all__ = [
@@ -166,12 +166,17 @@ def attention_layer(V, phi, psi, causal: bool = False) -> np.ndarray:
     T = phi.shape[0]
     scale = math.sqrt(phi.shape[1])
     out = np.empty(V.shape)
+    if causal:  # sized by T too: at small T the block step is far larger than T
+        height = min(_block_height(T), T)
+        above = np.triu(np.ones((height, height), dtype=bool), 1)
     for rows in _row_blocks(T, T):
         stop = min(rows.stop, T) if causal else T
-        S = phi[rows] @ psi[:stop].T / scale
+        S = phi[rows] @ psi[:stop].T
+        S /= scale
         if causal:  # only the trailing square of a causal block reaches past the diagonal
-            S[:, rows.start:][np.triu_indices(stop - rows.start, 1)] = -np.inf
-        out[rows] = softmax_rows(S) @ V[:stop]
+            m = stop - rows.start
+            np.copyto(S[:, rows.start:], -np.inf, where=above[:m, :m])
+        out[rows] = _softmax_in_place(S) @ V[:stop]
     return out
 
 

@@ -606,6 +606,9 @@ _SINE = {"input": "bundled:noisy-sine"}
         ("density-kde", {"input": _TWO_MODE, "grid_count": -1}, "'grid_count' must be int >= 1"),
         ("fit-qkv", {"input": "bundled:qkv-toy", "seed": 1, "steps": -1}, "'steps' must be int >= 0"),
         ("transformer-demo", {"seed": 1, "d": 0}, "'d' must be int >= 1"),
+        ("transformer-demo", {"seed": 1, "length": 0}, "'length' must be int >= 1"),
+        ("cluster-meanshift", {"input": "bundled:two-blobs", "max_iter": -1}, "'max_iter' must be int >= 0"),
+        ("cluster-relax", {**_RELAX, "max_iter": -1}, "'max_iter' must be int >= 0"),
         ("regress-local-mean", {**_SINE, "fallback": "bogus"}, "'fallback' must be one of 'error', 'nearest-neighbor'"),
         ("regress-local-mean", {**_SINE, "kernel": {"kind": "dual"}}, "'base'"),
         ("regress-local-mean", {**_SINE, "kernel": {"kind": "multi", "parts": [{"kind": "uniform"}]}}, "'weights'"),
@@ -613,7 +616,8 @@ _SINE = {"input": "bundled:noisy-sine"}
     ],
     ids=[
         "zero-classes", "negative-classes", "more-classes-than-rows", "unknown-mode", "negative-grid-count",
-        "negative-steps", "zero-attention-width", "unknown-fallback", "dual-without-base", "multi-without-weights",
+        "negative-steps", "zero-attention-width", "empty-demo-sequence", "negative-meanshift-iterations",
+        "negative-relax-iterations", "unknown-fallback", "dual-without-base", "multi-without-weights",
         "knn-non-numeric-reference",
     ],
 )

@@ -175,6 +175,7 @@ class TestDistanceArithmetic:
         "no-rows": (3, 0.0, 0, 7, 2),
         "no-cols": (4, 0.0, 6, 0, 2),
         "nine-coordinates": (5, 1e3, 20, 30, 9),
+        "no-coordinates": (7, 0.0, 5, 4, 0),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -194,6 +195,19 @@ class TestDistanceArithmetic:
         for out in (D, W):
             assert not np.shares_memory(out, A) and not np.shares_memory(out, B)
         assert not np.shares_memory(D, W)
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_out_buffer_is_filled_and_returned(self, case):
+        seed, offset, n, m, p = self.CASES[case]
+        rng = np.random.default_rng(seed)
+        A = rng.normal(size=(n, p)) + offset
+        B = rng.normal(size=(m, p)) + offset
+        buf = np.full((n + 3, m), np.nan)  # a reused buffer taller than the block
+        out = buf[:n]
+        D = pairwise_sq_dists(A, B, out=out)
+        assert D is out
+        assert np.array_equal(D, pairwise_sq_dists(A, B))
+        assert np.isnan(buf[n:]).all()
 
     def test_self_distances_do_not_alias_input(self):
         X = np.random.default_rng(6).normal(size=(5, 2))
@@ -368,6 +382,23 @@ class TestNormalizeRows:
             np.testing.assert_allclose(sums[keep], 1.0, atol=1e-12)
 
 
+def allocating_gaussian_reduce(h, Q, X, Y, skip_self):
+    """Gaussian ``local_reduce`` as separate allocating expressions, one row block at a time."""
+    means = np.empty((Q.shape[0], Y.shape[1]))
+    deg = np.empty(Q.shape[0])
+    for rows in kernels._row_blocks(Q.shape[0], X.shape[0]):
+        W = reference_sq_dists(Q[rows], X) / -(2.0 * h * h)
+        if skip_self:
+            np.fill_diagonal(W[:, rows.start:], -np.inf)
+        top = W.max(axis=1, keepdims=True)
+        W = np.exp(W - np.where(np.isfinite(top), top, 0.0))
+        deg[rows] = W.sum(axis=1)
+        means[rows] = W @ Y
+    empty = ~(deg > 0)
+    means /= np.where(empty, np.nan, deg)[:, None]
+    return means, empty
+
+
 class TestLocalReduce:
     def test_rows_beyond_compact_support_are_empty_nan(self):
         X, Y = [[0.0], [1.0]], [[3.0, 1.0], [4.0, 2.0]]
@@ -406,6 +437,27 @@ class TestLocalReduce:
         for W, M in results:
             np.testing.assert_array_equal(W, W0)
             assert np.abs(M - M0).max() <= 16 * np.finfo(float).eps * np.abs(Y).max()
+
+    @pytest.mark.parametrize("p", [0, 1, 2, 3, 9])
+    @pytest.mark.parametrize("skip_self", [False, True], ids=["all", "skip-self"])
+    @pytest.mark.parametrize("n_queries, n_samples", [(11, 5), (40, 3), (6, 1)])
+    @pytest.mark.parametrize("entries", [1, 5, 13, 2**16])
+    def test_in_place_gaussian_weights_match_allocating_expressions(
+        self, monkeypatch, p, skip_self, n_queries, n_samples, entries
+    ):
+        monkeypatch.setattr(kernels, "_BLOCK_ENTRIES", entries)
+        rng = np.random.default_rng([p, n_queries])
+        Q = 2.0 * rng.normal(size=(n_queries, p))
+        X = 2.0 * rng.normal(size=(n_samples, p))
+        Y = rng.normal(size=(n_samples, 2))
+        if p:
+            Q[2] = np.inf  # every log weight of this row is -inf
+        got = local_reduce(gaussian(0.8), Q, X, Y, skip_self=skip_self)
+        want = allocating_gaussian_reduce(0.8, Q, X, Y, skip_self)
+        assert np.array_equal(got[1], want[1])
+        assert np.array_equal(got[0], want[0], equal_nan=True)
+        if p or (skip_self and n_samples == 1):
+            assert want[1].any()
 
     def test_row_without_finite_log_weight_is_empty_without_warnings(self):
         # skip_self on one sample leaves the Gaussian row all -inf

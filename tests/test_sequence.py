@@ -204,6 +204,33 @@ def blocked_attention(entries, V, phi, psi, causal):
         return attention_layer(V, phi, psi, causal=causal)
 
 
+def allocating_attention(V, phi, psi, causal):
+    """Reference: each row block's scores, mask and softmax as separate allocating expressions."""
+    T = phi.shape[0]
+    out = np.empty(V.shape)
+    for rows in kernels._row_blocks(T, T):
+        stop = min(rows.stop, T) if causal else T
+        S = phi[rows] @ psi[:stop].T / math.sqrt(phi.shape[1])
+        if causal:
+            S[:, rows.start:][np.triu_indices(stop - rows.start, 1)] = -np.inf
+        E = np.exp(S - S.max(axis=1, keepdims=True))
+        out[rows] = (E / E.sum(axis=1, keepdims=True)) @ V[:stop]
+    return out
+
+
+# block heights at T=33: 1, 1, 1, 31 (a short last block of 2) and 1985 (above T)
+@pytest.mark.parametrize("entries", [1, 5, 13, 2**10, 2**16])
+@pytest.mark.parametrize("T", [1, 2, 5, 33, 100])
+@pytest.mark.parametrize("causal", [False, True], ids=["full", "causal"])
+def test_in_place_softmax_matches_allocating_expressions(monkeypatch, entries, T, causal):
+    monkeypatch.setattr(kernels, "_BLOCK_ENTRIES", entries)
+    rng = np.random.default_rng(T)
+    V, phi, psi = rng.normal(size=(T, 2)), 3.0 * rng.normal(size=(T, 3)), rng.normal(size=(T, 3))
+    out = attention_layer(V, phi, psi, causal=causal)
+    assert np.array_equal(out, allocating_attention(V, phi, psi, causal))
+    assert np.abs(out - full_attention(V, phi, psi, causal)).max() <= 16 * EPS * np.abs(V).max()
+
+
 @ATTENTION_PROPERTY
 @given(attention_problems(), st.booleans())
 def test_attention_blocks_match_the_full_matrix(problem, causal):
