@@ -25,7 +25,7 @@ import numpy as np
 
 from . import synth
 from .adaptive import fit_qkv, tune_bandwidth
-from .dataio import ingest_csv, read_pgm, write_csv, write_json, write_pgm
+from .dataio import Columns, ingest_csv, read_pgm, write_csv, write_json, write_pgm
 from .density import (  # kde is unused here, but perfbench/tracer.py wraps it by name
     DiffusionSchedule, diffusion_generate, kde, kde_values,
 )
@@ -228,19 +228,10 @@ def _feature_header(p: int, prefix="x"):
 
 # ---------------------------------------------------------------------------
 # task runners: runner(cfg, seed) -> (metrics, files, plot).  ``files`` maps an
-# output file name to ``(header, rows)`` for a CSV or a 2-D array for a PGM;
-# ``plot`` is emit_svg's ``(kind, payload)``, or None for no figure.
+# output file name to ``(header, rows)`` for a CSV (``rows`` as write_csv takes
+# them, a ``Columns`` or a 2-D array) or a 2-D array for a PGM; ``plot`` is
+# emit_svg's ``(kind, payload)``, or None for no figure.
 # ---------------------------------------------------------------------------
-
-def _rows(X, *columns):
-    """CSV rows, generated as they are written: each row of X, then its entries of ``columns``."""
-    return (list(x) + list(cells) for x, *cells in zip(X, *columns))
-
-
-def _time_rows(seq):
-    """CSV rows of a sequence, generated as they are written: each time, then its token."""
-    return ([t] + list(row) for t, row in zip(seq.times, seq.tokens))
-
 
 def _label_scatter(X, labels):
     """The first two features coloured by label; no figure for a single feature."""
@@ -264,7 +255,7 @@ def _run_regress(cfg, seed, linear: bool):
         metrics["loo_error"] = loo_error(kernel, data)
     except LocusKitError:
         metrics["loo_error"] = None
-    files = {"results.csv": (_feature_header(data.p) + ["target", "prediction"], _rows(data.X, data.y, preds))}
+    files = {"results.csv": (_feature_header(data.p) + ["target", "prediction"], Columns((data.X, data.y, preds)))}
     plot = None
     if data.p == 1:
         order = np.argsort(data.X[:, 0])
@@ -285,7 +276,7 @@ def _run_classify(cfg, seed):
         "n": data.n,
         "diagnostics": {"counters": {"empty_rows": int(empty.sum())}},
     }
-    files = {"results.csv": (_feature_header(data.p) + ["label", "predicted"], _rows(data.X, data.y, preds))}
+    files = {"results.csv": (_feature_header(data.p) + ["label", "predicted"], Columns((data.X, data.y, preds)))}
     return metrics, files, _label_scatter(data.X, preds)
 
 
@@ -313,14 +304,16 @@ def _run_meanshift(cfg, seed):
     if cfg["labeled"]:
         metrics["ari"] = adjusted_rand_index(data.y, res.labels)
     header = _feature_header(data.p)
+    paths = np.stack(res.trajectories, axis=1)  # (n, steps, p): each query's path
+    n, steps = paths.shape[:2]
     files = {
-        "results.csv": (header + ["cluster"], _rows(data.X, res.labels)),
+        "results.csv": (header + ["cluster"], Columns((data.X, res.labels))),
         "trajectories.csv": (
             ["query", "iteration"] + header,
-            ([i, t] + list(snap[i]) for i in range(data.n) for t, snap in enumerate(res.trajectories)),
+            Columns((np.repeat(np.arange(n), steps), np.tile(np.arange(steps), n), paths.reshape(n * steps, -1))),
         ),
     }
-    return metrics, files, ("trajectories", {"trajectories": (res.trajectory_of(i) for i in range(data.n))})
+    return metrics, files, ("trajectories", {"trajectories": paths})
 
 
 def _run_medoidshift(cfg, seed):
@@ -335,7 +328,7 @@ def _run_medoidshift(cfg, seed):
     if cfg["labeled"]:
         metrics["ari"] = adjusted_rand_index(data.y, labels)
     metrics["diagnostics"] = {"counters": {"terminal_medoids": int(np.unique(reps).size)}}
-    files = {"results.csv": (_feature_header(data.p) + ["cluster", "medoid"], _rows(data.X, labels, mapping))}
+    files = {"results.csv": (_feature_header(data.p) + ["cluster", "medoid"], Columns((data.X, labels, mapping)))}
     return metrics, files, _label_scatter(data.X, labels)
 
 
@@ -352,7 +345,7 @@ def _run_relax(cfg, seed):
     metrics = {"n_classes_found": int(len(np.unique(labels)))}
     if cfg["labeled"]:
         metrics["ari"] = adjusted_rand_index(data.y, labels)
-    files = {"results.csv": (_feature_header(data.p) + ["cluster"], _rows(data.X, labels))}
+    files = {"results.csv": (_feature_header(data.p) + ["cluster"], Columns((data.X, labels)))}
     return metrics, files, _label_scatter(data.X, labels)
 
 
@@ -397,7 +390,7 @@ def _run_words(cfg, seed):
     wv = cooccurrence_embed(windows, cfg["dim"])
     metrics = {"vocabulary": len(wv.vocabulary), "windows": len(windows)}
     header = ["symbol"] + [f"v{i}" for i in range(wv.input_vectors.shape[1])]
-    files = {"results.csv": (header, ([tok] + list(vec) for tok, vec in zip(wv.vocabulary, wv.input_vectors)))}
+    files = {"results.csv": (header, Columns((wv.vocabulary, wv.input_vectors)))}
     return metrics, files, ("scatter", {"points": wv.input_vectors[:, :2]})
 
 
@@ -456,7 +449,7 @@ def _run_nlm(cfg, seed):
         metrics["mse_vs_clean"] = float(((den.tokens - clean.tokens) ** 2).mean())
         base = gaussian_moving_average(seq, cfg["search_radius"])
         metrics["mse_moving_average"] = float(((base.tokens - clean.tokens) ** 2).mean())
-    files = {"results.csv": (["t"] + _feature_header(seq.width), _time_rows(den))}
+    files = {"results.csv": (["t"] + _feature_header(seq.width), Columns((den.times, den.tokens)))}
     return metrics, files, ("line", {"series": [(seq.times, seq.tokens[:, 0]), (den.times, den.tokens[:, 0])]})
 
 
@@ -471,7 +464,7 @@ def _run_tune(cfg, seed):
     finite = [(h, l) for h, l in res.curve if np.isfinite(l)]
     hs = np.array([h for h, _ in finite])
     ls = np.array([l for _, l in finite])
-    return metrics, {"results.csv": (["h", "loss"], finite)}, ("curve+argmin", {"x": np.log10(hs), "y": ls})
+    return metrics, {"results.csv": (["h", "loss"], Columns((hs, ls)))}, ("curve+argmin", {"x": np.log10(hs), "y": ls})
 
 
 def _run_qkv(cfg, seed):
@@ -489,7 +482,7 @@ def _run_qkv(cfg, seed):
         "final_loss": float(trace[-1]),
         "loss_ratio": float(trace[-1] / trace[0]) if trace[0] else 0.0,
     }
-    files = {"results.csv": (["step", "loss"], enumerate(trace))}
+    files = {"results.csv": (["step", "loss"], Columns((np.arange(len(trace)), trace)))}
     return metrics, files, ("line", {"series": [(np.arange(len(trace)), trace)]})
 
 
@@ -520,7 +513,7 @@ def _run_transformer(cfg, seed):
         metrics["causality_ok"] = bool(
             np.array_equal(out2.tokens[:s], out_seq.tokens[:s])
         )
-    files = {"results.csv": (["t"] + _feature_header(seq.width, prefix="y"), _time_rows(out_seq))}
+    files = {"results.csv": (["t"] + _feature_header(seq.width, prefix="y"), Columns((out_seq.times, out_seq.tokens)))}
     return metrics, files, ("line", {"series": [(seq.times, seq.tokens[:, 0]), (out_seq.times, out_seq.tokens[:, 0])]})
 
 
@@ -570,7 +563,7 @@ _register(
         _KERNEL_KEY,
         _SEED_KEY,
         Key("alpha", _float, default=1.0, help="damped step size in (0, 1]"),
-        Key("tol", _float, default=None, help="convergence tolerance (default scale-relative)"),
+        Key("tol", _scale, default=None, help="convergence tolerance (default scale-relative)"),
         Key("max_iter", _integer(0), default=500),
         Key("merge_radius", _float, default=None, help="cluster merge radius (default scale-relative)"),
         Key("labeled", _bool, default=True, help="input carries a label column for ARI"),
@@ -624,7 +617,7 @@ _register(
         _SEED_KEY,
         Key("q", _int, default=2),
         Key("method", _str, default="svd", help="svd or nmf"),
-        Key("iters", _int, default=200),
+        Key("iters", _integer(0), default=200),
     ],
     _run_amds,
     stochastic=True,
@@ -638,7 +631,7 @@ _register(
         Key("q", _int, default=2),
         Key("transform", _str, default="log1p", help="identity or log1p"),
         Key("steps", _int, default=200),
-        Key("lr", _float, default=0.05),
+        Key("lr", _bound, default=0.05),
         Key("similarity_h", _float, default=1.0),
     ],
     _run_trimap,
@@ -711,7 +704,7 @@ _register(
         Key("d", _int, default=2),
         Key("form", _str, default="softmax", help="softmax or linear"),
         Key("steps", _integer(0), default=500),
-        Key("lr", _float, default=0.1),
+        Key("lr", _bound, default=0.1),
     ],
     _run_qkv,
     stochastic=True,
@@ -723,9 +716,9 @@ _register(
         Key("input", _any, default=None, help="sequence CSV; omit for the synthetic demo"),
         _SEED_KEY,
         Key("length", _count, default=24),
-        Key("depth", _int, default=6, help="encoder layers (classic default 6)"),
+        Key("depth", _count, default=6, help="encoder layers (classic default 6)"),
         Key("d", _count, default=4),
-        Key("hidden", _int, default=8),
+        Key("hidden", _count, default=8),
         Key("causal", _bool, default=True),
     ],
     _run_transformer,

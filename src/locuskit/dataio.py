@@ -12,6 +12,7 @@ import json
 import math
 import os
 import tempfile
+from itertools import zip_longest
 
 import numpy as np
 
@@ -19,15 +20,8 @@ from .errors import InvalidParameter, ParseError, SchemaMismatch
 from .estimators import Dataset
 from .sequence import Sequence
 
-__all__ = [
-    "ingest_csv",
-    "write_csv",
-    "write_json",
-    "read_pgm",
-    "write_pgm",
-    "atomic_write_text",
-    "atomic_write_bytes",
-]
+__all__ = ["ingest_csv", "write_csv", "Columns", "write_json", "read_pgm", "write_pgm", "atomic_write_text",
+           "atomic_write_bytes"]
 
 SCHEMAS = ("features-only", "features+target", "features+label", "sequence")
 
@@ -114,20 +108,26 @@ def ingest_csv(path, schema: str):
     return Sequence(tokens=table[:, 1:], times=times)
 
 
+class Columns(tuple):
+    """A table for :func:`write_csv` given column by column: 1-D columns, or 2-D arrays of several."""
+
+
+def _column(cells):
+    """``(format, values)`` of one column by the per-cell rule: ``%s`` for a string, ``%d`` for an integer or
+    bool, ``%.17g`` for anything else.  An array's dtype picks it once; mixed cells are formatted one by one."""
+    if isinstance(cells, np.ndarray) and cells.dtype.kind in "biufU":
+        return {"f": "%.17g", "U": "%s"}.get(cells.dtype.kind, "%d"), cells.tolist()
+    kinds = ["%s" if isinstance(c, str) else "%d" if isinstance(c, (int, np.integer)) else "%.17g" for c in cells]
+    return (kinds[0], cells) if len(set(kinds)) == 1 else ("%s", [k % c for k, c in zip(kinds, cells)])
+
+
 def write_csv(path, header, rows) -> None:
-    """Write rows of floats (or strings) under a header, %.17g formatting."""
-    lines = [",".join(header)]
-    for row in rows:
-        cells = []
-        for cell in row:
-            if isinstance(cell, str):
-                cells.append(cell)
-            elif isinstance(cell, (int, np.integer)):
-                cells.append(str(int(cell)))
-            else:
-                cells.append("%.17g" % float(cell))
-        lines.append(",".join(cells))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    """Write a table under a header, one format per column (``_column``).  ``rows`` is a :class:`Columns`,
+    or any iterable of rows (a 2-D array, a list of lists) read column by column; ragged rows raise TypeError."""
+    blocks = rows if isinstance(rows, Columns) else (rows,) if isinstance(rows, np.ndarray) else zip_longest(*rows)
+    columns = [_column(c) for b in blocks for c in (b.T if isinstance(b, np.ndarray) and b.ndim == 2 else (b,))]
+    lines = map(",".join([fmt for fmt, _ in columns]).__mod__, zip(*[values for _, values in columns]))
+    atomic_write_text(path, "\n".join([",".join(header), *lines]) + "\n")
 
 
 def write_json(path, payload: dict) -> None:

@@ -6,6 +6,8 @@ no timestamps, fixed palette and layout.
 
 from __future__ import annotations
 
+from itertools import islice
+
 import numpy as np
 
 from .errors import InvalidParameter
@@ -33,7 +35,8 @@ def _fmt(x) -> str:
 
 
 class _Frame:
-    """Affine map from data space to the drawing area (y flipped)."""
+    """Affine map from data space to the drawing area (y flipped), on whole arrays; the operations keep
+    the one-point order, so each coordinate rounds as if mapped alone."""
 
     def __init__(self, xs, ys):
         xs = np.asarray(xs, dtype=float)
@@ -46,10 +49,14 @@ class _Frame:
         self.y_lo, self.y_span = y_lo, (y_hi - y_lo) or 1.0
 
     def x(self, v):
-        return _MARGIN + (float(v) - self.x_lo) / self.x_span * (_WIDTH - 2 * _MARGIN)
+        return _MARGIN + (np.asarray(v, dtype=float) - self.x_lo) / self.x_span * (_WIDTH - 2 * _MARGIN)
 
     def y(self, v):
-        return _HEIGHT - _MARGIN - (float(v) - self.y_lo) / self.y_span * (_HEIGHT - 2 * _MARGIN)
+        return _HEIGHT - _MARGIN - (np.asarray(v, dtype=float) - self.y_lo) / self.y_span * (_HEIGHT - 2 * _MARGIN)
+
+    def points(self, xs, ys):
+        """The mapped points as ``"x,y"`` strings, both coordinates ``%.6g``."""
+        return map("%.6g,%.6g".__mod__, zip(self.x(xs).tolist(), self.y(ys).tolist()))
 
 
 def _document(body: list) -> str:
@@ -64,12 +71,13 @@ def _document(body: list) -> str:
 
 
 def _polyline(points, color, width="1.5"):
-    coords = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in points)
-    return f'<polyline fill="none" stroke="{color}" stroke-width="{width}" points="{coords}"/>'
+    return f'<polyline fill="none" stroke="{color}" stroke-width="{width}" points="{" ".join(points)}"/>'
 
 
-def _circle(x, y, r, color):
-    return f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="{_fmt(r)}" fill="{color}"/>'
+def _circles(frame, xs, ys, r, colors):
+    """One ``<circle>`` per mapped point, coloured in turn by ``colors``."""
+    template = '<circle cx="%.6g" cy="%.6g" r="' + _fmt(r) + '" fill="%s"/>'
+    return list(map(template.__mod__, zip(frame.x(xs).tolist(), frame.y(ys).tolist(), colors)))
 
 
 def emit_svg(kind: str, data: dict, path) -> None:
@@ -78,8 +86,8 @@ def emit_svg(kind: str, data: dict, path) -> None:
     scatter: ``points`` (N, 2) plus optional integer ``labels`` for color.
     line: ``series`` as a list of (x, y) array pairs.
     curve+argmin: ``x``, ``y`` arrays; the minimum gets a marker.
-    trajectories: ``trajectories`` as a list of (steps, 2) arrays, one
-    polyline each.
+    trajectories: ``trajectories`` as a list of (steps, 2) arrays or one
+    (n, steps, 2) array, one polyline each.
     """
     body = []
     if kind == "scatter":
@@ -88,9 +96,9 @@ def emit_svg(kind: str, data: dict, path) -> None:
             pts = np.hstack([pts, np.zeros_like(pts)])
         labels = data.get("labels")
         frame = _Frame(pts[:, 0], pts[:, 1])
-        for i, (x, y) in enumerate(pts[:, :2]):
-            color = _PALETTE[0] if labels is None else _PALETTE[int(labels[i]) % len(_PALETTE)]
-            body.append(_circle(frame.x(x), frame.y(y), 3.0, color))
+        n = len(pts)
+        colors = [_PALETTE[0]] * n if labels is None else [_PALETTE[int(labels[i]) % len(_PALETTE)] for i in range(n)]
+        body = _circles(frame, pts[:, 0], pts[:, 1], 3.0, colors)
     elif kind == "line":
         series = data["series"]
         if not series:
@@ -99,23 +107,15 @@ def emit_svg(kind: str, data: dict, path) -> None:
         all_y = np.concatenate([np.asarray(s[1], dtype=float) for s in series])
         frame = _Frame(all_x, all_y)
         for i, (xs, ys) in enumerate(series):
-            pts = [(frame.x(x), frame.y(y)) for x, y in zip(np.asarray(xs), np.asarray(ys))]
-            body.append(_polyline(pts, _PALETTE[i % len(_PALETTE)]))
+            body.append(_polyline(frame.points(xs, ys), _PALETTE[i % len(_PALETTE)]))
     elif kind == "curve+argmin":
         xs = np.asarray(data["x"], dtype=float)
         ys = np.asarray(data["y"], dtype=float)
         frame = _Frame(xs, ys)
-        pts = [(frame.x(x), frame.y(y)) for x, y in zip(xs, ys)]
-        body.append(_polyline(pts, _PALETTE[0]))
+        body.append(_polyline(frame.points(xs, ys), _PALETTE[0]))
         k = int(np.argmin(ys))
-        body.append(
-            _polyline(
-                [(frame.x(xs[k]), frame.y(ys.max())), (frame.x(xs[k]), frame.y(ys.min()))],
-                _PALETTE[1],
-                width="1",
-            )
-        )
-        body.append(_circle(frame.x(xs[k]), frame.y(ys[k]), 4.0, _PALETTE[1]))
+        body.append(_polyline(frame.points(xs[[k, k]], [ys.max(), ys.min()]), _PALETTE[1], width="1"))
+        body += _circles(frame, xs[k : k + 1], ys[k : k + 1], 4.0, [_PALETTE[1]])
     elif kind == "trajectories":
         trajs = [np.atleast_2d(np.asarray(t, dtype=float)) for t in data["trajectories"]]
         if not trajs:
@@ -123,9 +123,9 @@ def emit_svg(kind: str, data: dict, path) -> None:
         trajs = [np.hstack([t, np.zeros_like(t)]) if t.shape[1] == 1 else t for t in trajs]
         all_pts = np.concatenate(trajs)
         frame = _Frame(all_pts[:, 0], all_pts[:, 1])
+        points = frame.points(all_pts[:, 0], all_pts[:, 1])
         for i, t in enumerate(trajs):
-            pts = [(frame.x(x), frame.y(y)) for x, y in t[:, :2]]
-            body.append(_polyline(pts, _PALETTE[i % len(_PALETTE)], width="1"))
+            body.append(_polyline(islice(points, len(t)), _PALETTE[i % len(_PALETTE)], width="1"))
     else:
         raise InvalidParameter(f"unknown figure kind {kind!r}")
     atomic_write_text(path, _document(body))

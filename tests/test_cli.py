@@ -613,12 +613,20 @@ _SINE = {"input": "bundled:noisy-sine"}
         ("regress-local-mean", {**_SINE, "kernel": {"kind": "dual"}}, "'base'"),
         ("regress-local-mean", {**_SINE, "kernel": {"kind": "multi", "parts": [{"kind": "uniform"}]}}, "'weights'"),
         ("regress-local-mean", {**_SINE, "kernel": {"kind": "knn", "k": 2, "reference": "abc"}}, "'knn'"),
+        ("transformer-demo", {"seed": 1, "hidden": -1}, "'hidden' must be int >= 1"),
+        ("transformer-demo", {"seed": 1, "depth": -1}, "'depth' must be int >= 1"),
+        ("embed-amds", {"input": _SWISS, "seed": 1, "iters": -1}, "'iters' must be int >= 0"),
+        ("cluster-meanshift", {"input": "bundled:two-blobs", "tol": -1e-3}, "'tol' must be float >= 0"),
+        ("embed-trimap", {"input": _SWISS, "seed": 1, "lr": -0.05}, "'lr' must be float > 0"),
+        ("fit-qkv", {"input": "bundled:qkv-toy", "seed": 1, "lr": -0.1}, "'lr' must be float > 0"),
+        ("fit-qkv", {"input": "bundled:qkv-toy", "seed": 1, "lr": 0}, "'lr' must be float > 0"),
     ],
     ids=[
         "zero-classes", "negative-classes", "more-classes-than-rows", "unknown-mode", "negative-grid-count",
         "negative-steps", "zero-attention-width", "empty-demo-sequence", "negative-meanshift-iterations",
         "negative-relax-iterations", "unknown-fallback", "dual-without-base", "multi-without-weights",
-        "knn-non-numeric-reference",
+        "knn-non-numeric-reference", "negative-hidden-width", "negative-depth", "negative-amds-iterations",
+        "negative-meanshift-tolerance", "negative-trimap-rate", "negative-qkv-rate", "zero-qkv-rate",
     ],
 )
 def test_out_of_range_config_value_exit_two(tmp_path, capsys, task, config, named):
