@@ -180,6 +180,8 @@ def _check_bandwidth(h) -> float:
     h = float(h)
     if not (h > 0) or not math.isfinite(h):
         raise InvalidParameter(f"bandwidth must be a positive real, got {h!r}")
+    if 2.0 * h * h < np.finfo(float).tiny:
+        raise InvalidParameter(f"bandwidth {h!r} is too small: 2 h^2 underflows")
     return h
 
 
@@ -447,6 +449,7 @@ class ProductKernel(Kernel):
                 )
             if left.matrix.shape[1] != right.matrix.shape[0]:
                 raise UnsupportedComposition("concrete domains do not chain")
+            self.concrete = ConcreteKernel(left.matrix @ right.matrix)
             self.anchors = None
         else:
             self.anchors = as_point_set(anchors)
@@ -459,16 +462,14 @@ class ProductKernel(Kernel):
 
     def eval(self, x, y):
         if self.anchors is None:
-            M = self.left.matrix @ self.right.matrix
-            return float(ConcreteKernel(M).eval(x, y))
+            return self.concrete.eval(x, y)
         lx = self.left.gram_values(as_point(x)[None, :], self.anchors)[0]
         ry = self.right.gram_values(self.anchors, as_point(y)[None, :])[:, 0]
         return float(lx @ ry)
 
     def gram_values(self, rows, cols):
         if self.anchors is None:
-            M = self.left.matrix @ self.right.matrix
-            return ConcreteKernel(M).gram_values(rows, cols)
+            return self.concrete.gram_values(rows, cols)
         L = self.left.gram_values(rows, self.anchors)
         R = self.right.gram_values(self.anchors, cols)
         return L @ R
@@ -490,6 +491,7 @@ class PowerKernel(Kernel):
                 raise UnsupportedComposition(
                     "power of a non-square concrete kernel is undefined"
                 )
+            self.concrete = ConcreteKernel(np.linalg.matrix_power(base.matrix, n))
             self.anchors = None
         else:
             self.anchors = as_point_set(anchors)
@@ -502,8 +504,7 @@ class PowerKernel(Kernel):
 
     def gram_values(self, rows, cols):
         if self.anchors is None:
-            M = np.linalg.matrix_power(self.base.matrix, self.n)
-            return ConcreteKernel(M).gram_values(rows, cols)
+            return self.concrete.gram_values(rows, cols)
         if self.n == 1:
             return self.base.gram_values(rows, cols)
         L = self.base.gram_values(rows, self.anchors)
@@ -513,8 +514,7 @@ class PowerKernel(Kernel):
 
     def eval(self, x, y):
         if self.anchors is None:
-            M = np.linalg.matrix_power(self.base.matrix, self.n)
-            return float(ConcreteKernel(M).eval(x, y))
+            return self.concrete.eval(x, y)
         return float(
             self.gram_values(as_point(x)[None, :], as_point(y)[None, :])[0, 0]
         )

@@ -91,6 +91,17 @@ class PositionEncoding:
         if self.kind == "relative-factor" and not callable(self.factor):
             raise InvalidParameter("relative-factor encoding needs a callable")
 
+    def factors(self, tdiff) -> np.ndarray:
+        """Float weight of each time difference t - s: 1 for none and
+        sinusoidal-additive, ``|t - s| < delta`` for window, ``factor(t - s)``
+        for relative-factor."""
+        tdiff = np.asarray(tdiff, dtype=float)
+        if self.kind == "window":
+            return (np.abs(tdiff) < self.delta).astype(float)
+        if self.kind == "relative-factor":
+            return np.vectorize(self.factor, otypes=[float])(tdiff)
+        return np.broadcast_to(1.0, tdiff.shape)
+
 
 def sinusoidal_encoding(times, width: int) -> np.ndarray:
     """Classic additive position wave: pairs of sin/cos at geometric
@@ -118,12 +129,8 @@ def temporal_gram(
     if pe.kind == "sinusoidal-additive":
         tokens = tokens + sinusoidal_encoding(seq.times, seq.width)
     base = gram(static_kernel, tokens, tokens, rows_id="seq", cols_id="seq")
-    values = base.values.copy()
     tdiff = seq.times[:, None] - seq.times[None, :]
-    if pe.kind == "window":
-        values[np.abs(tdiff) >= pe.delta] = 0.0
-    elif pe.kind == "relative-factor":
-        values = values * np.vectorize(pe.factor)(tdiff)
+    values = base.values * pe.factors(tdiff)
     if causal:
         values[tdiff < 0] = 0.0  # s > t means t - s < 0
     return KernelMatrix(
@@ -394,13 +401,7 @@ class TemporalMeanModel:
             enc = sinusoidal_encoding(np.concatenate([seq.times, [t_new]]), seq.width)
             tokens = tokens + enc[:-1]
             query_content = query_content + enc[-1]
-        tdiff = t_new - seq.times
-        if self.pe.kind == "window":
-            factor = (np.abs(tdiff) < self.pe.delta).astype(float)
-        elif self.pe.kind == "relative-factor":
-            factor = np.array([self.pe.factor(dv) for dv in tdiff], dtype=float)
-        else:
-            factor = np.ones(seq.length)
+        factor = self.pe.factors(t_new - seq.times)
         keep = factor != 0  # the static weights are max-shifted over the kept tokens only
         w = factor[keep]
         if keep.any():

@@ -2,7 +2,8 @@
 nearest-neighbor label propagation, PC-Shift, and relaxation labeling.
 
 All of these iterate a lazy transformation of a point set toward its fixed
-points; clustering falls out by merging converged points.
+points, each sweep advancing every live row at once; clustering falls out
+by merging converged points.
 """
 
 from __future__ import annotations
@@ -92,26 +93,38 @@ def mean_shift(
     compact-support kernel; Gaussian weights never underflow) are flagged
     empty and frozen.  Each sweep reduces the live queries only.
     """
-    X = as_point_set(X)
+    X = as_point_set(X).copy()  # C order: BLAS can round a strided reference set differently
     if not 0.0 < alpha <= 1.0:
         raise InvalidParameter("step alpha must lie in (0, 1]")
     if overwrite and queries is not None:
         raise InvalidParameter("overwrite=True iterates the sample itself; pass queries=None")
     Q = X.copy() if queries is None else as_point_set(queries).copy()
-    tol = _default_tol(X, tol)
 
+    def targets(Q, rows):
+        ref = Q if overwrite else X
+        return local_reduce(k, Q[rows], ref, ref)
+
+    return _shift(targets, X, Q, alpha, _default_tol(X, tol), max_iter, merge_radius)
+
+
+def _shift(targets, X, Q, alpha, tol, max_iter, merge_radius) -> ShiftResult:
+    """Sweep ``q <- alpha t(q) + (1-alpha) q`` over the live rows of Q, in place.
+
+    ``targets(Q, rows)`` returns the targets t of ``Q[rows]`` and a mask of
+    the rows that have none; those are flagged empty and frozen.  A row
+    stops once its undamped shift ``||t(q) - q||`` drops below ``tol``.
+    """
     n = Q.shape[0]
     live = np.ones(n, dtype=bool)
     empty = np.zeros(n, dtype=bool)
     iterations = np.zeros(n, dtype=int)
     trajectories = [Q.copy()]
-    ref = X.copy()
 
     for sweep in range(1, max_iter + 1):
         rows = np.flatnonzero(live)
         if not rows.size:
             break
-        m, dead = local_reduce(k, Q[rows], ref, ref)
+        m, dead = targets(Q, rows)
         empty[rows[dead]] = True
         live[rows[dead]] = False
         rows, m = rows[~dead], m[~dead]
@@ -120,20 +133,13 @@ def mean_shift(
         iterations[live] = sweep
         live[rows[shift < tol]] = False
         trajectories.append(Q.copy())
-        if overwrite:
-            ref = Q.copy()
 
-    converged_flags = ~live & ~empty
+    return _shift_result(X, Q, trajectories, iterations, ~live & ~empty, empty, merge_radius)
+
+
+def _shift_result(X, Q, trajectories, iterations, converged_flags, empty_flags, merge_radius) -> ShiftResult:
     labels, centers = extract_clusters(Q, _default_radius(X, merge_radius))
-    return ShiftResult(
-        trajectories=trajectories,
-        converged=Q,
-        labels=labels,
-        centers=centers,
-        iterations=iterations,
-        converged_flags=converged_flags,
-        empty_flags=empty,
-    )
+    return ShiftResult(trajectories, Q, labels, centers, iterations, converged_flags, empty_flags)
 
 
 def extract_clusters(converged, merge_radius: float):
@@ -181,7 +187,8 @@ def mode_shift(k: Kernel, X, queries=None, max_iter: int = 100) -> ModeShiftResu
     weighted sum is used: with the linear kernel K(x, y) = x . y this is the
     Hopfield update sign(q^T G), G = X^T X.  Synchronous sign updates can
     enter period-2 cycles; those are detected against the previous two
-    states and flagged, with both states of the cycle returned.
+    states and flagged, with both states of the cycle returned.  Each sweep
+    takes one gram over all queries still live.
     """
     X = as_point_set(X)
     if not np.isin(X, (-1.0, 1.0)).all():
@@ -194,28 +201,23 @@ def mode_shift(k: Kernel, X, queries=None, max_iter: int = 100) -> ModeShiftResu
     converged = np.zeros(n, dtype=bool)
     cycles = np.zeros(n, dtype=bool)
     last_two = [None] * n
+    prev = Q.copy()  # a first step back onto the start is convergence, not a cycle
 
-    def signp(v):
-        return np.where(v >= 0, 1.0, -1.0)
-
-    for i in range(n):
-        cur = Q[i]
-        prev = None
-        for it in range(1, max_iter + 1):
-            w = k.gram_values(cur[None, :], X)[0]
-            nxt = signp(w @ X)
-            iterations[i] = it
-            if np.array_equal(nxt, cur):
-                converged[i] = True
-                break
-            if prev is not None and np.array_equal(nxt, prev):
-                cycles[i] = True
-                last_two[i] = (cur.copy(), nxt.copy())
-                cur = nxt
-                break
-            prev = cur
-            cur = nxt
-        Q[i] = cur
+    for it in range(1, max_iter + 1):
+        rows = np.flatnonzero(~converged & ~cycles)
+        if not rows.size:
+            break
+        cur = Q[rows]
+        nxt = np.where(k.gram_values(cur, X) @ X >= 0, 1.0, -1.0)
+        iterations[rows] = it
+        same = (nxt == cur).all(axis=1)
+        back = ~same & (nxt == prev[rows]).all(axis=1)
+        converged[rows[same]] = True
+        cycles[rows[back]] = True
+        for i, a, b in zip(rows[back], cur[back], nxt[back]):
+            last_two[i] = (a, b)
+        prev[rows] = cur
+        Q[rows] = nxt
     return ModeShiftResult(
         patterns=Q,
         iterations=iterations,
@@ -284,21 +286,16 @@ def nn_shift(X, seed_indices, delta: float):
     while True:
         labeled = np.flatnonzero(labels >= 0)
         unlabeled = np.flatnonzero(labels < 0)
-        if unlabeled.size == 0:
+        dist = d[np.ix_(unlabeled, labeled)]
+        reached = dist < delta
+        hit = reached.any(axis=1)
+        if not hit.any():
             break
-        adopted = []
-        for i in unlabeled:
-            cand = labeled[d[i, labeled] < delta]
-            if cand.size == 0:
-                continue
-            dists = d[i, cand]
-            best = cand[np.lexsort((cand, dists))[0]]
-            adopted.append((i, best))
-        if not adopted:
-            break
-        for child, parent in adopted:
-            labels[child] = labels[parent]
-            edges.append((int(parent), int(child)))
+        # columns ascend, so argmin's first minimum is the lowest-index nearest point
+        parents = labeled[np.where(reached, dist, np.inf)[hit].argmin(axis=1)]
+        children = unlabeled[hit]
+        labels[children] = labels[parents]
+        edges.extend(zip(parents.tolist(), children.tolist()))
     return labels, edges
 
 
@@ -324,47 +321,19 @@ def pc_shift(
     if not 0.0 < alpha <= 1.0:
         raise InvalidParameter("step alpha must lie in (0, 1]")
     if int(r) == X.shape[1]:
-        labels, centers = extract_clusters(X, _default_radius(X, merge_radius))
-        return ShiftResult(
-            trajectories=[X.copy()],
-            converged=X.copy(),
-            labels=labels,
-            centers=centers,
-            iterations=np.zeros(X.shape[0], dtype=int),
-            converged_flags=np.ones(X.shape[0], dtype=bool),
-            empty_flags=np.zeros(X.shape[0], dtype=bool),
-        )
+        n = X.shape[0]
+        none = np.zeros(n, dtype=bool)
+        return _shift_result(X, X.copy(), [X.copy()], np.zeros(n, dtype=int), ~none, none, merge_radius)
     data = Dataset(X)
-    tol = _default_tol(X, tol)
-    Q = X.copy()
-    n = Q.shape[0]
-    live = np.ones(n, dtype=bool)
-    iterations = np.zeros(n, dtype=int)
-    trajectories = [Q.copy()]
-    for sweep in range(1, max_iter + 1):
-        if not live.any():
-            break
-        moved = Q.copy()
-        for i in np.flatnonzero(live):
-            basis: LocalPcaBasis = local_pca(k, data, Q[i], r)
-            proj = basis.V @ (basis.V.T @ (Q[i] - basis.mu))
-            target = basis.mu + proj
-            if np.linalg.norm(target - Q[i]) < tol:
-                live[i] = False
-            moved[i] = alpha * target + (1 - alpha) * Q[i]
-            iterations[i] = sweep
-        Q = moved
-        trajectories.append(Q.copy())
-    labels, centers = extract_clusters(Q, _default_radius(X, merge_radius))
-    return ShiftResult(
-        trajectories=trajectories,
-        converged=Q,
-        labels=labels,
-        centers=centers,
-        iterations=iterations,
-        converged_flags=~live,
-        empty_flags=np.zeros(n, dtype=bool),
-    )
+
+    def targets(Q, rows):
+        out = np.empty((rows.size, Q.shape[1]))
+        for j, q in enumerate(Q[rows]):
+            basis: LocalPcaBasis = local_pca(k, data, q, r)
+            out[j] = basis.mu + basis.V @ (basis.V.T @ (q - basis.mu))
+        return out, np.zeros(rows.size, dtype=bool)
+
+    return _shift(targets, X, X.copy(), alpha, _default_tol(X, tol), max_iter, merge_radius)
 
 
 def relaxation_label(

@@ -620,6 +620,7 @@ _SINE = {"input": "bundled:noisy-sine"}
         ("embed-trimap", {"input": _SWISS, "seed": 1, "lr": -0.05}, "'lr' must be float > 0"),
         ("fit-qkv", {"input": "bundled:qkv-toy", "seed": 1, "lr": -0.1}, "'lr' must be float > 0"),
         ("fit-qkv", {"input": "bundled:qkv-toy", "seed": 1, "lr": 0}, "'lr' must be float > 0"),
+        ("embed-trimap", {"input": _SWISS, "seed": 1, "similarity_h": 1e-300}, "2 h^2 underflows"),
     ],
     ids=[
         "zero-classes", "negative-classes", "more-classes-than-rows", "unknown-mode", "negative-grid-count",
@@ -627,6 +628,7 @@ _SINE = {"input": "bundled:noisy-sine"}
         "negative-relax-iterations", "unknown-fallback", "dual-without-base", "multi-without-weights",
         "knn-non-numeric-reference", "negative-hidden-width", "negative-depth", "negative-amds-iterations",
         "negative-meanshift-tolerance", "negative-trimap-rate", "negative-qkv-rate", "zero-qkv-rate",
+        "underflowing-similarity-bandwidth",
     ],
 )
 def test_out_of_range_config_value_exit_two(tmp_path, capsys, task, config, named):

@@ -412,6 +412,17 @@ class TestLocalReduce:
         with pytest.raises(errors.DesmoothingInput):
             local_reduce(signed, [0, 1], [0, 1], [1.0, 2.0])
 
+    def test_bandwidth_whose_square_underflows_is_rejected(self):
+        # 2 h^2 at h=1e-155 is subnormal; the query midway between the samples
+        # used to come out empty although its local mean is 1.5
+        with pytest.raises(errors.InvalidParameter, match="underflows"):
+            local_reduce(gaussian(1e-155), [[0], [0.5]], [[0], [1]], [1, 2])
+        for make in (epanechnikov, neighborhood):
+            with pytest.raises(errors.InvalidParameter, match="underflows"):
+                make(1e-160)
+        means, empty = local_reduce(gaussian(1e-150), [[0], [0.5]], [[0], [1]], [1, 2])
+        assert not empty.any() and means[1, 0] == 1.5
+
     def test_huge_or_nan_query_row_leaves_other_rows_alone(self):
         with np.errstate(over="ignore"):
             means, empty = local_reduce(gaussian(1), [[0.0], [1e200]], [[0.0], [1.0]], [1.0, 2.0])

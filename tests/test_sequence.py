@@ -74,6 +74,15 @@ class TestTemporalGram:
         want = np.array([[fac(t - s) for s in range(4)] for t in range(4)])
         np.testing.assert_allclose(G.values, want)
 
+    def test_relative_factor_weights_stay_float_after_an_int_first_value(self):
+        # the factor's first value (dt = 0) is the int 1; the later 0.5s must survive
+        seq = Sequence(np.zeros((4, 1)))
+        pe = PositionEncoding("relative-factor", factor=lambda dt: 1 if dt == 0 else 0.5)
+        G = temporal_gram(uniform(), pe, seq)
+        np.testing.assert_array_equal(G.values, np.where(np.eye(4) > 0, 1.0, 0.5))
+        model = TemporalMeanModel(uniform(), pe)
+        assert model.next_token(Sequence([[0.0], [2.0]])) == pytest.approx([1.0])
+
     def test_sinusoidal_shifts_tokens_before_kernel(self):
         seq = Sequence(np.zeros((4, 4)))
         G = temporal_gram(gaussian(1.0), PositionEncoding("sinusoidal-additive"), seq)

@@ -143,6 +143,17 @@ class TestMeanShift:
         assert len(np.unique(res.labels)) <= 2
 
 
+    def test_strided_sample_gives_the_bits_of_a_contiguous_copy(self):
+        # a CSV's feature columns reach mean_shift as a strided view of the table
+        rng = np.random.default_rng(4)
+        blobs = np.concatenate([rng.normal(c, 1.0, (60, 2)) for c in (0.0, 5.0)])
+        X = np.column_stack([blobs, np.zeros(120)])[:, :2]
+        got, want = mean_shift(gaussian(1.0), X), mean_shift(gaussian(1.0), X.copy())
+        assert len(got.trajectories) == len(want.trajectories)
+        for snap, ref in zip(got.trajectories, want.trajectories):
+            np.testing.assert_array_equal(snap, ref)
+
+
 class TestExtractClusters:
     def test_all_identical_one_cluster(self):
         labels, centers = extract_clusters(np.ones((5, 2)), 0.1)
@@ -581,3 +592,225 @@ class TestMedoidRepresentativesAgainstWalk:
             mapping, _, reps = shifted_along(target)
             np.testing.assert_array_equal(mapping, target)
             np.testing.assert_array_equal(reps, walked_representatives(target))
+
+
+# Per-row loops that computed pc_shift, mode_shift and nn_shift before every
+# sweep advanced its live rows together.
+
+def per_point_pc_shift(k, X, r, alpha=1.0, tol=1e-8, max_iter=500):
+    from locuskit.estimators import Dataset, local_pca
+
+    X = np.asarray(X, dtype=float)
+    data = Dataset(X)
+    Q = X.copy()
+    n = Q.shape[0]
+    live = np.ones(n, dtype=bool)
+    iterations = np.zeros(n, dtype=int)
+    trajectories = [Q.copy()]
+    for sweep in range(1, max_iter + 1):
+        if not live.any():
+            break
+        moved = Q.copy()
+        for i in np.flatnonzero(live):
+            basis = local_pca(k, data, Q[i], r)
+            target = basis.mu + basis.V @ (basis.V.T @ (Q[i] - basis.mu))
+            if np.linalg.norm(target - Q[i]) < tol:
+                live[i] = False
+            moved[i] = alpha * target + (1 - alpha) * Q[i]
+            iterations[i] = sweep
+        Q = moved
+        trajectories.append(Q.copy())
+    return trajectories, iterations, ~live
+
+
+def per_query_mode_shift(k, X, queries, max_iter=100):
+    X = np.asarray(X, dtype=float)
+    Q = np.asarray(queries, dtype=float).copy()
+    n = Q.shape[0]
+    iterations = np.zeros(n, dtype=int)
+    converged = np.zeros(n, dtype=bool)
+    cycles = np.zeros(n, dtype=bool)
+    last_two = [None] * n
+    for i in range(n):
+        cur = Q[i]
+        prev = None
+        for it in range(1, max_iter + 1):
+            w = k.gram_values(cur[None, :], X)[0]
+            nxt = np.where(w @ X >= 0, 1.0, -1.0)
+            iterations[i] = it
+            if np.array_equal(nxt, cur):
+                converged[i] = True
+                break
+            if prev is not None and np.array_equal(nxt, prev):
+                cycles[i] = True
+                last_two[i] = (cur.copy(), nxt.copy())
+                cur = nxt
+                break
+            prev = cur
+            cur = nxt
+        Q[i] = cur
+    return Q, iterations, converged, cycles, last_two
+
+
+def per_point_nn_shift(X, seed_indices, delta):
+    X = np.asarray(X, dtype=float)
+    seed_indices = np.asarray(seed_indices, dtype=int)
+    n = X.shape[0]
+    labels = np.full(n, -1, dtype=int)
+    labels[seed_indices] = np.arange(seed_indices.size)
+    edges = []
+    d = np.sqrt(pairwise_sq_dists(X, X))
+    while True:
+        labeled = np.flatnonzero(labels >= 0)
+        unlabeled = np.flatnonzero(labels < 0)
+        if unlabeled.size == 0:
+            break
+        adopted = []
+        for i in unlabeled:
+            cand = labeled[d[i, labeled] < delta]
+            if cand.size == 0:
+                continue
+            best = cand[np.lexsort((cand, d[i, cand]))[0]]
+            adopted.append((i, best))
+        if not adopted:
+            break
+        for child, parent in adopted:
+            labels[child] = labels[parent]
+            edges.append((int(parent), int(child)))
+    return labels, edges
+
+
+def noisy_circle(seed, n=30, noise=0.08):
+    rng = np.random.default_rng(seed)
+    theta = rng.uniform(0, 2 * np.pi, n)
+    return np.stack([np.cos(theta), np.sin(theta)], 1) + rng.normal(0, noise, (n, 2))
+
+
+class TestLiveRowPcShiftAgainstPerPoint:
+    def check(self, k, X, r, **kw):
+        got = pc_shift(k, X, r, **kw)
+        traj, iterations, converged_flags = per_point_pc_shift(k, X, r, **kw)
+        assert len(got.trajectories) == len(traj)
+        for snap, want in zip(got.trajectories, traj):
+            np.testing.assert_array_equal(snap, want)
+        np.testing.assert_array_equal(got.converged, traj[-1])
+        np.testing.assert_array_equal(got.iterations, iterations)
+        np.testing.assert_array_equal(got.converged_flags, converged_flags)
+        assert not got.empty_flags.any()
+        return got
+
+    def test_rows_settle_at_different_sweeps(self):
+        got = self.check(gaussian(0.6), noisy_circle(50), 1, tol=1e-6)
+        assert got.converged_flags.all() and len(np.unique(got.iterations)) > 3
+
+    def test_damped_step(self):
+        got = self.check(gaussian(0.6), noisy_circle(51), 1, alpha=0.6, tol=1e-6)
+        assert got.converged_flags.all() and len(np.unique(got.iterations)) > 3
+
+    def test_max_iter_leaves_rows_live(self):
+        got = self.check(gaussian(0.6), noisy_circle(52), 1, alpha=0.5, tol=1e-12, max_iter=4)
+        assert not got.converged_flags.any() and (got.iterations == 4).all()
+
+    def test_plane_in_three_dimensions(self):
+        rng = np.random.default_rng(53)
+        X = np.column_stack([rng.uniform(-1, 1, (25, 2)), rng.normal(0, 0.05, 25)])
+        got = self.check(gaussian(0.9), X, 2, alpha=0.8, tol=1e-7, max_iter=40)
+        assert got.converged_flags.any()
+
+
+def random_patterns(rng, n, p):
+    return np.where(rng.random((n, p)) < 0.5, -1.0, 1.0)
+
+
+class TestBatchedModeShiftAgainstPerQuery:
+    def check(self, k, X, queries, **kw):
+        got = mode_shift(k, X, queries=queries, **kw)
+        patterns, iterations, converged, cycles, last_two = per_query_mode_shift(k, X, queries, **kw)
+        np.testing.assert_array_equal(got.patterns, patterns)
+        np.testing.assert_array_equal(got.iterations, iterations)
+        np.testing.assert_array_equal(got.converged_flags, converged)
+        np.testing.assert_array_equal(got.cycle_flags, cycles)
+        assert len(got.last_two) == len(last_two)
+        for pair, want in zip(got.last_two, last_two):
+            if want is None:
+                assert pair is None
+            else:
+                np.testing.assert_array_equal(pair[0], want[0])
+                np.testing.assert_array_equal(pair[1], want[1])
+        return got
+
+    def test_queries_settle_at_different_sweeps(self):
+        rng = np.random.default_rng(60)
+        X = random_patterns(rng, 6, 24)
+        got = self.check(linear_kernel(), X, random_patterns(rng, 40, 24))
+        assert len(np.unique(got.iterations)) >= 3
+
+    def test_stored_patterns_and_their_corruptions(self):
+        rng = np.random.default_rng(61)
+        X = random_patterns(rng, 3, 30)
+        noisy = np.repeat(X, 4, axis=0)
+        noisy[rng.random(noisy.shape) < 0.25] *= -1
+        got = self.check(linear_kernel(), X, np.concatenate([X, noisy]))
+        assert got.converged_flags.all() and got.iterations.max() > 1
+
+    def test_two_cycle_among_settling_queries(self):
+        class FlipKernel:
+            sign_class = "signed"
+
+            def gram_values(self, rows, cols):
+                return -np.asarray(rows) @ np.asarray(cols).T
+
+        X = np.array([[1.0, 1.0], [1.0, -1.0]])
+        queries = np.array([[1.0, 1.0], [-1.0, 1.0], [1.0, -1.0], [-1.0, -1.0]])
+        got = self.check(FlipKernel(), X, queries, max_iter=10)
+        assert got.cycle_flags.any()
+
+    def test_mixed_cycles_and_fixed_points_under_a_signed_gram(self):
+        # K(x, y) = x M y^T with an integer symmetric M: sums are exact, and
+        # the negative diagonal drives some queries into 2-cycles
+        rng = np.random.default_rng(79)
+        X = random_patterns(rng, 5, 12)
+        A = rng.integers(-3, 4, (12, 12)).astype(float)
+        M = A + A.T - 4 * np.eye(12)
+
+        class Bilinear:
+            sign_class = "signed"
+
+            def gram_values(self, rows, cols):
+                return np.asarray(rows) @ M @ np.asarray(cols).T
+
+        got = self.check(Bilinear(), X, random_patterns(rng, 30, 12), max_iter=25)
+        assert got.cycle_flags.any() and got.converged_flags.any()
+        assert len(np.unique(got.iterations)) >= 3
+
+    def test_max_iter_cut_off(self):
+        rng = np.random.default_rng(63)
+        X = random_patterns(rng, 6, 24)
+        got = self.check(linear_kernel(), X, random_patterns(rng, 20, 24), max_iter=1)
+        assert (got.iterations == 1).all()
+
+
+class TestLayeredNnShiftAgainstPerPoint:
+    def check(self, X, seeds, delta):
+        got = nn_shift(X, seeds, delta)
+        labels, edges = per_point_nn_shift(X, seeds, delta)
+        np.testing.assert_array_equal(got[0], labels)
+        assert got[1] == edges
+        return got
+
+    def test_integer_grid_distance_ties(self):
+        g = np.arange(7.0)
+        X = np.stack(np.meshgrid(g, g), -1).reshape(-1, 2)
+        labels, edges = self.check(X, [3, 45, 24], 1.5)
+        assert (labels >= 0).all() and len(edges) == len(X) - 3
+
+    def test_equidistant_parents_on_a_line(self):
+        X = np.array([[0.0], [2.0], [1.0], [4.0], [3.0], [10.0]])
+        labels, edges = self.check(X, [1, 0], 1.0 + 1e-9)
+        assert labels[-1] == -1 and (0, 2) in edges  # x=1 is 1 from both seeds
+
+    def test_random_points_and_seeds(self):
+        rng = np.random.default_rng(70)
+        X = rng.integers(0, 6, (60, 2)).astype(float)  # many repeated and tied distances
+        labels, _ = self.check(X, rng.choice(60, 5, replace=False), 1.2)
+        assert (labels >= 0).sum() > 5
