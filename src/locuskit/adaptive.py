@@ -22,7 +22,9 @@ from .errors import (
     NonFiniteLoss,
     ShapeMismatch,
 )
-from .estimators import Dataset, _local_linear_blocks, local_linear_predict, loo_error
+from .estimators import (  # local_linear_predict is unused here, but perfbench/tracer.py wraps it by name
+    Dataset, _local_linear_blocks, local_linear_predict, loo_error,
+)
 from .kernels import (  # normalize_rows is unused here, but perfbench/tracer.py wraps it by name
     _row_blocks, _softmax_in_place, gaussian, local_reduce, normalize_rows,
 )
@@ -51,48 +53,23 @@ class TuneResult:
     h_star: float
     loss_star: float
     curve: list  # (h, loss) pairs in evaluation order
-    loo_refits: int = 0  # leave-one-out rows refit without their sample
-
-
-# The identity divides by 1 - L_ii, so its rounding error grows like eps * cond(A) / (1 - L_ii):
-# rows where 1 - L_ii is below 1e-3, or below 1e6 * eps * cond(A), are refit.
-_LOO_FLOOR = 1e-3
-_LOO_COND = 1e6 * np.finfo(float).eps
+    jittered: int = 0  # leave-one-out local linear rows jittered, over the bandwidths scored finite
 
 
 def _loo_local_linear(h, data: Dataset):
-    """Leave-one-out squared error of local linear regression from one full fit.
+    """Leave-one-out squared error of local linear regression.
 
-    For a linear smoother the held-out residual is ``(y_i - yhat_i) / (1 - L_ii)``
-    (Loader, *Local Regression and Likelihood*, 1999, section 2.3), with yhat
-    and the equivalent-kernel diagonal L_ii taken from the fit on all rows.
-    Row i is refit without sample i instead when its full fit jittered, when
-    no other sample has positive weight, or when ``1 - L_ii`` is not safely
-    positive (by Sherman-Morrison it is 0 exactly when the system without
-    sample i is singular).  Returns ``(loss, refits)``.
+    Row i is fit with sample i's weight set to zero, which is the fit
+    without sample i, so the loss is ``sum_i (y_i - L_i @ y)^2`` from one
+    blocked pass.  Returns ``(loss, jittered rows)``.
     """
     data.require("real")
     Y = np.atleast_2d(data.y.T).T
-    total = 0.0
-    refit = []
-    for rows, W, A, L, jittered in _local_linear_blocks(gaussian(h), data.X, data.X, 0.0):
-        r = np.arange(W.shape[0])
-        i = rows.start + r
-        lii = L[r, i]
-        W[r, i] = 0.0
-        margin = np.maximum(_LOO_FLOOR, _LOO_COND * np.linalg.cond(A))
-        safe = ~jittered & (W > 0).any(axis=1) & (1.0 - lii > margin)
-        resid = (Y[i] - L @ Y)[safe] / (1.0 - lii[safe, None])
-        total += float((resid**2).sum())
-        refit.extend(i[~safe])
-    try:
-        for i in refit:
-            rest = Dataset(np.delete(data.X, i, axis=0), np.delete(data.y, i, axis=0))
-            pred, _, _ = local_linear_predict(gaussian(h), rest, data.X[i], lam=0.0)
-            total += float(((data.y[i] - pred) ** 2).sum())
-    except EmptyNeighborhood:
-        return math.inf, len(refit)
-    return total, len(refit)
+    total, jittered = 0.0, 0
+    for rows, L, jit in _local_linear_blocks(gaussian(h), data.X, data.X, 0.0, skip_self=True):
+        total += float(((Y[rows] - L @ Y) ** 2).sum())
+        jittered += int(jit.sum())
+    return total, jittered
 
 
 def _loo_kde_nll(h, data: Dataset) -> float:
@@ -112,7 +89,7 @@ def _loo_kde_nll(h, data: Dataset) -> float:
     return float(-np.log(dens).sum())
 
 
-# each loss returns (value, rows refit without their sample)
+# each loss returns (value, rows whose design got the jitter)
 _PREDICTOR_LOSSES = {
     "local-mean": lambda h, data: (loo_error(gaussian(h), data), 0),
     "local-linear": _loo_local_linear,
@@ -131,16 +108,18 @@ def tune_bandwidth(predictor: str, data: Dataset, grid=None, bracket=None) -> Tu
     if predictor not in _PREDICTOR_LOSSES:
         raise InvalidParameter(f"unknown predictor {predictor!r}")
     loss_of = _PREDICTOR_LOSSES[predictor]
-    refits = 0
+    jittered = 0
 
     def safe_loss(h):
-        nonlocal refits
+        nonlocal jittered
         try:
             v, n = loss_of(float(h), data)
         except EmptyNeighborhood:
             return math.inf
-        refits += n
-        return v if math.isfinite(v) else math.inf
+        if not math.isfinite(v):
+            return math.inf
+        jittered += n
+        return v
 
     curve = []
     if grid is not None:
@@ -158,7 +137,7 @@ def tune_bandwidth(predictor: str, data: Dataset, grid=None, bracket=None) -> Tu
         atol = 1e-12 * max(1.0, abs(best))
         h_star = min(h for loss, h in finite if loss <= best + atol)
         loss_star = next(loss for loss, h in finite if h == h_star)
-        return TuneResult(h_star=h_star, loss_star=loss_star, curve=curve, loo_refits=refits)
+        return TuneResult(h_star=h_star, loss_star=loss_star, curve=curve, jittered=jittered)
 
     if bracket is None:
         raise InvalidParameter("pass a grid or a bracket")
@@ -185,7 +164,7 @@ def tune_bandwidth(predictor: str, data: Dataset, grid=None, bracket=None) -> Tu
     h_star, loss_star = min(curve, key=lambda t: (t[1], t[0]))
     if not math.isfinite(loss_star):
         raise AllEmptyNeighborhoods("bracket search found no usable bandwidth")
-    return TuneResult(h_star=h_star, loss_star=loss_star, curve=curve, loo_refits=refits)
+    return TuneResult(h_star=h_star, loss_star=loss_star, curve=curve, jittered=jittered)
 
 
 # ---------------------------------------------------------------------------

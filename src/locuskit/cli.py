@@ -459,7 +459,7 @@ def _run_tune(cfg, seed):
     metrics = {
         "h_star": res.h_star,
         "loss_star": res.loss_star,
-        "diagnostics": {"counters": {"loo_refits": res.loo_refits}},
+        "diagnostics": {"counters": {"jittered": res.jittered}},
     }
     finite = [(h, l) for h, l in res.curve if np.isfinite(l)]
     hs = np.array([h for h, _ in finite])

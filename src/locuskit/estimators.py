@@ -316,65 +316,80 @@ def knn_predict(n_neighbors: int, data: Dataset, x_star, weight_kernel: Kernel |
 # local linear / ridge regression
 # ---------------------------------------------------------------------------
 
-def _local_linear_blocks(k: Kernel, X: np.ndarray, Q: np.ndarray, lam: float):
+# At lam = 0 a fit whose design, centred on the query and scaled to unit diagonal, is worse
+# conditioned than this is numerically singular: a backward-stable solve loses about
+# log10(cond) of float64's ~16 digits, so the limit keeps about four.
+_COND_LIMIT = 1e12
+
+
+def _ill_posed(A: np.ndarray, Q: np.ndarray, n: int) -> np.ndarray:
+    """Rows whose weighted design ``A_q`` (from n samples) is numerically singular.
+
+    The test runs on ``C_q = T_q A_q T_q^T`` (``T_q [1, x] = [1, x - q]``),
+    the design centred on the query, scaled to unit diagonal S, so it ignores
+    the origin and units of x.  A row fails when S is non-finite or its least
+    eigenvalue is below the larger of its greatest over ``_COND_LIMIT`` and
+    the rounding that forming C from A leaves in S.  With weights >= 0,
+    ``|A_kl| <= a_k a_l`` for ``a = sqrt(diag A)``, so by Weyl that rounding
+    is to first order at most ``(n + 2d) eps |u|^2``, ``u = s * (|T_q| a)``.
+    """
+    b, d = A.shape[:2]
+    T = np.tile(np.eye(d), (b, 1, 1))
+    T[:, 1:, 0] = -Q
+    C = T @ A @ T.transpose(0, 2, 1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = 1 / np.sqrt(np.diagonal(C, axis1=1, axis2=2))
+        S = C * s[:, :, None] * s[:, None, :]
+        u = s * (np.abs(T) @ np.sqrt(np.diagonal(A, axis1=1, axis2=2))[..., None])[..., 0]
+        rounding = (n + 2 * d) * np.finfo(float).eps * (u**2).sum(axis=1)
+    finite = np.isfinite(S).all(axis=(1, 2))
+    ev = np.zeros((b, d))
+    ev[finite] = np.linalg.eigvalsh(S[finite])
+    return ~(ev[:, 0] > np.maximum(ev[:, -1] / _COND_LIMIT, rounding))
+
+
+def _local_linear_blocks(k: Kernel, X: np.ndarray, Q: np.ndarray, lam: float, skip_self: bool = False):
     """Local linear fits of Q's rows over X, in row blocks.
 
-    Yields ``(rows, W, A, L, jittered)`` per block: the kernel weights, the
-    weighted designs ``A_q = Xt^T diag(w_q) Xt``, the equivalent-kernel rows
-    ``L_q = xt_q^T (A_q + lam I)^(-1) Xt^T diag(w_q)`` and the jitter flags.
-    One solve covers the block; a row it leaves non-finite (or the whole
-    block, when that solve fails) is redone on its own by
-    :func:`_solve_one`, so only rows that need the jitter get it.
+    Yields ``(rows, L, jittered)`` per block: the equivalent-kernel rows
+    ``L_q = xt_q^T (A_q + lam I)^(-1) Xt^T diag(w_q)`` of the weighted designs
+    ``A_q = Xt^T diag(w_q) Xt``, and the jitter flags.  At lam = 0 a row that
+    :func:`_ill_posed` flags is solved in query-centred coordinates instead,
+    on ``C_q = sum_j w_qj c_j c_j^T`` with ``c_j = [1, x_j - q]`` plus
+    ``1e-10 * trace(C_q)`` on the diagonal; its prediction is then the
+    intercept.  One solve covers the block.  With ``skip_self`` (Q is X), row
+    i gives sample ``rows.start + i`` weight 0: the fit without it.
     """
     n, d = X.shape[0], X.shape[1] + 1
     Xt = np.hstack([np.ones((n, 1)), X])
     outer = (Xt[:, :, None] * Xt[:, None, :]).reshape(n, d * d)
     for rows in _row_blocks(Q.shape[0], n):
         W = k.gram_values(Q[rows], X)
+        if skip_self:
+            np.fill_diagonal(W[:, rows.start:], 0.0)
+        empty = W.sum(axis=1) <= 0  # NaN weights are not empty: their solve fails with SingularSystem
+        if empty.any():
+            raise EmptyNeighborhood(f"no positive kernel weights at {Q[rows][np.argmax(empty)]!r}")
         A = (W @ outer).reshape(-1, d, d)
-        qt = np.hstack([np.ones((W.shape[0], 1)), Q[rows]])
-        live = ~(W.sum(axis=1) <= 0)  # NaN weights stay live: their solve fails with SingularSystem
-        coef = np.full(qt.shape, np.nan)
+        qt = np.hstack([np.ones((len(A), 1)), Q[rows]])
+        jittered = _ill_posed(A, Q[rows], n) if lam == 0 else np.zeros(len(A), dtype=bool)
+        if jittered.any():
+            Xc = np.repeat(Xt[None], jittered.sum(), axis=0)
+            Xc[..., 1:] -= Q[rows][jittered][:, None, :]  # c_j = [1, x_j - q] for each jittered query
+            C = (Xc * W[jittered][..., None]).transpose(0, 2, 1) @ Xc
+            A[jittered] = C + 1e-10 * np.trace(C, axis1=1, axis2=2)[:, None, None] * np.eye(d)
+            qt[jittered] = np.eye(d)[0]
         try:
-            coef[live] = np.linalg.solve(A[live] + lam * np.eye(d), qt[live, :, None])[..., 0]
+            coef = np.linalg.solve(A + lam * np.eye(d), qt[..., None])[..., 0]
         except np.linalg.LinAlgError:
-            pass  # every live row of the block is redone alone below
+            coef = np.full(qt.shape, np.nan)
         L = (coef @ Xt.T) * W
-        jittered = np.zeros(W.shape[0], dtype=bool)
-        for r in np.flatnonzero(~np.isfinite(L).all(axis=1)):
-            if not live[r]:
-                raise EmptyNeighborhood(f"no positive kernel weights at {Q[rows][r]!r}")
-            L[r], jittered[r] = _solve_one(A[r], qt[r], Xt, W[r], lam)
-        yield rows, W, A, L, jittered
-
-
-def _solve_one(A, xt, Xt, w, lam):
-    """Equivalent-kernel row of one query: ``(L, jittered)``.
-
-    A singular or non-finite system at lam = 0 gets one jitter of
-    ``1e-10 * trace(A)``; if that still fails, ``SingularSystem`` is raised.
-    """
-    def solve(shift):
-        return (Xt @ np.linalg.solve(A + shift * np.eye(A.shape[0]), xt)) * w
-
-    try:
-        L = solve(lam)
-        if np.isfinite(L).all():
-            return L, False
-    except np.linalg.LinAlgError:
-        pass
-    if lam > 0:
-        raise SingularSystem("ridge system singular despite lam > 0")
-    jitter = 1e-10 * np.trace(A)
-    if jitter <= 0:
-        jitter = 1e-10
-    try:
-        L = solve(jitter)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystem("weighted design is rank deficient") from exc
-    if not np.isfinite(L).all():
-        raise SingularSystem("weighted design is rank deficient")
-    return L, True
+        if jittered.any():
+            L[jittered] = (Xc @ coef[jittered][..., None])[..., 0] * W[jittered]
+        if not np.isfinite(L).all():
+            why = "ridge system singular despite lam > 0" if lam else "weighted design is rank deficient"
+            raise SingularSystem(why)
+        yield rows, L, jittered
 
 
 def _check_ridge(data: Dataset, lam) -> float:
@@ -396,7 +411,7 @@ def local_linear_transform(k: Kernel, data: Dataset, queries, lam: float = 0.0):
     Y = np.atleast_2d(data.y.T).T
     preds = np.empty((Q.shape[0], Y.shape[1]))
     jittered = np.zeros(Q.shape[0], dtype=bool)
-    for rows, _, _, L, jit in _local_linear_blocks(k, data.X, Q, lam):
+    for rows, L, jit in _local_linear_blocks(k, data.X, Q, lam):
         preds[rows] = L @ Y
         jittered[rows] = jit
     return (preds if data.y.ndim > 1 else preds[:, 0]), jittered
@@ -409,16 +424,18 @@ def local_linear_predict(k: Kernel, data: Dataset, x_star, lam: float = 0.0):
     ``D = diag K(x*, x_i)`` and Xt the intercept-augmented design, then
     predicts ``xt*^T theta``.  Returns ``(prediction, equivalent_weights,
     jittered)``: the weights row L satisfies prediction = L @ y, and with
-    lam = 0 it sums to 1, so local linear regression is itself a local mean
-    under the empirical kernel L.
+    lam = 0 and no jitter it sums to 1, so local linear regression is itself
+    a local mean under the empirical kernel L.
 
-    A singular system at lam = 0 gets one automatic jitter of
-    ``1e-10 * trace(Xt^T D Xt)`` (reported via the flag); if that still
-    fails, ``SingularSystem`` is raised.  This is the one-query case of
-    :func:`local_linear_transform`.
+    At lam = 0 a numerically singular design (see :func:`_ill_posed`) is
+    solved centred on x* as ``C + 1e-10 * trace(C) I`` instead, and flagged.
+    That ridge keeps the minimum-norm fit, so a jittered L need not sum to 1
+    (three samples at 1.5 give x* = 0 the total weight 1 / 3.25).  If the
+    jittered solve still fails, ``SingularSystem`` is raised.  This is the
+    one-query case of :func:`local_linear_transform`.
     """
     lam = _check_ridge(data, lam)
-    (_, _, _, L, jittered), = _local_linear_blocks(k, data.X, as_point(x_star)[None, :], lam)
+    (_, L, jittered), = _local_linear_blocks(k, data.X, as_point(x_star)[None, :], lam)
     pred = L[0] @ np.atleast_2d(data.y.T).T
     pred = pred if data.y.ndim > 1 else float(pred[0])
     return pred, L[0], bool(jittered[0])

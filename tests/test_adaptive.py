@@ -73,8 +73,8 @@ class TestTuneBandwidth:
         from locuskit.errors import AllEmptyNeighborhoods
 
         data = Dataset([[0.0], [100.0]], [0.0, 1.0])
-        # leave-one-out with a compactly supported kernel: loo_error raises
-        # EmptyNeighborhood for every h in the grid -> scored inf -> error
+        # the Gaussian leave-one-out density of each sample underflows to 0 at
+        # h = 1e-3 -> EmptyNeighborhood -> every grid h scores inf -> error
         with pytest.raises(AllEmptyNeighborhoods):
             tune_bandwidth("kde-loo", data, grid=[1e-3])
 

@@ -2,15 +2,16 @@
 
 ``local_linear_transform`` solves a whole block of local linear systems at
 once and ``local_linear_predict`` is its one-query case; ``kde_values`` and
-``kde`` likewise.  Row blocks share one distance call, whose midrange
-centring moves a row's distances at the ulp level, so batch and one-query
-results are compared within a rounding bound, not bit for bit.  For the
-local linear fits that bound carries the condition number of the row's
-system, since the solve amplifies rounding in the weighted design by it.
+``kde`` likewise.  A row's distances are the same in every block, but a
+block's weighted designs come from one BLAS product whose rounding depends
+on the block height, so batch and one-query results are compared within a
+rounding bound, not bit for bit.  For the local linear fits that bound
+carries the condition number of the row's system, since the solve amplifies
+rounding in the weighted design by it.
 
-The leave-one-out loss of ``tune_bandwidth("local-linear")`` comes from one
-full fit per bandwidth through the linear-smoother identity; it is checked
-against the loss of n refits without each sample, which it replaced.
+The leave-one-out loss of ``tune_bandwidth("local-linear")`` fits each row
+with its own sample's weight set to zero, in one blocked pass per bandwidth;
+it is checked against the loss of n refits without each sample.
 """
 
 import json
@@ -28,6 +29,7 @@ from locuskit.dataio import write_csv
 from locuskit.density import kde, kde_values
 from locuskit.errors import EmptyNeighborhood
 from locuskit.estimators import (
+    _COND_LIMIT,
     Dataset,
     local_linear_predict,
     local_linear_transform,
@@ -61,7 +63,9 @@ def batch(entries, k, data, Q, lam):
 
 
 def one_query(k, data, q, lam):
-    """``(prediction, bound)``, bound None when the row jitters or its system is numerically singular.
+    """``(prediction, bound)``, bound None when the row jitters, its system is
+    numerically singular, or (at lam = 0) its jitter test is within a factor
+    1000 of the limit, where block rounding could flip it.
 
     The bound is 16 eps cond(A_q) sum_j |L_j| max_j |y_j|.
     """
@@ -71,6 +75,12 @@ def one_query(k, data, q, lam):
     cond = np.linalg.cond(Xt.T @ (w[:, None] * Xt) + lam * np.eye(Xt.shape[1]))
     if jittered or not cond < 1e-3 / EPS:
         return pred, None
+    if lam == 0:
+        Xc = Xt - np.hstack([0.0, q])
+        C = Xc.T @ (w[:, None] * Xc)
+        s = 1 / np.sqrt(np.diag(C))
+        if not np.linalg.cond(C * s[:, None] * s[None, :]) < 1e-3 * _COND_LIMIT:
+            return pred, None
     return pred, 16 * EPS * cond * np.abs(L).sum() * np.abs(data.y).max()
 
 
@@ -118,7 +128,7 @@ def test_jitter_flags_and_errors_match_the_one_query_form():
 
 
 # ---------------------------------------------------------------------------
-# leave-one-out identity against the refit loss
+# leave-one-out loss from the held-out fits against the refit loss
 # ---------------------------------------------------------------------------
 
 def refit_loss(h, data):
@@ -134,35 +144,41 @@ def refit_loss(h, data):
     return total
 
 
-@pytest.mark.parametrize("seed", range(6))
-def test_loo_identity_equals_refit_loss(seed):
-    rng = np.random.default_rng(seed)
+def loo_problem(case):
+    """``(data, grid)``: random samples for an integer seed, else a named hard case."""
+    if case == "isolated":  # the sample at 5 carries almost all of its own full fit
+        return Dataset([0.0, 0.1, 0.2, 0.3, 0.4, 5.0], [0.0, 1.0, 0.0, 1.0, 0.0, 3.0]), [0.3, 1.0]
+    rng = np.random.default_rng(case)
     n, p = int(rng.integers(8, 40)), int(rng.integers(1, 3))
-    data = Dataset(rng.normal(size=(n, p)), rng.normal(size=n))
-    grid = [0.3, 0.6, 1.2, 3.0]
+    return Dataset(rng.normal(size=(n, p)), rng.normal(size=n)), [0.3, 0.6, 1.2, 3.0]
+
+
+@pytest.mark.parametrize("seed", [*range(6), "isolated"])
+def test_loo_identity_equals_refit_loss(seed):
+    data, grid = loo_problem(seed)
     res = tune_bandwidth("local-linear", data, grid=grid)
     for h, loss in res.curve:
         assert loss == pytest.approx(refit_loss(h, data), rel=1e-9)
 
 
 def test_duplicate_x_values_fall_back_to_the_refit():
-    # at h = 0.01 each row's only positive weights are its pair: every full fit jitters
+    # at h = 0.01 each row's only positive weights, its own left out, are its pair's: every fit jitters
     x = np.repeat(np.arange(6.0), 2)
     data = Dataset(x, np.sin(x) + 0.01 * np.arange(12))
     res = tune_bandwidth("local-linear", data, grid=[0.01])
-    assert res.loo_refits == 12
+    assert res.jittered == 12
     assert res.curve[0][1] == refit_loss(0.01, data)
     res = tune_bandwidth("local-linear", data, grid=[0.3, 1.0])
-    assert res.loo_refits == 0
+    assert res.jittered == 0
     for h, loss in res.curve:
         assert loss == pytest.approx(refit_loss(h, data), rel=1e-9)
 
 
 def test_dominant_own_weight_falls_back_to_the_refit():
-    # the isolated sample at 5 carries almost all of its own fit: 1 - L_ii ~ 1e-6
+    # the isolated sample at 5 carries almost all of its own full fit (1 - L_ii ~ 1e-6)
     data = Dataset([0.0, 0.1, 0.2, 0.3, 0.4, 5.0], [0.0, 1.0, 0.0, 1.0, 0.0, 3.0])
     res = tune_bandwidth("local-linear", data, grid=[0.5])
-    assert res.loo_refits == 1
+    assert res.jittered == 0
     assert res.curve[0][1] == pytest.approx(refit_loss(0.5, data), rel=1e-12)
 
 
@@ -172,7 +188,6 @@ def test_empty_refit_scores_inf_as_before():
     res = tune_bandwidth("local-linear", data, grid=[0.01, 1.0])
     assert res.curve[0][1] == math.inf == refit_loss(0.01, data)
     assert res.h_star == 1.0
-    assert res.loo_refits > 0
 
 
 # ---------------------------------------------------------------------------
@@ -264,4 +279,4 @@ def test_tune_bandwidth_reports_refits(tmp_path):
     write_csv(path, ["x", "y"], [[x, math.sin(x)] for x in np.repeat(np.arange(6.0), 2)])
     cfg = {"input": str(path), "predictor": "local-linear", "grid": [0.01, 1.0]}
     metrics = run_task("tune-bandwidth", cfg, str(tmp_path / "out"))
-    assert metrics["diagnostics"] == {"counters": {"loo_refits": 12}}
+    assert metrics["diagnostics"] == {"counters": {"jittered": 12}}

@@ -18,6 +18,7 @@ from locuskit.estimators import (
     local_centerless_classify,
     local_fit,
     local_linear_predict,
+    local_linear_transform,
     local_mean_predict,
     local_mode_predict,
     local_pca,
@@ -295,6 +296,25 @@ class TestLocalLinear:
         pred_r, _, jit_r = local_linear_predict(dirac(), data, [1.0], lam=1e-6)
         assert not jit_r
         assert pred_r == pytest.approx(8.0, abs=1e-3)
+
+    @pytest.mark.parametrize("shift", [0.0, 2000.0])
+    def test_numerically_singular_design_is_jittered(self, shift):
+        # every sample sits at 1.5 + shift: cond(A) ~ 1e16, which LU alone solves without complaint
+        data = Dataset([[1.5 + shift]] * 3, [1.0, 1.0, 1.0])
+        pred, L, jit = local_linear_predict(gaussian(0.7), data, [shift])
+        assert jit
+        # the jitter keeps the minimum-norm fit theta = (1, 1.5) / (1 + 1.5^2) in x - q; its intercept is 1 / 3.25
+        assert pred == pytest.approx(1 / 3.25, rel=1e-6)
+        assert L.sum() == pytest.approx(1 / 3.25, rel=1e-6)
+
+    def test_translating_x_moves_no_fit_to_the_jitter(self):
+        # x as years: the uncentred design's cond is ~1e13, the query-centred one's below 10
+        rng = np.random.default_rng(3)
+        x = np.sort(rng.uniform(0.0, 10.0, 40))
+        preds, jittered = local_linear_transform(gaussian(1.0), Dataset(x, np.sin(x)), x)
+        moved, moved_jittered = local_linear_transform(gaussian(1.0), Dataset(x + 2000, np.sin(x)), x + 2000)
+        assert not jittered.any() and not moved_jittered.any()
+        np.testing.assert_allclose(moved, preds, rtol=0, atol=1e-8)
 
     def test_matches_independent_wls_solve(self):
         X = np.array([0.0, 1.0, 2.0])
