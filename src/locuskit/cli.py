@@ -78,7 +78,7 @@ class TaskSpec:
         lines = [f"config keys for {self.name}:"]
         for k in self.keys:
             req = "required" if k.default is _REQUIRED else f"default {k.default!r}"
-            lines.append(f"  {k.name} ({k.convert.rule}; {req}) {k.help}")
+            lines.append(f"  {k.name} ({k.convert.rule}; {req}) {k.help}".rstrip())
         return "\n".join(lines)
 
 
@@ -603,8 +603,8 @@ _register(
     [
         _INPUT_KEY,
         _SEED_KEY,
-        Key("n_neighbors", _int, default=10),
-        Key("dim", _int, default=2),
+        Key("n_neighbors", _count, default=10),
+        Key("dim", _count, default=2),
     ],
     _run_lle,
 )
@@ -616,7 +616,7 @@ _register(
         _KERNEL_KEY,
         _SEED_KEY,
         Key("q", _int, default=2),
-        Key("method", _str, default="svd", help="svd or nmf"),
+        Key("method", _choice("svd", "nmf"), default="svd"),
         Key("iters", _integer(0), default=200),
     ],
     _run_amds,
@@ -629,7 +629,7 @@ _register(
         _INPUT_KEY,
         _SEED_KEY,
         Key("q", _int, default=2),
-        Key("transform", _str, default="log1p", help="identity or log1p"),
+        Key("transform", _choice("identity", "log1p"), default="log1p"),
         Key("steps", _int, default=200),
         Key("lr", _bound, default=0.05),
         Key("similarity_h", _float, default=1.0),
@@ -690,7 +690,7 @@ _register(
     [
         _INPUT_KEY,
         _SEED_KEY,
-        Key("predictor", _str, default="local-mean", help="local-mean, local-linear, kde-loo"),
+        Key("predictor", _choice("local-mean", "local-linear", "kde-loo"), default="local-mean"),
         Key("grid", _grid, default=_REQUIRED),
     ],
     _run_tune,
@@ -702,7 +702,7 @@ _register(
         _INPUT_KEY,
         _SEED_KEY,
         Key("d", _int, default=2),
-        Key("form", _str, default="softmax", help="softmax or linear"),
+        Key("form", _choice("softmax", "linear"), default="softmax"),
         Key("steps", _integer(0), default=500),
         Key("lr", _bound, default=0.1),
     ],

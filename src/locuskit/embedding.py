@@ -14,7 +14,7 @@ from .errors import (
     NegativeInputForNMF,
 )
 from .estimators import _fix_signs
-from .kernels import StochasticMatrix, as_point_set, normalize_rows, pairwise_sq_dists
+from .kernels import StochasticMatrix, _row_blocks, as_point_set, normalize_rows, pairwise_sq_dists
 
 __all__ = [
     "EmbeddingResult",
@@ -53,10 +53,14 @@ def lle_weights(X, n_neighbors: int) -> StochasticMatrix:
     """Reconstruction weights: each row solves a sum-to-one least squares
     over its nearest neighbors.
 
-    The local Gram gets a 1e-9 * trace ridge when singular; negative
-    solution weights are clipped to zero and the row renormalized, honoring
-    the stochastic-matrix reading.  Off-neighborhood entries and the
-    diagonal are exactly zero.
+    Every row solves ``(C + r I) w = 1`` for its local Gram C with the one
+    ridge ``r = 1e-9 * trace(C)`` (``1e-9`` when the trace is not positive),
+    so C + r I is positive definite even when C has rank below the neighbor
+    count.  The solves run batched, one call per row block, and each row's
+    weights do not depend on the block height.  Negative solution weights
+    are clipped to zero and the row renormalized, honoring the
+    stochastic-matrix reading.  Off-neighborhood entries and the diagonal
+    are exactly zero.
     """
     X = as_point_set(X)
     n = X.shape[0]
@@ -68,27 +72,17 @@ def lle_weights(X, n_neighbors: int) -> StochasticMatrix:
     nbrs = np.argsort(D2, axis=1, kind="stable")[:, :n_neighbors].copy()  # a copy, so the N×N argsort is freed
     del D2
     W = np.zeros((n, n))
-    for i, nbr in enumerate(nbrs):
-        Z = X[nbr] - X[i]
-        C = Z @ Z.T
-        ones = np.ones(n_neighbors)
-        try:
-            w = np.linalg.solve(C, ones)
-            if not np.isfinite(w).all():
-                raise np.linalg.LinAlgError
-        except np.linalg.LinAlgError:
-            ridge = 1e-9 * np.trace(C)
-            if ridge <= 0:
-                ridge = 1e-9
-            w = np.linalg.solve(C + ridge * np.eye(n_neighbors), ones)
-        total = w.sum()
-        if total == 0:
-            w = ones / n_neighbors
-        else:
-            w = w / total
-        w = np.clip(w, 0.0, None)
-        w = w / w.sum()
-        W[i, nbr] = w
+    diag = np.arange(n_neighbors)
+    for rows in _row_blocks(n, n):
+        Z = X[nbrs[rows]] - X[rows, None, :]
+        C = Z @ Z.transpose(0, 2, 1)
+        ridge = 1e-9 * np.trace(C, axis1=1, axis2=2)
+        C[:, diag, diag] += np.where(ridge > 0, ridge, 1e-9)[:, None]
+        w = np.linalg.solve(C, np.ones((n_neighbors, 1)))[..., 0]
+        w /= w.sum(axis=1, keepdims=True)
+        np.clip(w, 0.0, None, out=w)
+        w /= w.sum(axis=1, keepdims=True)
+        np.put_along_axis(W[rows], nbrs[rows], w, axis=1)
     return normalize_rows(W)
 
 

@@ -621,6 +621,24 @@ _SINE = {"input": "bundled:noisy-sine"}
         ("fit-qkv", {"input": "bundled:qkv-toy", "seed": 1, "lr": -0.1}, "'lr' must be float > 0"),
         ("fit-qkv", {"input": "bundled:qkv-toy", "seed": 1, "lr": 0}, "'lr' must be float > 0"),
         ("embed-trimap", {"input": _SWISS, "seed": 1, "similarity_h": 1e-300}, "2 h^2 underflows"),
+        ("embed-amds", {"input": _SWISS, "seed": 1, "method": "pca"}, "'method' must be one of 'svd', 'nmf'"),
+        (
+            "embed-trimap",
+            {"input": _SWISS, "seed": 1, "transform": "log"},
+            "'transform' must be one of 'identity', 'log1p'",
+        ),
+        (
+            "tune-bandwidth",
+            {**_SINE, "predictor": "bogus", "grid": [0.1, 1.0]},
+            "'predictor' must be one of 'local-mean', 'local-linear', 'kde-loo'",
+        ),
+        (
+            "fit-qkv",
+            {"input": "bundled:qkv-toy", "seed": 1, "form": "cubic"},
+            "'form' must be one of 'softmax', 'linear'",
+        ),
+        ("embed-lle", {"input": _SWISS, "n_neighbors": 0}, "'n_neighbors' must be int >= 1"),
+        ("embed-lle", {"input": _SWISS, "dim": 0}, "'dim' must be int >= 1"),
     ],
     ids=[
         "zero-classes", "negative-classes", "more-classes-than-rows", "unknown-mode", "negative-grid-count",
@@ -628,7 +646,8 @@ _SINE = {"input": "bundled:noisy-sine"}
         "negative-relax-iterations", "unknown-fallback", "dual-without-base", "multi-without-weights",
         "knn-non-numeric-reference", "negative-hidden-width", "negative-depth", "negative-amds-iterations",
         "negative-meanshift-tolerance", "negative-trimap-rate", "negative-qkv-rate", "zero-qkv-rate",
-        "underflowing-similarity-bandwidth",
+        "underflowing-similarity-bandwidth", "unknown-amds-method", "unknown-trimap-transform",
+        "unknown-predictor", "unknown-qkv-form", "zero-lle-neighbors", "zero-lle-dimension",
     ],
 )
 def test_out_of_range_config_value_exit_two(tmp_path, capsys, task, config, named):

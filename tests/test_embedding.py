@@ -4,7 +4,7 @@ NMF, co-occurrence word vectors, and the ternary contrast-kernel descent."""
 import numpy as np
 import pytest
 
-from locuskit import errors
+from locuskit import errors, kernels
 from locuskit.embedding import (
     amds_factorize,
     cooccurrence_embed,
@@ -14,7 +14,8 @@ from locuskit.embedding import (
     read_corpus,
     trimap_embed,
 )
-from locuskit.kernels import epanechnikov, gram, normalize_rows
+from locuskit.kernels import epanechnikov, gram, normalize_rows, pairwise_sq_dists
+from locuskit.synth import swiss_roll
 
 
 def gaussian_similarity(h):
@@ -63,6 +64,41 @@ class TestLleWeights:
     def test_bad_neighbor_count(self):
         with pytest.raises(errors.InvalidParameter):
             lle_weights(np.zeros((4, 2)), 4)
+
+
+class TestLleRidge:
+    """Every row solves (C + 1e-9 trace(C) I) w = 1, in one batched solve per row block."""
+
+    def test_every_row_is_the_ridged_solve(self):
+        # k = 8 > p = 3: each local Gram has rank <= 3, so every row's
+        # weights come from the ridge
+        X, _ = swiss_roll(60, 1)
+        k = 8
+        D2 = pairwise_sq_dists(X, X)
+        np.fill_diagonal(D2, np.inf)
+        nbrs = np.argsort(D2, axis=1, kind="stable")[:, :k]
+        S = lle_weights(X, k).values
+        for i, nbr in enumerate(nbrs):
+            Z = X[nbr] - X[i]
+            C = Z @ Z.T
+            w = np.linalg.solve(C + 1e-9 * np.trace(C) * np.eye(k), np.ones(k))
+            w = np.clip(w / w.sum(), 0.0, None)
+            np.testing.assert_allclose(S[i, nbr], w / w.sum(), rtol=0, atol=1e-12)
+
+    def test_coincident_neighbors_get_uniform_weights(self):
+        # the first three points coincide, so point 0's Gram is zero (trace 0)
+        X = np.array([[1.0, 2.0], [1.0, 2.0], [1.0, 2.0], [5.0, 5.0], [9.0, 0.0]])
+        S = lle_weights(X, 2).values
+        np.testing.assert_array_equal(S[0], [0.0, 0.5, 0.5, 0.0, 0.0])
+
+    def test_weights_do_not_depend_on_the_block_height(self):
+        X, _ = swiss_roll(90, 2)
+        S = lle_weights(X, 10).values
+        # one row per block, a few rows per block, one block
+        for entries in (1, 7 * 90, 2**16):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(kernels, "_BLOCK_ENTRIES", entries)
+                np.testing.assert_array_equal(lle_weights(X, 10).values, S)
 
 
 class TestLleEmbed:

@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from locuskit.dataio import Columns, write_csv
+from locuskit.dataio import Columns, ingest_csv, write_csv
 from locuskit.errors import InvalidParameter
 from locuskit.svg import emit_svg
 
@@ -143,6 +144,23 @@ def test_any_table_of_cells_matches_the_per_cell_rule(tmp_path_factory, rows):
     width = len(rows[0]) if rows else 1
     header = [f"c{j}" for j in range(width)]
     assert written(tmp_path_factory.mktemp("csv"), header, rows) == per_cell_csv(header, rows)
+
+
+# signed zero, the smallest and largest subnormals, the smallest normal and the largest finite floats
+EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 2.225073858507201e-308, 2.2250738585072014e-308, 1.7976931348623157e308]
+FINITE = st.one_of(
+    st.sampled_from(EDGE_FLOATS + [-v for v in EDGE_FLOATS]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@PROPERTY
+@given(st.tuples(st.integers(1, 6), st.integers(1, 3)).flatmap(lambda shape: arrays(float, shape, elements=FINITE)))
+def test_a_float_table_round_trips_bit_for_bit(tmp_path_factory, table):
+    path = tmp_path_factory.mktemp("csv") / "t.csv"
+    write_csv(path, [f"x{j}" for j in range(table.shape[1])], table)
+    back = ingest_csv(path, "features-only").X
+    np.testing.assert_array_equal(back.view(np.uint64), table.view(np.uint64))
 
 
 # ---------------------------------------------------------------------------
