@@ -17,7 +17,9 @@ import argparse
 import hashlib
 import json
 import os
+import shutil
 import sys
+import tempfile
 import time
 from dataclasses import dataclass
 
@@ -354,7 +356,8 @@ def _run_lle(cfg, seed):
     S = lle_weights(data.X, cfg["n_neighbors"])
     res = lle_embed(S, cfg["dim"])
     files = {"results.csv": ([f"z{i}" for i in range(res.Z.shape[1])], res.Z)}
-    return {"objective": res.objective, "n": data.n}, files, ("scatter", {"points": res.Z[:, :2]})
+    metrics = {"objective": res.objective, "n": data.n, "diagnostics": {"counters": {"eigen_solves": res.iterations}}}
+    return metrics, files, ("scatter", {"points": res.Z[:, :2]})
 
 
 def _run_amds(cfg, seed):
@@ -742,17 +745,25 @@ def run_task(task: str, config: dict, out_dir: str, seed_override=None) -> dict:
     seed = _task_seed(task, cfg.get("seed"))
     start = time.perf_counter()
     metrics, files, plot = spec.runner(cfg, seed)
-    for name, content in files.items():  # paths go positionally: perfbench/tracer.py reads them from args
-        path = os.path.join(out_dir, name)
-        if name.endswith(".pgm"):
-            write_pgm(path, content)
-        else:
-            write_csv(path, *content)
-    if plot is not None:
-        emit_svg(*plot, os.path.join(out_dir, "plot.svg"))
-    metrics["runtime_s"] = time.perf_counter() - start  # the runner and its output files
-    metrics["task"] = task
-    write_json(os.path.join(out_dir, "metrics.json"), metrics)
+    # every file goes to a staging directory in out_dir first and is moved out only once all are written,
+    # so a task that fails writes no file
+    staging = tempfile.mkdtemp(prefix=".staging-", dir=out_dir)
+    try:
+        for name, content in files.items():  # paths go positionally: perfbench/tracer.py reads them from args
+            path = os.path.join(staging, name)
+            if name.endswith(".pgm"):
+                write_pgm(path, content)
+            else:
+                write_csv(path, *content)
+        if plot is not None:
+            emit_svg(*plot, os.path.join(staging, "plot.svg"))
+        metrics["runtime_s"] = time.perf_counter() - start  # the runner and its output files
+        metrics["task"] = task
+        write_json(os.path.join(staging, "metrics.json"), metrics)
+        for name in sorted(os.listdir(staging)):
+            os.replace(os.path.join(staging, name), os.path.join(out_dir, name))
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
     return metrics
 
 

@@ -56,25 +56,24 @@ def lle_weights(X, n_neighbors: int) -> StochasticMatrix:
     Every row solves ``(C + r I) w = 1`` for its local Gram C with the one
     ridge ``r = 1e-9 * trace(C)`` (``1e-9`` when the trace is not positive),
     so C + r I is positive definite even when C has rank below the neighbor
-    count.  The solves run batched, one call per row block, and each row's
-    weights do not depend on the block height.  Negative solution weights
-    are clipped to zero and the row renormalized, honoring the
-    stochastic-matrix reading.  Off-neighborhood entries and the diagonal
-    are exactly zero.
+    count.  The neighbor search and the solves run per row block, so no
+    N x N distance matrix is built, and each row's weights do not depend on
+    the block height.  Negative solution weights are clipped to zero and the
+    row renormalized, honoring the stochastic-matrix reading.
+    Off-neighborhood entries and the diagonal are exactly zero.
     """
     X = as_point_set(X)
     n = X.shape[0]
     n_neighbors = int(n_neighbors)
     if not 1 <= n_neighbors < n:
         raise InvalidParameter(f"neighbor count must be in [1, {n - 1}]")
-    D2 = pairwise_sq_dists(X, X)
-    np.fill_diagonal(D2, np.inf)
-    nbrs = np.argsort(D2, axis=1, kind="stable")[:, :n_neighbors].copy()  # a copy, so the N×N argsort is freed
-    del D2
     W = np.zeros((n, n))
     diag = np.arange(n_neighbors)
     for rows in _row_blocks(n, n):
-        Z = X[nbrs[rows]] - X[rows, None, :]
+        D2 = pairwise_sq_dists(X[rows], X)
+        np.fill_diagonal(D2[:, rows], np.inf)
+        nbrs = np.argsort(D2, axis=1, kind="stable")[:, :n_neighbors]
+        Z = X[nbrs] - X[rows, None, :]
         C = Z @ Z.transpose(0, 2, 1)
         ridge = 1e-9 * np.trace(C, axis1=1, axis2=2)
         C[:, diag, diag] += np.where(ridge > 0, ridge, 1e-9)[:, None]
@@ -82,7 +81,7 @@ def lle_weights(X, n_neighbors: int) -> StochasticMatrix:
         w /= w.sum(axis=1, keepdims=True)
         np.clip(w, 0.0, None, out=w)
         w /= w.sum(axis=1, keepdims=True)
-        np.put_along_axis(W[rows], nbrs[rows], w, axis=1)
+        np.put_along_axis(W[rows], nbrs, w, axis=1)
     return normalize_rows(W)
 
 
@@ -93,12 +92,54 @@ def lle_objective(Kt, Z) -> float:
     return float(((Z - vals @ Z) ** 2).sum())
 
 
+_MAX_SHIFTED_SOLVES = 10  # lle_embed's inverse iteration steps before it falls back to the full eigh
+
+
+def _bottom_eigenpairs(M: np.ndarray, k: int):
+    """The k smallest eigenpairs of a symmetric M by shifted block inverse
+    iteration, as ``(values, vectors, solves)``, or None when the iteration
+    cannot be trusted.  M is shifted in place and restored before returning."""
+    n = M.shape[0]
+    sigma = 1e-9 * np.trace(M) / n
+    if not sigma > 0:
+        return None
+    tol = 1e-14 * max(np.abs(M[rows]).sum(axis=1).max() for rows in _row_blocks(n, n))
+    diagonal = M.diagonal().copy()
+    M.flat[:: n + 1] += sigma
+    try:
+        Q = np.linalg.qr(np.random.default_rng(0).standard_normal((n, k + 4)))[0]
+        for solves in range(1, _MAX_SHIFTED_SOLVES + 1):
+            Y = np.linalg.solve(M, Q)
+            if not np.isfinite(Y).all():
+                return None
+            Q = np.linalg.qr(Y)[0]
+            MQ = M @ Q
+            theta, V = np.linalg.eigh(Q.T @ MQ)
+            Q = Q @ V
+            if np.linalg.norm(MQ @ V[:, :k] - Q[:, :k] * theta[:k], axis=0).max() <= tol:
+                return theta[:k] - sigma, Q[:, :k], solves
+    except np.linalg.LinAlgError:
+        return None
+    finally:
+        np.fill_diagonal(M, diagonal)
+    return None
+
+
 def lle_embed(Kt: StochasticMatrix, r: int) -> EmbeddingResult:
-    """Embed by the small eigenvectors of ``(I - K_tilde)^T (I - K_tilde)``.
+    """Embed by the small eigenvectors of ``M = (I - K_tilde)^T (I - K_tilde)``.
 
     The smallest eigenvector (the constant direction of a stochastic matrix)
     is discarded; the next r are scaled to column norm sqrt(N), so
     Z^T Z / N = I.  The stored objective is the sum of the kept eigenvalues.
+
+    The r + 1 smallest eigenpairs come from block inverse iteration on
+    ``M + sigma I`` with ``sigma = 1e-9 trace(M) / N``: r + 5 columns from a
+    fixed seed, one linear solve per step, each step followed by
+    Rayleigh-Ritz.  It stops once every kept pair has
+    ``||M q - lambda q|| <= 1e-14 ||M||_inf``; ``iterations`` counts the solves.
+    When sigma is not positive, a solve fails or is not finite, or the test is
+    not met within ``_MAX_SHIFTED_SOLVES`` solves, the full ``eigh`` of M
+    gives the result and ``iterations`` is 0.
     """
     vals = Kt.values if isinstance(Kt, StochasticMatrix) else np.asarray(Kt, float)
     n = vals.shape[0]
@@ -107,15 +148,20 @@ def lle_embed(Kt: StochasticMatrix, r: int) -> EmbeddingResult:
     r = int(r)
     if not 1 <= r < n - 1:
         raise InvalidParameter(f"embedding dimension must be in [1, {n - 2}]")
-    L = np.eye(n) - vals
-    M = L.T @ L
-    try:
-        eigvals, eigvecs = np.linalg.eigh(M)
-    except np.linalg.LinAlgError as exc:
-        raise EigenFailure("eigendecomposition failed") from exc
-    keep = slice(1, r + 1)
-    Z = _fix_signs(eigvecs[:, keep]) * np.sqrt(n)
-    return EmbeddingResult(Z=Z, objective=float(eigvals[keep].sum()), method="lle")
+    M = vals.T @ vals
+    M -= vals
+    M -= vals.T
+    M.flat[:: n + 1] += 1.0
+    found = _bottom_eigenpairs(M, r + 1)
+    if found is None:
+        try:
+            eigvals, eigvecs = np.linalg.eigh(M)
+        except np.linalg.LinAlgError as exc:
+            raise EigenFailure("eigendecomposition failed") from exc
+        found = eigvals[: r + 1], eigvecs[:, : r + 1], 0
+    eigvals, eigvecs, solves = found
+    Z = _fix_signs(eigvecs[:, 1:]) * np.sqrt(n)
+    return EmbeddingResult(Z=Z, objective=float(eigvals[1:].sum()), method="lle", iterations=solves)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import os
 import numpy as np
 import pytest
 
+from locuskit import cli
 from locuskit.cli import TASKS, _validate_config, main, run_task
 from locuskit.dataio import ingest_csv, read_pgm, write_csv, write_pgm
 from locuskit.errors import ParseError, SchemaMismatch, ValidationError
@@ -658,3 +659,25 @@ def test_out_of_range_config_value_exit_two(tmp_path, capsys, task, config, name
 def test_seed_override_on_non_object_config_is_a_validation_error(tmp_path):
     with pytest.raises(ValidationError, match="config must be a JSON object"):
         run_task("fit-qkv", [1], str(tmp_path), seed_override=5)
+
+
+def test_a_task_that_fails_after_its_csvs_writes_no_file(tmp_path, monkeypatch):
+    written = []
+
+    def failing_svg(kind, data, path):
+        written.extend(os.listdir(os.path.dirname(path)))
+        raise RuntimeError("figure failed")
+
+    monkeypatch.setattr(cli, "emit_svg", failing_svg)
+    out = tmp_path / "out"
+    with pytest.raises(RuntimeError, match="figure failed"):
+        run_task("cluster-meanshift", {"input": "bundled:two-blobs"}, str(out))
+    assert {"results.csv", "trajectories.csv"} <= set(written)
+    assert os.listdir(out) == []
+
+
+def test_embed_lle_reports_its_shifted_solves(tmp_path):
+    cfg = {"input": {"synthetic": {"kind": "swiss-roll", "n": 400, "seed": 3}}, "n_neighbors": 10}
+    metrics = run_task("embed-lle", cfg, str(tmp_path))
+    written = json.loads((tmp_path / "metrics.json").read_text())
+    assert written["diagnostics"]["counters"]["eigen_solves"] == metrics["diagnostics"]["counters"]["eigen_solves"] >= 1

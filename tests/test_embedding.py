@@ -1,10 +1,12 @@
 """Embedding tests: LLE weights/eigen-embedding, asymmetric MDS by SVD and
 NMF, co-occurrence word vectors, and the ternary contrast-kernel descent."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from locuskit import errors, kernels
+from locuskit import embedding, errors, kernels
 from locuskit.embedding import (
     amds_factorize,
     cooccurrence_embed,
@@ -14,6 +16,7 @@ from locuskit.embedding import (
     read_corpus,
     trimap_embed,
 )
+from locuskit.estimators import _fix_signs
 from locuskit.kernels import epanechnikov, gram, normalize_rows, pairwise_sq_dists
 from locuskit.synth import swiss_roll
 
@@ -139,6 +142,59 @@ class TestLleEmbed:
         S = lle_weights(rng.normal(size=(18, 3)), 5)
         res = lle_embed(S, 2)
         assert lle_objective(S, res.Z) == pytest.approx(18 * res.objective, rel=1e-8)
+
+
+def lle_matrix(W):
+    """M = (I - W)^T (I - W), formed as lle_embed forms it."""
+    M = W.T @ W
+    M -= W
+    M -= W.T
+    M.flat[:: len(W) + 1] += 1.0
+    return M
+
+
+class TestLleSolver:
+    """Shifted block inverse iteration, and the full eigh it falls back to."""
+
+    def test_iterative_branch_matches_full_eigh(self):
+        X, _ = swiss_roll(400, 3)
+        S = lle_weights(X, 10)
+        res = lle_embed(S, 2)
+        assert res.iterations > 0
+        eigvals, eigvecs = np.linalg.eigh(lle_matrix(S.values))
+        assert res.objective == pytest.approx(eigvals[1:3].sum(), rel=1e-6)
+        # cosines of the principal angles between the kept span and eigh's
+        cosines = np.linalg.svd(eigvecs[:, 1:3].T @ res.Z / np.sqrt(400), compute_uv=False)
+        assert cosines.min() >= 1 - 1e-10
+        np.testing.assert_allclose(res.Z, _fix_signs(eigvecs[:, 1:3]) * np.sqrt(400), rtol=0, atol=1e-6)
+
+    def test_zero_shift_falls_back_to_eigh(self):
+        # M = 0, so the shift 1e-9 trace(M) / N is 0
+        res = lle_embed(normalize_rows(np.eye(6)), 2)
+        assert res.iterations == 0
+        assert res.objective == 0.0
+
+    def test_solve_cap_falls_back_to_eigh(self, monkeypatch):
+        X, _ = swiss_roll(300, 1)
+        S = lle_weights(X, 10)
+        monkeypatch.setattr(embedding, "_MAX_SHIFTED_SOLVES", 1)
+        res = lle_embed(S, 2)
+        assert res.iterations == 0
+        eigvals, eigvecs = np.linalg.eigh(lle_matrix(S.values))
+        np.testing.assert_array_equal(res.Z, _fix_signs(eigvecs[:, 1:3]) * np.sqrt(300))
+        assert res.objective == float(eigvals[1:3].sum())
+
+    def test_allocates_at_most_two_square_arrays(self):
+        n = 500
+        X, _ = swiss_roll(n, 2)
+        S = lle_weights(X, 10)
+        tracemalloc.start()
+        try:
+            lle_embed(S, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * n * n * 8 + 2**20
 
 
 class TestAmds:
