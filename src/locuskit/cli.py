@@ -36,7 +36,7 @@ from .errors import LocusKitError, NumericError, ValidationError
 from .estimators import (  # local_linear_predict is unused here, but perfbench/tracer.py wraps it by name
     Dataset, local_linear_predict, local_linear_transform, local_mean_predict, local_mode_predict, loo_error,
 )
-from .kernels import gaussian, gram, local_reduce, make_kernel
+from .kernels import gaussian, gram, local_reduce, make_kernel, pairwise_sq_dists
 from .metrics import accuracy, adjusted_rand_index, r2_score, w1_distance
 from .sequence import (
     MlpParams,
@@ -321,11 +321,7 @@ def _run_meanshift(cfg, seed):
 def _run_medoidshift(cfg, seed):
     data = _resolve_input(cfg["input"], "features+label" if cfg["labeled"] else "features-only")
     kernel = make_kernel(cfg["kernel"])
-
-    def sq(a, b):
-        return float(((a - b) ** 2).sum())
-
-    mapping, labels, reps = medoid_shift(kernel, sq, data.X, merge_radius=cfg["merge_radius"])
+    mapping, labels, reps = medoid_shift(kernel, pairwise_sq_dists, data.X, merge_radius=cfg["merge_radius"])
     metrics = {"n_clusters": int(labels.max()) + 1}
     if cfg["labeled"]:
         metrics["ari"] = adjusted_rand_index(data.y, labels)

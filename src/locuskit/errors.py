@@ -33,7 +33,8 @@ class ShapeMismatch(ValidationError):
 
 
 class DomainError(ValidationError):
-    """Concrete (finite-domain) kernel queried off its index set."""
+    """A value off its domain: a concrete (finite-domain) kernel queried off
+    its index set, or a non-finite dissimilarity."""
 
 
 class UnsupportedComposition(ValidationError):

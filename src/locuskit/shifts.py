@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptyNeighborhood, InvalidParameter
+from .errors import DomainError, EmptyNeighborhood, InvalidParameter, ShapeMismatch
 from .estimators import Dataset, LocalPcaBasis, local_pca
 from .kernels import Kernel, _row_blocks, as_point_set, gram, local_reduce, normalize_rows, pairwise_sq_dists
 
@@ -230,8 +230,10 @@ def mode_shift(k: Kernel, X, queries=None, max_iter: int = 100) -> ModeShiftResu
 def medoid_shift(k: Kernel, d, X, merge_radius: float | None = None):
     """Map every point to its local medoid and follow the mapping.
 
-    ``j*_i = argmin_j (K_tilde D)_{ij}`` with D the pairwise distance matrix
-    of ``d``; argmin ties resolve to the lowest index.  The mapping is
+    ``j*_i = argmin_j (K_tilde D)_{ij}`` with D = ``d(X, X)``: ``d(A, B)`` is a
+    pairwise dissimilarity returning the ``len(A) x len(B)`` array, for example
+    ``kernels.pairwise_sq_dists``, and is called once; D must be finite.
+    Argmin ties resolve to the lowest index.  The mapping is
     followed to termination; mapping cycles collapse to the minimum index in
     the cycle.  Returns ``(mapping, labels, representatives)`` with labels
     densified in first-seen order.
@@ -243,7 +245,14 @@ def medoid_shift(k: Kernel, d, X, merge_radius: float | None = None):
     """
     X = as_point_set(X)
     n = X.shape[0]
-    D = np.array([[d(a, b) for b in X] for a in X], dtype=float)
+    D = np.asarray(d(X, X), dtype=float)
+    if D.shape != (n, n):
+        raise ShapeMismatch(
+            f"d(X, X) must return the pairwise ({n}, {n}) dissimilarity matrix, got shape {D.shape}; "
+            "d(A, B) takes two point sets and returns the len(A) x len(B) array"
+        )
+    if not np.isfinite(D).all():
+        raise DomainError("d(X, X) has non-finite entries")
     cost, empty = local_reduce(k, X, X, D)
     if empty.any():
         raise EmptyNeighborhood(f"rows {np.flatnonzero(empty).tolist()} have zero degree")

@@ -50,6 +50,8 @@ from locuskit.synth import (
     two_mode_mixture,
 )
 
+from per_pair import pairwise
+
 
 def report(num, ok, detail):
     status = "PASS" if ok else "FAIL"
@@ -119,7 +121,7 @@ def test_criterion_04_meanshift_and_medoid_clustering():
     def sq(a, b):
         return float(((a - b) ** 2).sum())
 
-    _, med_labels, _ = medoid_shift(gaussian(1.0), sq, X, merge_radius=1.0)
+    _, med_labels, _ = medoid_shift(gaussian(1.0), pairwise(sq), X, merge_radius=1.0)
     med_ari = adjusted_rand_index(truth, med_labels)
     elapsed = time.perf_counter() - start
     report(

@@ -25,9 +25,7 @@ from locuskit.shifts import (
     relaxation_label,
 )
 
-
-def sq_euclid(a, b):
-    return float(((np.asarray(a) - np.asarray(b)) ** 2).sum())
+from per_pair import pairwise, sq_euclid
 
 
 def linear_kernel():
@@ -239,13 +237,13 @@ class TestModeShift:
 class TestMedoidShift:
     def test_identical_points_single_cluster(self):
         X = np.zeros((4, 2))
-        mapping, labels, reps = medoid_shift(gaussian(1.0), sq_euclid, X)
+        mapping, labels, reps = medoid_shift(gaussian(1.0), pairwise(sq_euclid), X)
         assert (mapping == 0).all()
         assert (labels == 0).all()
 
     def test_dirac_kernel_every_point_its_own_medoid(self):
         X = np.array([[0.0], [1.0], [2.0]])
-        mapping, labels, _ = medoid_shift(dirac(), sq_euclid, X)
+        mapping, labels, _ = medoid_shift(dirac(), pairwise(sq_euclid), X)
         np.testing.assert_array_equal(mapping, [0, 1, 2])
         assert len(np.unique(labels)) == 3
 
@@ -253,7 +251,7 @@ class TestMedoidShift:
         # literal (Kt D) argmin oracle; for this near-symmetric pair the
         # self-weight edge means each point is its own medoid
         X = np.array([[0.0], [0.1], [5.0]])
-        mapping, labels, reps = medoid_shift(gaussian(1.0), sq_euclid, X)
+        mapping, labels, reps = medoid_shift(gaussian(1.0), pairwise(sq_euclid), X)
         W = np.exp(-((X - X[:, 0]) ** 2) / 2.0)
         Kt = W / W.sum(1, keepdims=True)
         D = (X - X[:, 0]) ** 2
@@ -263,12 +261,48 @@ class TestMedoidShift:
 
     def test_clustered_triple_collapses_to_shared_medoid(self):
         X = np.array([[0.0], [0.1], [0.25]])
-        mapping, labels, reps = medoid_shift(gaussian(1.0), sq_euclid, X)
+        mapping, labels, reps = medoid_shift(gaussian(1.0), pairwise(sq_euclid), X)
         W = np.exp(-((X - X[:, 0]) ** 2) / 2.0)
         oracle = ((W / W.sum(1, keepdims=True)) @ ((X - X[:, 0]) ** 2)).argmin(1)
         np.testing.assert_array_equal(mapping, oracle)
         np.testing.assert_array_equal(mapping, [1, 1, 1])
         assert len(np.unique(labels)) == 1
+
+    def test_distance_called_once_on_the_whole_set(self):
+        X = np.random.default_rng(5).normal(size=(9, 2))
+        calls = []
+
+        def d(A, B):
+            calls.append((A.shape, B.shape))
+            return pairwise_sq_dists(A, B)
+
+        medoid_shift(gaussian(1.0), d, X)
+        assert calls == [((9, 2), (9, 2))]
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 7])
+    @pytest.mark.parametrize("merge_radius", [None, 0.5])
+    def test_pairwise_sq_dists_matches_per_pair_reference(self, p, merge_radius):
+        X = np.random.default_rng(40 + p).normal(size=(60, p))
+        got = medoid_shift(gaussian(1.0), pairwise_sq_dists, X, merge_radius=merge_radius)
+        want = medoid_shift(gaussian(1.0), pairwise(sq_euclid), X, merge_radius=merge_radius)
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w)
+
+    def test_per_pair_distance_rejected_by_shape(self):
+        X = np.array([[0.0], [1.0], [2.0]])
+        with pytest.raises(errors.ShapeMismatch, match=r"pairwise \(3, 3\).*got shape \(\)"):
+            medoid_shift(gaussian(1.0), sq_euclid, X)
+
+    def test_non_finite_distance_rejected(self):
+        X = np.array([[0.0], [1.0], [2.0]])
+
+        def d(A, B):
+            D = pairwise_sq_dists(A, B)
+            D[1, 2] = np.nan
+            return D
+
+        with pytest.raises(errors.DomainError, match="non-finite"):
+            medoid_shift(gaussian(1.0), d, X)
 
 
 class TestNnShift:
@@ -374,8 +408,8 @@ class TestMedoidMergeAndPcShiftEdge:
             [rng.normal(0.0, 0.4, (60, 2)), rng.normal(5.0, 0.4, (60, 2))]
         )
         truth = np.repeat([0, 1], 60)
-        _, raw_labels, _ = medoid_shift(gaussian(1.0), sq_euclid, X)
-        _, merged_labels, _ = medoid_shift(gaussian(1.0), sq_euclid, X, merge_radius=1.0)
+        _, raw_labels, _ = medoid_shift(gaussian(1.0), pairwise(sq_euclid), X)
+        _, merged_labels, _ = medoid_shift(gaussian(1.0), pairwise(sq_euclid), X, merge_radius=1.0)
         assert len(np.unique(merged_labels)) <= len(np.unique(raw_labels))
         assert len(np.unique(merged_labels)) == 2
         # merged labels agree with the truth up to renaming
@@ -560,7 +594,7 @@ def shifted_along(target):
     """medoid_shift of points 0..n-1 whose mapping is ``target``: under the
     dirac kernel row i's cost is row i of D, and d is 0 only at i's target."""
     X = np.arange(len(target), dtype=float)[:, None]
-    return medoid_shift(dirac(), lambda a, b: float(target[int(a[0])] != int(b[0])), X)
+    return medoid_shift(dirac(), pairwise(lambda a, b: float(target[int(a[0])] != int(b[0]))), X)
 
 
 def tailed_cycle(rng, n, cycle):
