@@ -53,7 +53,7 @@ class TuneResult:
     h_star: float
     loss_star: float
     curve: list  # (h, loss) pairs in evaluation order
-    jittered: int = 0  # leave-one-out local linear rows jittered, over the bandwidths scored finite
+    jittered: int = 0  # leave-one-out local linear rows that fell back to the local mean, over finite-loss h
 
 
 def _loo_local_linear(h, data: Dataset):
@@ -61,13 +61,14 @@ def _loo_local_linear(h, data: Dataset):
 
     Row i is fit with sample i's weight set to zero, which is the fit
     without sample i, so the loss is ``sum_i (y_i - L_i @ y)^2`` from one
-    blocked pass.  Returns ``(loss, jittered rows)``.
+    blocked pass, its squared errors added row by row as n refits would add
+    them.  Returns ``(loss, rows that fell back to the local mean)``.
     """
     data.require("real")
     Y = np.atleast_2d(data.y.T).T
     total, jittered = 0.0, 0
     for rows, L, jit in _local_linear_blocks(gaussian(h), data.X, data.X, 0.0, skip_self=True):
-        total += float(((Y[rows] - L @ Y) ** 2).sum())
+        total = sum(((Y[rows] - L @ Y) ** 2).sum(axis=1).tolist(), total)
         jittered += int(jit.sum())
     return total, jittered
 
@@ -89,7 +90,7 @@ def _loo_kde_nll(h, data: Dataset) -> float:
     return float(-np.log(dens).sum())
 
 
-# each loss returns (value, rows whose design got the jitter)
+# each loss returns (value, rows that fell back to the local mean)
 _PREDICTOR_LOSSES = {
     "local-mean": lambda h, data: (loo_error(gaussian(h), data), 0),
     "local-linear": _loo_local_linear,

@@ -23,8 +23,8 @@ from .errors import (
     ZeroDenominator,
 )
 from .kernels import (  # normalize_rows is unused here, but perfbench/tracer.py wraps it by name
-    GaussianKernel, Kernel, SelfKernel, _local_weights, _row_blocks, as_point, as_point_set, local_reduce,
-    normalize_rows, pairwise_sq_dists, softmax_rows, uniform,
+    GaussianKernel, Kernel, SelfKernel, _dissimilarities, _local_weights, _row_blocks, as_point, as_point_set,
+    local_reduce, normalize_rows, pairwise_sq_dists, softmax_rows, uniform,
 )
 
 __all__ = [
@@ -316,14 +316,14 @@ def knn_predict(n_neighbors: int, data: Dataset, x_star, weight_kernel: Kernel |
 # local linear / ridge regression
 # ---------------------------------------------------------------------------
 
-# At lam = 0 a fit whose design, centred on the query and scaled to unit diagonal, is worse
-# conditioned than this is numerically singular: a backward-stable solve loses about
-# log10(cond) of float64's ~16 digits, so the limit keeps about four.
+# A fit whose system (weighted design plus slope ridge), centred on the query and scaled to
+# unit diagonal, is worse conditioned than this is numerically singular: a backward-stable
+# solve loses about log10(cond) of float64's ~16 digits, so the limit keeps about four.
 _COND_LIMIT = 1e12
 
 
 def _ill_posed(A: np.ndarray, Q: np.ndarray, n: int) -> np.ndarray:
-    """Rows whose weighted design ``A_q`` (from n samples) is numerically singular.
+    """Rows whose system ``A_q`` (weighted design of n samples plus ridge) is numerically singular.
 
     The test runs on ``C_q = T_q A_q T_q^T`` (``T_q [1, x] = [1, x - q]``),
     the design centred on the query, scaled to unit diagonal S, so it ignores
@@ -352,50 +352,47 @@ def _local_linear_blocks(k: Kernel, X: np.ndarray, Q: np.ndarray, lam: float, sk
     """Local linear fits of Q's rows over X, in row blocks.
 
     Yields ``(rows, L, jittered)`` per block: the equivalent-kernel rows
-    ``L_q = xt_q^T (A_q + lam I)^(-1) Xt^T diag(w_q)`` of the weighted designs
-    ``A_q = Xt^T diag(w_q) Xt``, and the jitter flags.  At lam = 0 a row that
-    :func:`_ill_posed` flags is solved in query-centred coordinates instead,
-    on ``C_q = sum_j w_qj c_j c_j^T`` with ``c_j = [1, x_j - q]`` plus
-    ``1e-10 * trace(C_q)`` on the diagonal; its prediction is then the
-    intercept.  One solve covers the block.  With ``skip_self`` (Q is X), row
-    i gives sample ``rows.start + i`` weight 0: the fit without it.
+    ``L_q = xt_q^T (A_q + lam P)^(-1) Xt^T diag(w_q)`` of the weighted designs
+    ``A_q = Xt^T diag(w_q) Xt``, and the flags of the rows that fell back.
+    Xt and xt_q are ``[1, x - m]`` with m the mean of X's rows, so the fits do
+    not depend on where x sits, and ``P = diag(0, 1, ..., 1)`` leaves the
+    intercept unpenalised, so every L_q sums to 1.  A row whose system
+    :func:`_ill_posed` flags gets the local mean ``L_q = w_q / sum(w_q)``.
+    One solve covers the block.  With ``skip_self`` (Q is X), row i gives
+    sample ``rows.start + i`` weight 0: the fit without it.
     """
     n, d = X.shape[0], X.shape[1] + 1
-    Xt = np.hstack([np.ones((n, 1)), X])
+    m = X.mean(axis=0)
+    Xt = np.hstack([np.ones((n, 1)), X - m])
+    Qm = Q - m
     outer = (Xt[:, :, None] * Xt[:, None, :]).reshape(n, d * d)
+    ridge = lam * np.diag([0.0] + [1.0] * (d - 1))
     for rows in _row_blocks(Q.shape[0], n):
         W = k.gram_values(Q[rows], X)
         if skip_self:
             np.fill_diagonal(W[:, rows.start:], 0.0)
-        empty = W.sum(axis=1) <= 0  # NaN weights are not empty: their solve fails with SingularSystem
+        empty = W.sum(axis=1) <= 0  # NaN weights are not empty: they raise SingularSystem below
         if empty.any():
             raise EmptyNeighborhood(f"no positive kernel weights at {Q[rows][np.argmax(empty)]!r}")
-        A = (W @ outer).reshape(-1, d, d)
-        qt = np.hstack([np.ones((len(A), 1)), Q[rows]])
-        jittered = _ill_posed(A, Q[rows], n) if lam == 0 else np.zeros(len(A), dtype=bool)
-        if jittered.any():
-            Xc = np.repeat(Xt[None], jittered.sum(), axis=0)
-            Xc[..., 1:] -= Q[rows][jittered][:, None, :]  # c_j = [1, x_j - q] for each jittered query
-            C = (Xc * W[jittered][..., None]).transpose(0, 2, 1) @ Xc
-            A[jittered] = C + 1e-10 * np.trace(C, axis1=1, axis2=2)[:, None, None] * np.eye(d)
-            qt[jittered] = np.eye(d)[0]
+        A = (W @ outer).reshape(-1, d, d) + ridge
+        jittered = _ill_posed(A, Qm[rows], n)
+        A[jittered] = np.eye(d)  # solved as the local mean below; keeps the block's solve well posed
+        qt = np.hstack([np.ones((len(A), 1)), Qm[rows]])
         try:
-            coef = np.linalg.solve(A + lam * np.eye(d), qt[..., None])[..., 0]
+            coef = np.linalg.solve(A, qt[..., None])[..., 0]
         except np.linalg.LinAlgError:
             coef = np.full(qt.shape, np.nan)
         L = (coef @ Xt.T) * W
-        if jittered.any():
-            L[jittered] = (Xc @ coef[jittered][..., None])[..., 0] * W[jittered]
+        L[jittered] = W[jittered] / W[jittered].sum(axis=1, keepdims=True)
         if not np.isfinite(L).all():
-            why = "ridge system singular despite lam > 0" if lam else "weighted design is rank deficient"
-            raise SingularSystem(why)
+            raise SingularSystem("local linear weights are not finite: check the kernel weights")
         yield rows, L, jittered
 
 
 def _check_ridge(data: Dataset, lam) -> float:
     data.require("real")
-    if float(lam) < 0:
-        raise InvalidParameter("ridge penalty must be >= 0")
+    if not 0 <= float(lam) < np.inf:  # NaN or inf would make every system non-finite: all local means
+        raise InvalidParameter("ridge penalty must be finite and >= 0")
     return float(lam)
 
 
@@ -404,7 +401,7 @@ def local_linear_transform(k: Kernel, data: Dataset, queries, lam: float = 0.0):
 
     Batch form of :func:`local_linear_predict`, solved block by block.
     Returns ``(predictions, jittered)``: predictions shaped like the targets
-    with one row per query, and one jitter flag per query.
+    with one row per query, and the local-mean fallback flag of each query.
     """
     lam = _check_ridge(data, lam)
     Q = as_point_set(queries)
@@ -420,19 +417,18 @@ def local_linear_transform(k: Kernel, data: Dataset, queries, lam: float = 0.0):
 def local_linear_predict(k: Kernel, data: Dataset, x_star, lam: float = 0.0):
     """Locally weighted linear (ridge) regression with an internal intercept.
 
-    Solves ``theta = (Xt^T D Xt + lam I)^(-1) Xt^T D y`` with
-    ``D = diag K(x*, x_i)`` and Xt the intercept-augmented design, then
-    predicts ``xt*^T theta``.  Returns ``(prediction, equivalent_weights,
-    jittered)``: the weights row L satisfies prediction = L @ y, and with
-    lam = 0 and no jitter it sums to 1, so local linear regression is itself
-    a local mean under the empirical kernel L.
+    Solves ``theta = (Xt^T D Xt + lam P)^(-1) Xt^T D y`` with
+    ``D = diag K(x*, x_i)``, Xt the intercept-augmented design ``[1, x - m]``
+    measured from the samples' mean m, and ``P = diag(0, 1, ..., 1)``, which
+    penalises only the slopes; then predicts ``xt*^T theta``.  Returns
+    ``(prediction, equivalent_weights, jittered)``: the weights row L
+    satisfies prediction = L @ y and sums to 1, so local linear regression is
+    itself a local mean under the empirical kernel L.
 
-    At lam = 0 a numerically singular design (see :func:`_ill_posed`) is
-    solved centred on x* as ``C + 1e-10 * trace(C) I`` instead, and flagged.
-    That ridge keeps the minimum-norm fit, so a jittered L need not sum to 1
-    (three samples at 1.5 give x* = 0 the total weight 1 / 3.25).  If the
-    jittered solve still fails, ``SingularSystem`` is raised.  This is the
-    one-query case of :func:`local_linear_transform`.
+    A numerically singular system (see :func:`_ill_posed`) gets the local
+    mean ``L = w / sum(w)`` instead, flagged ``jittered``.  Non-finite
+    weights raise ``SingularSystem``.  This is the one-query case
+    of :func:`local_linear_transform`.
     """
     lam = _check_ridge(data, lam)
     (_, L, jittered), = _local_linear_blocks(k, data.X, as_point(x_star)[None, :], lam)
@@ -544,14 +540,15 @@ def local_centerless_classify(k: Kernel, d, data: Dataset, x_star, with_dispersi
 
     delta_k = -sum_{i:k} K(x*, x_i) d(x*, x_i) / sum_{i:k} K(x*, x_i), plus
     (when flagged) the within-class dispersion correction
-    ``+ sum_{i,j:k} K_i K_j d(x_i, x_j) / (sum_{i:k} K_i)^2``.  Classes whose
+    ``+ sum_{i,j:k} K_i K_j d(x_i, x_j) / (sum_{i:k} K_i)^2``, with d(A, B)
+    the pairwise dissimilarity that ``medoid_shift`` takes.  Classes whose
     weights all vanish score -inf.
     """
     data.require("labels")
     x_star = as_point(x_star)
     w = _local_weights(k, x_star[None, :], data.X)[0]
     classes = int(data.y.max()) + 1
-    dist_to_query = np.array([d(x_star, xi) for xi in data.X])
+    dist_to_query = _dissimilarities(d, x_star[None, :], data.X)[0]
     delta = np.full(classes, -np.inf)
     any_class = False
     for c in range(classes):
@@ -564,8 +561,7 @@ def local_centerless_classify(k: Kernel, d, data: Dataset, x_star, with_dispersi
         score = -(wc @ dist_to_query[mask]) / total
         if with_dispersion:
             Xc = data.X[mask]
-            pair = np.array([[d(a, b) for b in Xc] for a in Xc])
-            score += (wc @ pair @ wc) / (total * total)
+            score += (wc @ _dissimilarities(d, Xc, Xc) @ wc) / (total * total)
         delta[c] = score
     if not any_class:
         raise EmptyNeighborhood("every class has zero weight at the query")

@@ -32,6 +32,7 @@ from .errors import (
     DomainError,
     InvalidParameter,
     NotSquare,
+    ShapeMismatch,
     UnsupportedComposition,
 )
 
@@ -129,6 +130,19 @@ def pairwise_sq_dists(A: np.ndarray, B: np.ndarray, out=None) -> np.ndarray:
         t *= t
         d2 += t
     return d2
+
+
+def _dissimilarities(d, A, B) -> np.ndarray:
+    """``d(A, B)``, which must be the finite ``len(A) x len(B)`` dissimilarity array."""
+    D = np.asarray(d(A, B), dtype=float)
+    if D.shape != (len(A), len(B)):
+        raise ShapeMismatch(
+            f"d(A, B) must return the pairwise ({len(A)}, {len(B)}) dissimilarity matrix, got shape {D.shape}; "
+            "d(A, B) takes two point sets and returns the len(A) x len(B) array"
+        )
+    if not np.isfinite(D).all():
+        raise DomainError("d(A, B) has non-finite entries")
+    return D
 
 
 def _softmax_in_place(S: np.ndarray) -> np.ndarray:

@@ -12,9 +12,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, EmptyNeighborhood, InvalidParameter, ShapeMismatch
+from .errors import EmptyNeighborhood, InvalidParameter
 from .estimators import Dataset, LocalPcaBasis, local_pca
-from .kernels import Kernel, _row_blocks, as_point_set, gram, local_reduce, normalize_rows, pairwise_sq_dists
+from .kernels import (
+    Kernel, _dissimilarities, _row_blocks, as_point_set, gram, local_reduce, normalize_rows, pairwise_sq_dists,
+)
 
 __all__ = [
     "ShiftResult",
@@ -245,14 +247,7 @@ def medoid_shift(k: Kernel, d, X, merge_radius: float | None = None):
     """
     X = as_point_set(X)
     n = X.shape[0]
-    D = np.asarray(d(X, X), dtype=float)
-    if D.shape != (n, n):
-        raise ShapeMismatch(
-            f"d(X, X) must return the pairwise ({n}, {n}) dissimilarity matrix, got shape {D.shape}; "
-            "d(A, B) takes two point sets and returns the len(A) x len(B) array"
-        )
-    if not np.isfinite(D).all():
-        raise DomainError("d(X, X) has non-finite entries")
+    D = _dissimilarities(d, X, X)
     cost, empty = local_reduce(k, X, X, D)
     if empty.any():
         raise EmptyNeighborhood(f"rows {np.flatnonzero(empty).tolist()} have zero degree")

@@ -63,24 +63,25 @@ def batch(entries, k, data, Q, lam):
 
 
 def one_query(k, data, q, lam):
-    """``(prediction, bound)``, bound None when the row jitters, its system is
-    numerically singular, or (at lam = 0) its jitter test is within a factor
-    1000 of the limit, where block rounding could flip it.
+    """``(prediction, bound)``, bound None when the row falls back to the
+    local mean, its system is numerically singular, or its fallback test is
+    within a factor 1000 of the limit, where block rounding could flip it.
 
-    The bound is 16 eps cond(A_q) sum_j |L_j| max_j |y_j|.
+    The bound is 16 eps cond(A_q) sum_j |L_j| max_j |y_j|, with A_q the
+    system solved: the design in ``[1, x - mean(x)]`` plus the slope ridge.
     """
     pred, L, jittered = local_linear_predict(k, data, q, lam=lam)
     w = k.gram_values(q[None, :], data.X)[0]
-    Xt = np.hstack([np.ones((data.n, 1)), data.X])
-    cond = np.linalg.cond(Xt.T @ (w[:, None] * Xt) + lam * np.eye(Xt.shape[1]))
+    Xt = np.hstack([np.ones((data.n, 1)), data.X - data.X.mean(axis=0)])
+    ridge = lam * np.diag([0.0] + [1.0] * data.p)
+    cond = np.linalg.cond(Xt.T @ (w[:, None] * Xt) + ridge)
     if jittered or not cond < 1e-3 / EPS:
         return pred, None
-    if lam == 0:
-        Xc = Xt - np.hstack([0.0, q])
-        C = Xc.T @ (w[:, None] * Xc)
-        s = 1 / np.sqrt(np.diag(C))
-        if not np.linalg.cond(C * s[:, None] * s[None, :]) < 1e-3 * _COND_LIMIT:
-            return pred, None
+    Xc = np.hstack([np.ones((data.n, 1)), data.X - q])
+    C = Xc.T @ (w[:, None] * Xc) + ridge
+    s = 1 / np.sqrt(np.diag(C))
+    if not np.linalg.cond(C * s[:, None] * s[None, :]) < 1e-3 * _COND_LIMIT:
+        return pred, None
     return pred, 16 * EPS * cond * np.abs(L).sum() * np.abs(data.y).max()
 
 
@@ -162,7 +163,7 @@ def test_loo_identity_equals_refit_loss(seed):
 
 
 def test_duplicate_x_values_fall_back_to_the_refit():
-    # at h = 0.01 each row's only positive weights, its own left out, are its pair's: every fit jitters
+    # at h = 0.01 each row's only positive weights, its own left out, are its pair's: every fit falls back
     x = np.repeat(np.arange(6.0), 2)
     data = Dataset(x, np.sin(x) + 0.01 * np.arange(12))
     res = tune_bandwidth("local-linear", data, grid=[0.01])

@@ -27,19 +27,18 @@ from locuskit.estimators import (
     self_kernel_local_mean,
 )
 from locuskit.kernels import (
+    GaussianKernel,
     SelfKernel,
     derive_kernel,
     dirac,
     epanechnikov,
     gaussian,
+    pairwise_sq_dists,
     uniform,
 )
+from per_pair import pairwise, sq_euclid
 
 W2 = math.exp(-2.0)  # gaussian(1) weight at distance 2
-
-
-def sq_euclid(a, b):
-    return float(((np.asarray(a) - np.asarray(b)) ** 2).sum())
 
 
 class TestLocalFit:
@@ -303,18 +302,57 @@ class TestLocalLinear:
         data = Dataset([[1.5 + shift]] * 3, [1.0, 1.0, 1.0])
         pred, L, jit = local_linear_predict(gaussian(0.7), data, [shift])
         assert jit
-        # the jitter keeps the minimum-norm fit theta = (1, 1.5) / (1 + 1.5^2) in x - q; its intercept is 1 / 3.25
-        assert pred == pytest.approx(1 / 3.25, rel=1e-6)
-        assert L.sum() == pytest.approx(1 / 3.25, rel=1e-6)
+        # the flagged row falls back to the local mean w / sum(w), so a constant target of 1 predicts 1
+        assert pred == pytest.approx(1.0, rel=1e-12)
+        assert L.sum() == pytest.approx(1.0, rel=1e-12)
 
-    def test_translating_x_moves_no_fit_to_the_jitter(self):
-        # x as years: the uncentred design's cond is ~1e13, the query-centred one's below 10
+    @pytest.mark.parametrize("lam", [1e-3, 10.0])
+    def test_ridge_leaves_the_intercept_unpenalised(self, lam):
+        # only the slopes are shrunk, so a constant target is fit exactly and every L is a local mean
+        rng = np.random.default_rng(6)
+        data = Dataset(rng.normal(size=(25, 2)), np.full(25, 4.0))
+        for q in rng.normal(size=(5, 2)):
+            pred, L, jit = local_linear_predict(gaussian(1.0), data, q, lam=lam)
+            assert not jit
+            assert pred == pytest.approx(4.0, rel=1e-12)
+            assert L.sum() == pytest.approx(1.0, rel=1e-12)
+
+    def test_ridge_too_small_to_help_falls_back_to_the_local_mean(self):
+        data = Dataset([[1.5]] * 3, [1.0, 2.0, 3.0])
+        pred, _, jit = local_linear_predict(gaussian(0.7), data, [0.0], lam=1e-300)
+        assert jit
+        assert pred == pytest.approx(2.0, rel=1e-12)
+
+    @pytest.mark.parametrize("lam", [-1.0, math.nan, math.inf])
+    def test_bad_ridge_penalty_rejected(self, lam):
+        data = Dataset([[0.0], [1.0], [2.0]], [0.0, 1.0, 2.0])
+        with pytest.raises(errors.InvalidParameter, match="finite and >= 0"):
+            local_linear_predict(gaussian(1.0), data, [1.0], lam=lam)
+
+    @pytest.mark.parametrize("lam", [0.0, 0.1])
+    def test_non_finite_weights_raise(self, lam):
+        class NanAtFirst(GaussianKernel):
+            def gram_values(self, rows, cols):
+                W = super().gram_values(rows, cols)
+                W[0, 0] = np.nan
+                return W
+
+        x = np.linspace(0.0, 1.0, 10)
+        with pytest.raises(errors.SingularSystem, match="not finite"):
+            local_linear_transform(NanAtFirst(1.0), Dataset(x, x), x, lam=lam)
+
+    @pytest.mark.parametrize("lam", [0.0, 0.1])
+    @pytest.mark.parametrize("shift", [2000.0, 1e6])
+    def test_translating_x_moves_no_fit_to_the_jitter(self, shift, lam):
+        # x as years (+2000) or far out (+1e6): uncentred, the design's cond is ~1e13 at +2000; fits use x - mean(x)
         rng = np.random.default_rng(3)
         x = np.sort(rng.uniform(0.0, 10.0, 40))
-        preds, jittered = local_linear_transform(gaussian(1.0), Dataset(x, np.sin(x)), x)
-        moved, moved_jittered = local_linear_transform(gaussian(1.0), Dataset(x + 2000, np.sin(x)), x + 2000)
+        preds, jittered = local_linear_transform(gaussian(1.0), Dataset(x, np.sin(x)), x, lam=lam)
+        moved, moved_jittered = local_linear_transform(
+            gaussian(1.0), Dataset(x + shift, np.sin(x)), x + shift, lam=lam
+        )
         assert not jittered.any() and not moved_jittered.any()
-        np.testing.assert_allclose(moved, preds, rtol=0, atol=1e-8)
+        np.testing.assert_allclose(moved, preds, rtol=0, atol=1e-9)
 
     def test_matches_independent_wls_solve(self):
         X = np.array([0.0, 1.0, 2.0])
@@ -423,13 +461,13 @@ class TestInference:
 class TestCenterless:
     def test_query_on_class_sample_dirac(self):
         data = Dataset([[0.0], [1.0]], np.array([0, 1]))
-        cls, delta = local_centerless_classify(dirac(), sq_euclid, data, [0.0])
+        cls, delta = local_centerless_classify(dirac(), pairwise(sq_euclid), data, [0.0])
         assert cls == 0
         assert delta[0] == pytest.approx(0.0)
 
     def test_two_singletons_nearer_wins(self):
         data = Dataset([[1.0], [3.0]], np.array([0, 1]))
-        cls, _ = local_centerless_classify(uniform(), sq_euclid, data, [0.0])
+        cls, _ = local_centerless_classify(uniform(), pairwise(sq_euclid), data, [0.0])
         assert cls == 0
 
     def test_matches_literal_double_loop_oracle(self):
@@ -449,16 +487,42 @@ class TestCenterless:
                 w[i] * w[j] * sq_euclid(X[i], X[j]) for i in idx for j in idx
             ) / tot**2
             want.append(first + disp)
-        cls, delta = local_centerless_classify(k, sq_euclid, data, q, with_dispersion=True)
+        cls, delta = local_centerless_classify(k, pairwise(sq_euclid), data, q, with_dispersion=True)
         np.testing.assert_allclose(delta, want, rtol=1e-12)
         assert cls == int(np.argmax(want))
 
     def test_empty_class_scores_minus_inf(self):
         data = Dataset([[0.0], [50.0]], np.array([0, 1]))
         cls, delta = local_centerless_classify(
-            epanechnikov(1.0), sq_euclid, data, [0.1]
+            epanechnikov(1.0), pairwise(sq_euclid), data, [0.1]
         )
         assert cls == 0 and delta[1] == -np.inf
+
+    def test_distance_called_once_per_point_set(self):
+        rng = np.random.default_rng(12)
+        data = Dataset(rng.normal(size=(30, 2)), np.repeat([0, 1, 2], 10))
+        q = rng.normal(size=2)
+        calls = []
+
+        def d(A, B):
+            calls.append((A.shape, B.shape))
+            return pairwise_sq_dists(A, B)
+
+        got = local_centerless_classify(gaussian(1.0), d, data, q, with_dispersion=True)
+        want = local_centerless_classify(gaussian(1.0), pairwise(sq_euclid), data, q, with_dispersion=True)
+        assert calls == [((1, 2), (30, 2))] + [((10, 2), (10, 2))] * 3
+        assert got[0] == want[0]
+        np.testing.assert_array_equal(got[1], want[1])
+
+    def test_per_pair_distance_rejected_by_shape(self):
+        data = Dataset([[0.0], [1.0]], np.array([0, 1]))
+        with pytest.raises(errors.ShapeMismatch, match=r"pairwise \(1, 2\).*got shape \(\)"):
+            local_centerless_classify(uniform(), sq_euclid, data, [0.0])
+
+    def test_non_finite_distance_rejected(self):
+        data = Dataset([[0.0], [1.0]], np.array([0, 1]))
+        with pytest.raises(errors.DomainError, match="non-finite"):
+            local_centerless_classify(uniform(), lambda A, B: np.full((len(A), len(B)), np.nan), data, [0.0])
 
     def test_lazy_soft_form_rows_stochastic(self):
         rng = np.random.default_rng(9)
@@ -571,7 +635,7 @@ class TestUnderflowIsNotEmpty:
 
     def test_centerless_nearer_class_wins(self):
         data = Dataset([[0.0], [1.0]], np.array([0, 1]))
-        cls, delta = local_centerless_classify(gaussian(0.01), sq_euclid, data, [0.4])
+        cls, delta = local_centerless_classify(gaussian(0.01), pairwise(sq_euclid), data, [0.4])
         assert cls == 0
         assert delta[1] == -math.inf
 
