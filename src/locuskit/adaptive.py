@@ -26,7 +26,7 @@ from .estimators import (  # local_linear_predict is unused here, but perfbench/
     Dataset, _local_linear_blocks, local_linear_predict, loo_error,
 )
 from .kernels import (  # normalize_rows is unused here, but perfbench/tracer.py wraps it by name
-    _row_blocks, _softmax_in_place, gaussian, local_reduce, normalize_rows,
+    MultiKernel, _row_blocks, _softmax_in_place, gaussian, local_reduce, normalize_rows,
 )
 
 __all__ = [
@@ -56,8 +56,8 @@ class TuneResult:
     jittered: int = 0  # leave-one-out local linear rows that fell back to the local mean, over finite-loss h
 
 
-def _loo_local_linear(h, data: Dataset):
-    """Leave-one-out squared error of local linear regression.
+def _loo_local_linear(k, lam, data: Dataset):
+    """Leave-one-out squared error of local linear (ridge) regression.
 
     Row i is fit with sample i's weight set to zero, which is the fit
     without sample i, so the loss is ``sum_i (y_i - L_i @ y)^2`` from one
@@ -67,7 +67,7 @@ def _loo_local_linear(h, data: Dataset):
     data.require("real")
     Y = np.atleast_2d(data.y.T).T
     total, jittered = 0.0, 0
-    for rows, L, jit in _local_linear_blocks(gaussian(h), data.X, data.X, 0.0, skip_self=True):
+    for rows, L, jit in _local_linear_blocks(k, data.X, data.X, lam, skip_self=True):
         total = sum(((Y[rows] - L @ Y) ** 2).sum(axis=1).tolist(), total)
         jittered += int(jit.sum())
     return total, jittered
@@ -93,7 +93,7 @@ def _loo_kde_nll(h, data: Dataset) -> float:
 # each loss returns (value, rows that fell back to the local mean)
 _PREDICTOR_LOSSES = {
     "local-mean": lambda h, data: (loo_error(gaussian(h), data), 0),
-    "local-linear": _loo_local_linear,
+    "local-linear": lambda h, data: _loo_local_linear(gaussian(h), 0.0, data),
     "kde-loo": lambda h, data: (_loo_kde_nll(h, data), 0),
 }
 
@@ -224,9 +224,6 @@ def fit_multikernel(kernels, data: Dataset, n_iter: int = 500) -> MultiKernelFit
         float(np.maximum(mu - grad[~support], 0.0).max()) if (~support).any() else 0.0,
     )
     objective = float(w @ G @ w)
-
-    from .kernels import MultiKernel
-
     combined = MultiKernel(w, kernels)
     try:
         loo = loo_error(combined, data)
@@ -286,19 +283,31 @@ class QkvParams:
         return self.heads[0].w
 
 
-def _attention_matrix(form, phi, psi, mask_diagonal):
-    """Row-stochastic attention (softmax) or normalized positive weights (linear)."""
-    d = phi.shape[1]
+def _attention(form, phi, psi, mask_diagonal):
+    """Row-stochastic attention ``A`` and the linear form's degrees ``deg``.
+
+    softmax: ``A = softmax(phi psi^T / sqrt(d))`` and deg None.  linear:
+    ``A = B / deg`` with ``B = softplus(phi) softplus(psi)^T`` and ``deg = B 1``.
+    A masked diagonal gets weight 0.
+    """
     if form == "softmax":
         S = phi @ psi.T
-        S /= math.sqrt(d)
+        S /= math.sqrt(phi.shape[1])
         if mask_diagonal:
             np.fill_diagonal(S, -np.inf)
-        return _softmax_in_place(S)
+        return _softmax_in_place(S), None
+    if form != "linear":
+        raise InvalidParameter(f"unknown form {form!r}")
     B = softplus(phi) @ softplus(psi).T
     if mask_diagonal:
         np.fill_diagonal(B, 0.0)
-    return B / B.sum(axis=1, keepdims=True)
+    deg = B.sum(axis=1, keepdims=True)
+    return B / deg, deg
+
+
+def _attention_matrix(form, phi, psi, mask_diagonal):
+    """Row-stochastic attention (softmax) or normalized positive weights (linear)."""
+    return _attention(form, phi, psi, mask_diagonal)[0]
 
 
 def qkv_reconstruct(params: QkvParams, mask_diagonal: bool = False) -> np.ndarray:
@@ -330,51 +339,36 @@ def qkv_objective(
     target_x = None if decode_target is None else np.asarray(decode_target, dtype=float)
 
     def value_and_grad(phi, psi, *extra):
-        pos = 0
-        v = np.asarray(extra[pos], dtype=float) if learn_v else fixed_v
-        pos += learn_v
-        w = np.asarray(extra[pos], dtype=float) if target_x is not None else None
-        d = phi.shape[1]
+        extra = iter(extra)
+        v = np.asarray(next(extra), dtype=float) if learn_v else fixed_v
+        w = np.asarray(next(extra), dtype=float) if target_x is not None else None
         target = v if target_x is None else target_x
         M = v if w is None else v @ w.T  # decoded values
-
+        A, deg = _attention(form, phi, psi, mask_diagonal)
+        Mh = A @ M
+        R = Mh - target
+        loss = float((R * R).sum())
+        G = 2.0 * R
+        GA = G @ M.T  # dL/dA
+        GM = A.T @ G
+        # only the score gradient depends on the form
         if form == "softmax":
-            A = _attention_matrix(form, phi, psi, mask_diagonal)
-            R = A @ M - target
-            loss = float((R * R).sum())
-            G = 2.0 * R
-            GA = G @ M.T
             GS = A * (GA - (GA * A).sum(axis=1, keepdims=True))
-            gphi = GS @ psi / math.sqrt(d)
-            gpsi = GS.T @ phi / math.sqrt(d)
-            GM = A.T @ G
-        elif form == "linear":
-            P = softplus(phi)
-            Q = softplus(psi)
-            B = P @ Q.T
-            if mask_diagonal:
-                np.fill_diagonal(B, 0.0)
-            deg = B.sum(axis=1, keepdims=True)
-            A = B / deg
-            Mh = A @ M
-            R = Mh - target
-            loss = float((R * R).sum())
-            G = 2.0 * R
+            gphi = GS @ psi / math.sqrt(phi.shape[1])
+            gpsi = GS.T @ phi / math.sqrt(phi.shape[1])
+        else:
             # dL/dB_ij = G_i . (M_j - Mh_i) / deg_i
-            GB = (G @ M.T - (G * Mh).sum(axis=1, keepdims=True)) / deg
+            GB = (GA - (G * Mh).sum(axis=1, keepdims=True)) / deg
             if mask_diagonal:
                 np.fill_diagonal(GB, 0.0)
-            gphi = (GB @ Q) * (1.0 / (1.0 + np.exp(-phi)))
-            gpsi = (GB.T @ P) * (1.0 / (1.0 + np.exp(-psi)))
-            GM = A.T @ G
-        else:
-            raise InvalidParameter(f"unknown form {form!r}")
+            gphi = (GB @ softplus(psi)) * (1.0 / (1.0 + np.exp(-phi)))
+            gpsi = (GB.T @ softplus(phi)) * (1.0 / (1.0 + np.exp(-psi)))
 
         grads = [gphi, gpsi]
         if learn_v:
             gv = GM if w is None else GM @ w
             if target_x is None:
-                gv = gv - 2.0 * R  # the target side also carries v
+                gv = gv - G  # the target side also carries v
             grads.append(gv)
         if w is not None:
             grads.append(GM.T @ v)
@@ -414,63 +408,49 @@ def fit_qkv(
     V = np.asarray(V, dtype=float)
     if V.ndim != 2:
         raise InvalidParameter("V must be an (N, q) matrix")
-    d = int(d)
+    d, steps = int(d), int(steps)
     if d < 1:
         raise InvalidParameter("feature dimension must be >= 1")
+    if steps < 0:
+        raise InvalidParameter("steps must be >= 0")
     n, q = V.shape
     rng = np.random.default_rng(rng_seed)
-    phi = rng.uniform(-0.1, 0.1, size=(n, d))
-    psi = rng.uniform(-0.1, 0.1, size=(n, d))
-    v = V.copy()
-    w = None
+    learned = [rng.uniform(-0.1, 0.1, size=(n, d)), rng.uniform(-0.1, 0.1, size=(n, d))]
+    if learn_v:
+        learned.append(V.copy())
     if decode_target is not None:
         decode_target = np.asarray(decode_target, dtype=float)
         if decode_target.shape[0] != n:
             raise ShapeMismatch("decode target must have one row per value row")
-        w = rng.uniform(-0.1, 0.1, size=(decode_target.shape[1], q))
+        learned.append(rng.uniform(-0.1, 0.1, size=(decode_target.shape[1], q)))
     pos = None
     if temporal is not None:
         pos = np.asarray(temporal, dtype=float)
         if pos.ndim != 2 or pos.shape[0] != n:
             raise ShapeMismatch("temporal features must be (N, k)")
 
-    def with_pos(F):
-        return F if pos is None else np.hstack([F, pos])
+    def with_pos(blocks):
+        # the closure's parameters: phi and psi gain the frozen position columns
+        if pos is None:
+            return blocks
+        return [np.hstack([blocks[0], pos]), np.hstack([blocks[1], pos]), *blocks[2:]]
 
     vg = qkv_objective(
         form, V, mask_diagonal=mask_diagonal, learn_v=learn_v, decode_target=decode_target
     )
-
-    def params_now():
-        out = [with_pos(phi), with_pos(psi)]
-        if learn_v:
-            out.append(v)
-        if w is not None:
-            out.append(w)
-        return out
-
-    trace = np.empty(int(steps) + 1)
-    for t in range(int(steps)):
-        loss, *grads = vg(*params_now())
+    trace = np.empty(steps + 1)
+    for t in range(steps + 1):  # the last pass only records the final loss
+        loss, *grads = vg(*with_pos(learned))
         if not math.isfinite(loss):
             raise NonFiniteLoss("training diverged", trace=trace[:t])
         trace[t] = loss
-        phi = phi - lr * grads[0][:, :d]
-        psi = psi - lr * grads[1][:, :d]
-        pos_g = 2
-        if learn_v:
-            v = v - lr * grads[pos_g]
-            pos_g += 1
-        if w is not None:
-            w = w - lr * grads[pos_g]
-    final = vg(*params_now())[0]
-    if not math.isfinite(final):
-        raise NonFiniteLoss("training diverged", trace=trace[:-1])
-    trace[-1] = final
-    params = QkvParams(
-        heads=(QkvHead(phi=with_pos(phi), psi=with_pos(psi), v=v, w=w),), form=form
-    )
-    return params, trace
+        if t < steps:
+            # a gradient's columns past its block's width belong to the frozen positions
+            learned = [p - lr * g[:, :p.shape[1]] for p, g in zip(learned, grads)]
+    phi, psi, *rest = with_pos(learned)
+    v = rest.pop(0) if learn_v else V.copy()
+    w = rest[0] if rest else None
+    return QkvParams(heads=(QkvHead(phi=phi, psi=psi, v=v, w=w),), form=form), trace
 
 
 def multihead_reconstruct(params: QkvParams, X=None) -> np.ndarray:
@@ -480,16 +460,11 @@ def multihead_reconstruct(params: QkvParams, X=None) -> np.ndarray:
     match).  With M = 1 this is the single-head reconstruction.
     """
     outs = []
-    shape = None
     for head in params.heads:
-        A = _attention_matrix(params.form, head.phi, head.psi, mask_diagonal=False)
-        Vh = A @ head.v
-        out = Vh if head.w is None else Vh @ head.w.T
-        if shape is None:
-            shape = out.shape
-        elif out.shape != shape:
-            raise ShapeMismatch(f"head output {out.shape} != {shape}")
-        outs.append(out)
+        Vh = _attention_matrix(params.form, head.phi, head.psi, mask_diagonal=False) @ head.v
+        outs.append(Vh if head.w is None else Vh @ head.w.T)
+        if outs[-1].shape != outs[0].shape:
+            raise ShapeMismatch(f"head output {outs[-1].shape} != {outs[0].shape}")
     result = sum(outs) / len(outs)
     if X is not None and np.asarray(X).shape != result.shape:
         raise ShapeMismatch(f"reconstruction {result.shape} does not match data {np.asarray(X).shape}")

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import synth
-from .adaptive import fit_qkv, tune_bandwidth
+from .adaptive import _loo_local_linear, fit_qkv, tune_bandwidth
 from .dataio import Columns, ingest_csv, read_pgm, write_csv, write_json, write_pgm
 from .density import (  # kde is unused here, but perfbench/tracer.py wraps it by name
     DiffusionSchedule, diffusion_generate, kde, kde_values,
@@ -253,8 +253,11 @@ def _run_regress(cfg, seed, linear: bool):
             preds[i] = local_mean_predict(kernel, data, data.X[i], fallback=cfg["fallback"])
         counters = {"empty_rows": int(empty.sum())}
     metrics = {"r2_train": r2_score(data.y, preds), "n": data.n, "diagnostics": {"counters": counters}}
-    try:
-        metrics["loo_error"] = loo_error(kernel, data)
+    try:  # leave-one-out squared error of the model fitted above
+        if linear:
+            metrics["loo_error"] = _loo_local_linear(kernel, cfg["lambda"], data)[0]
+        else:
+            metrics["loo_error"] = loo_error(kernel, data)
     except LocusKitError:
         metrics["loo_error"] = None
     files = {"results.csv": (_feature_header(data.p) + ["target", "prediction"], Columns((data.X, data.y, preds)))}

@@ -14,7 +14,7 @@ from .errors import (
     NegativeInputForNMF,
 )
 from .estimators import _fix_signs
-from .kernels import StochasticMatrix, _row_blocks, as_point_set, normalize_rows, pairwise_sq_dists
+from .kernels import StochasticMatrix, _matrix_values, _row_blocks, as_point_set, normalize_rows, pairwise_sq_dists
 
 __all__ = [
     "EmbeddingResult",
@@ -87,7 +87,7 @@ def lle_weights(X, n_neighbors: int) -> StochasticMatrix:
 
 def lle_objective(Kt, Z) -> float:
     """Reconstruction objective ``||Z - K_tilde Z||_F^2``."""
-    vals = Kt.values if isinstance(Kt, StochasticMatrix) else np.asarray(Kt, float)
+    vals = _matrix_values(Kt)
     Z = np.asarray(Z, dtype=float)
     return float(((Z - vals @ Z) ** 2).sum())
 
@@ -141,7 +141,7 @@ def lle_embed(Kt: StochasticMatrix, r: int) -> EmbeddingResult:
     not met within ``_MAX_SHIFTED_SOLVES`` solves, the full ``eigh`` of M
     gives the result and ``iterations`` is 0.
     """
-    vals = Kt.values if isinstance(Kt, StochasticMatrix) else np.asarray(Kt, float)
+    vals = _matrix_values(Kt)
     n = vals.shape[0]
     if vals.shape[0] != vals.shape[1]:
         raise InvalidParameter("lle_embed needs a square stochastic matrix")
@@ -176,7 +176,7 @@ def amds_factorize(K, q: int, method: str = "svd", iters: int = 200, rng_seed: i
     start; the strain ||K - Phi Psi^T||_F^2 is non-increasing sweep to
     sweep.  Returns ``(Phi, Psi, strain, history)``.
     """
-    K = K.values if hasattr(K, "values") else np.asarray(K, dtype=float)
+    K = _matrix_values(K)
     if K.ndim != 2:
         raise InvalidParameter("kernel matrix must be 2-D")
     q = int(q)

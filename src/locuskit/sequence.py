@@ -17,8 +17,8 @@ import numpy as np
 
 from .errors import DimensionMismatch, InvalidParameter, ShapeMismatch
 from .kernels import (
-    Kernel, KernelMatrix, _block_height, _local_weights, _row_blocks, _softmax_in_place, as_point_set, gram,
-    local_reduce, normalize_rows,
+    Kernel, KernelMatrix, _block_height, _local_weights, _matrix_values, _row_blocks, _softmax_in_place,
+    as_point_set, gram, local_reduce, normalize_rows,
 )
 
 __all__ = [
@@ -148,7 +148,7 @@ def temporal_local_mean(seq: Sequence, gram_matrix) -> Sequence:
     Rows with zero degree (a causal+hollow first row, say) pass through
     unchanged.
     """
-    vals = gram_matrix.values if hasattr(gram_matrix, "values") else np.asarray(gram_matrix, float)
+    vals = _matrix_values(gram_matrix)
     if vals.shape != (seq.length, seq.length):
         raise DimensionMismatch("gram must be T x T for the sequence")
     S = normalize_rows(vals)

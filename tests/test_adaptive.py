@@ -208,6 +208,57 @@ class TestQkv:
         assert learned[-1] <= fixed[-1] + 1e-9
         assert not np.array_equal(params.v, V)
 
+    @pytest.mark.parametrize("form", ["softmax", "linear"])
+    def test_fit_is_plain_descent_on_the_objective(self, form):
+        # positions, learned values and a decoder together: the closure sees
+        # phi and psi with the position columns appended, and the position
+        # columns of their gradients are dropped
+        rng = np.random.default_rng(21)
+        V = toy_token_values()
+        X = rng.normal(size=(6, 3))
+        pos = np.linspace(0.0, 1.0, 6)[:, None]
+        params, trace = fit_qkv(
+            V, d=2, form=form, lr=0.05, steps=5, rng_seed=9, temporal=pos, learn_v=True, decode_target=X
+        )
+        init = np.random.default_rng(9)
+        phi = init.uniform(-0.1, 0.1, size=(6, 2))
+        psi = init.uniform(-0.1, 0.1, size=(6, 2))
+        w = init.uniform(-0.1, 0.1, size=(3, V.shape[1]))
+        v = V.copy()
+        vg = qkv_objective(form, learn_v=True, decode_target=X)
+        losses = []
+        for _ in range(5):
+            loss, gphi, gpsi, gv, gw = vg(np.hstack([phi, pos]), np.hstack([psi, pos]), v, w)
+            losses.append(loss)
+            phi, psi = phi - 0.05 * gphi[:, :2], psi - 0.05 * gpsi[:, :2]
+            v, w = v - 0.05 * gv, w - 0.05 * gw
+        losses.append(vg(np.hstack([phi, pos]), np.hstack([psi, pos]), v, w)[0])
+        assert trace.tolist() == losses
+        assert params.phi.tobytes() == np.hstack([phi, pos]).tobytes()
+        assert params.psi.tobytes() == np.hstack([psi, pos]).tobytes()
+        assert params.v.tobytes() == v.tobytes() and params.w.tobytes() == w.tobytes()
+
+    @pytest.mark.parametrize("form", ["softmax", "linear"])
+    @pytest.mark.parametrize("masked", [True, False])
+    @pytest.mark.parametrize("decoded", [False, True])
+    def test_objective_loss_is_the_inference_attention_residual(self, form, masked, decoded):
+        from locuskit.adaptive import _attention_matrix
+
+        rng = np.random.default_rng(22)
+        V = rng.normal(size=(7, 2))
+        phi = rng.normal(size=(7, 3))
+        psi = rng.normal(size=(7, 3))
+        X = rng.normal(size=(7, 4)) if decoded else None
+        W = rng.normal(size=(4, 2)) if decoded else None
+        vg = qkv_objective(form, V, mask_diagonal=masked, decode_target=X)
+        loss = vg(phi, psi, *([W] if decoded else []))[0]
+        target, M = (X, V @ W.T) if decoded else (V, V)
+        assert loss == ((target - _attention_matrix(form, phi, psi, masked) @ M) ** 2).sum()
+
+    def test_negative_steps_rejected(self):
+        with pytest.raises(errors.InvalidParameter, match="steps"):
+            fit_qkv(toy_token_values(), d=2, steps=-1)
+
     def test_divergence_raises_nonfinite(self):
         # softmax losses are bounded, so divergence needs parameter overflow
         V = toy_token_values() * 10

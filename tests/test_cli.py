@@ -8,10 +8,12 @@ import numpy as np
 import pytest
 
 from locuskit import cli
+from locuskit.adaptive import _loo_local_linear
 from locuskit.cli import TASKS, _validate_config, main, run_task
 from locuskit.dataio import ingest_csv, read_pgm, write_csv, write_pgm
 from locuskit.errors import ParseError, SchemaMismatch, ValidationError
-from locuskit.estimators import Dataset
+from locuskit.estimators import Dataset, local_linear_predict, loo_error
+from locuskit.kernels import gaussian
 from locuskit.sequence import Sequence
 from locuskit.svg import emit_svg
 from locuskit.synth import step_signal
@@ -280,10 +282,28 @@ class TestRunTask:
         run_task("regress-local-linear", cfg, str(tmp_path / "narrow"))
         metrics = json.load(open(tmp_path / "narrow" / "metrics.json"))
         assert metrics["diagnostics"] == {"counters": {"jittered": 20}}
+        assert metrics["loo_error"] is None  # no held-out row has a neighbour
         cfg = {"input": "bundled:noisy-sine", "kernel": {"kind": "gaussian", "h": 0.3}}
         run_task("regress-local-linear", cfg, str(tmp_path / "sine"))
         metrics = json.load(open(tmp_path / "sine" / "metrics.json"))
         assert metrics["diagnostics"] == {"counters": {"jittered": 0}}
+
+    @pytest.mark.parametrize("lam", [0.0, 0.1])
+    def test_local_linear_loo_error_is_the_local_linear_held_out_loss(self, tmp_path, lam):
+        path = tmp_path / "sine.csv"
+        x = 4 * np.pi * np.arange(200) / 199
+        write_csv(path, ["x", "y"], [[t, np.sin(t)] for t in x])
+        cfg = {"input": str(path), "kernel": {"kind": "gaussian", "h": 0.3}, "lambda": lam}
+        run_task("regress-local-linear", cfg, str(tmp_path / "out"))
+        got = json.load(open(tmp_path / "out" / "metrics.json"))["loo_error"]
+        data = ingest_csv(path, "features+target")
+        k = gaussian(0.3)
+        # n refits, each on the data without its held-out sample
+        held_out = [Dataset(np.delete(data.X, i, 0), np.delete(data.y, i)) for i in range(data.n)]
+        refits = sum((data.y[i] - local_linear_predict(k, rest, data.X[i], lam)[0]) ** 2 for i, rest in enumerate(held_out))
+        assert got == pytest.approx(refits, rel=1e-9)
+        assert got == _loo_local_linear(k, lam, data)[0]
+        assert got < 0.5 * loo_error(k, data)  # the local mean's held-out loss, which the task reported before
 
     def test_fit_qkv_toy(self, tmp_path):
         metrics = run_task(
