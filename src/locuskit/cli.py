@@ -32,8 +32,8 @@ from .density import (  # kde is unused here, but perfbench/tracer.py wraps it b
     DiffusionSchedule, diffusion_generate, kde, kde_values,
 )
 from .embedding import amds_factorize, cooccurrence_embed, lle_embed, lle_weights, read_corpus, trimap_embed
-from .errors import LocusKitError, NumericError, ValidationError
-from .estimators import (  # local_linear_predict is unused here, but perfbench/tracer.py wraps it by name
+from .errors import EmptyNeighborhood, LocusKitError, NumericError, ValidationError
+from .estimators import (  # the three *_predict are unused here, but perfbench/tracer.py wraps them by name
     Dataset, local_linear_predict, local_linear_transform, local_mean_predict, local_mode_predict, loo_error,
 )
 from .kernels import gaussian, gram, local_reduce, make_kernel, pairwise_sq_dists
@@ -143,9 +143,21 @@ def _field(descr: dict, name: str, convert, default=_REQUIRED):
         raise ValidationError(f"{name!r} must be {convert.rule}, got {descr[name]!r}") from None
 
 
+def _fields(descr: dict, keys, what: str) -> dict:
+    """Each of ``keys`` read from ``descr`` by ``_field``; a name in ``descr`` that no key has raises ValidationError."""
+    unknown = sorted(set(descr) - {k.name for k in keys})
+    if unknown:
+        raise ValidationError(f"unknown {what}: {unknown}")
+    return {k.name: _field(descr, k.name, k.convert, k.default) for k in keys}
+
+
+_GRID_KEYS = (Key("min", _bound, _REQUIRED), Key("max", _bound, _REQUIRED), Key("count", _count, _REQUIRED))
+
+
 def _grid_values(grid):
     if isinstance(grid, dict):
-        return np.geomspace(_field(grid, "min", _bound), _field(grid, "max", _bound), _field(grid, "count", _count))
+        g = _fields(grid, _GRID_KEYS, "grid keys")
+        return np.geomspace(g["min"], g["max"], g["count"])
     return [_float(h) for h in grid]
 
 
@@ -155,11 +167,7 @@ _grid = _rule("a {min, max, count} dict or a list of numbers", lambda v: isinsta
 def _validate_config(spec: TaskSpec, config: dict) -> dict:
     if not isinstance(config, dict):
         raise ValidationError("config must be a JSON object")
-    known = {k.name for k in spec.keys}
-    unknown = sorted(set(config) - known)
-    if unknown:
-        raise ValidationError(f"unknown config keys for {spec.name}: {unknown}")
-    out = {k.name: _field(config, k.name, k.convert, k.default) for k in spec.keys}
+    out = _fields(config, spec.keys, f"config keys for {spec.name}")
     if spec.stochastic and out.get("seed") is None:
         raise ValidationError(f"task {spec.name} is stochastic: config key 'seed' is required")
     return out
@@ -188,34 +196,44 @@ def _bundled_path(name: str) -> str:
     return os.path.join(here, "data", _BUNDLED[name])
 
 
+# synthetic kind -> its keys besides "kind" and "seed"
+_SYNTHETIC_KEYS = {
+    "blobs": (
+        Key("n_per_blob", _count, 100),
+        Key("centers", _points, [[0.0, 0.0], [5.0, 0.0], [2.5, 4.5]]),
+        Key("spread", _scale, 0.4),
+    ),
+    "noisy-sine": (Key("n", _count, 100), Key("noise", _scale, 0.1)),
+    "swiss-roll": (Key("n", _count, 400),),
+    "two-mode": (Key("n", _count, 200), Key("var", _scale, 0.1)),
+    "step": (Key("n", _count, 200), Key("noise", _scale, 0.1)),
+}
+
+
 def _synthetic(descr: dict):
-    kind = _field(descr, "kind", _choice("blobs", "noisy-sine", "swiss-roll", "two-mode", "step"))
-    rng_seed = _field(descr, "seed", _integer(0), 0)
+    kind = _field(descr, "kind", _choice(*_SYNTHETIC_KEYS))
+    keys = (Key("kind", _any), Key("seed", _integer(0), 0)) + _SYNTHETIC_KEYS[kind]
+    args = _fields(descr, keys, f"synthetic {kind!r} keys")
     if kind == "blobs":
-        X, labels = synth.make_blobs(
-            _field(descr, "n_per_blob", _count, 100),
-            _field(descr, "centers", _points, [[0.0, 0.0], [5.0, 0.0], [2.5, 4.5]]),
-            _field(descr, "spread", _scale, 0.4),
-            rng_seed,
-        )
+        X, labels = synth.make_blobs(args["n_per_blob"], args["centers"], args["spread"], args["seed"])
         return Dataset(X, labels)
     if kind == "noisy-sine":
-        x, y = synth.noisy_sine(_field(descr, "n", _count, 100), _field(descr, "noise", _scale, 0.1), rng_seed)
+        x, y = synth.noisy_sine(args["n"], args["noise"], args["seed"])
         return Dataset(x, y)
     if kind == "swiss-roll":
-        X, _ = synth.swiss_roll(_field(descr, "n", _count, 400), rng_seed)
+        X, _ = synth.swiss_roll(args["n"], args["seed"])
         return Dataset(X)
     if kind == "two-mode":
-        v = synth.two_mode_mixture(_field(descr, "n", _count, 200), rng_seed, var=_field(descr, "var", _scale, 0.1))
+        v = synth.two_mode_mixture(args["n"], args["seed"], var=args["var"])
         return Dataset(v[:, None])
-    clean, noisy = synth.step_signal(_field(descr, "n", _count, 200), _field(descr, "noise", _scale, 0.1), rng_seed)
+    clean, noisy = synth.step_signal(args["n"], args["noise"], args["seed"])
     return Sequence(tokens=noisy[:, None])
 
 
 def _resolve_input(source, schema: str):
     """Accept a path, "bundled:<name>", or a {"synthetic": {...}} dict."""
     if isinstance(source, dict):
-        return _synthetic(_field(source, "synthetic", _dict))
+        return _synthetic(_fields(source, (Key("synthetic", _dict, _REQUIRED),), "input keys")["synthetic"])
     if not isinstance(source, str):
         raise ValidationError("input must be a path, bundled:<name>, or a synthetic dict")
     path = _bundled_path(source.split(":", 1)[1]) if source.startswith("bundled:") else source
@@ -249,8 +267,10 @@ def _run_regress(cfg, seed, linear: bool):
     else:
         means, empty = local_reduce(kernel, data.X, data.X, data.y)
         preds = means[:, 0]
-        for i in np.flatnonzero(empty):
-            preds[i] = local_mean_predict(kernel, data, data.X[i], fallback=cfg["fallback"])
+        if empty.any() and cfg["fallback"] == "error":
+            raise EmptyNeighborhood(f"no positive kernel weights at {data.X[empty.argmax()]!r}")
+        if empty.any():  # each empty row takes its nearest sample's target, the lowest index among ties
+            preds[empty] = data.y[pairwise_sq_dists(data.X[empty], data.X).argmin(axis=1)]
         counters = {"empty_rows": int(empty.sum())}
     metrics = {"r2_train": r2_score(data.y, preds), "n": data.n, "diagnostics": {"counters": counters}}
     try:  # leave-one-out squared error of the model fitted above
@@ -273,9 +293,9 @@ def _run_classify(cfg, seed):
     kernel = make_kernel(cfg["kernel"])
     onehot = np.eye(int(data.y.max()) + 1)[data.y]
     shares, empty = local_reduce(kernel, data.X, data.X, onehot)
+    if empty.any():
+        raise EmptyNeighborhood(f"no positive kernel weights at {data.X[empty.argmax()]!r}")
     preds = shares.argmax(axis=1)  # ties -> lowest class index
-    for i in np.flatnonzero(empty):
-        preds[i] = local_mode_predict(kernel, data, data.X[i])[0]
     metrics = {
         "accuracy": accuracy(data.y, preds),
         "n": data.n,

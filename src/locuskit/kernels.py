@@ -455,44 +455,44 @@ class ProductKernel(Kernel):
     the matrix product is used.
     """
 
-    def __init__(self, left: Kernel, right: Kernel, anchors=None):
+    def __init__(self, first: Kernel, second: Kernel, anchors=None):
         if anchors is None:
-            if not (isinstance(left, ConcreteKernel) and isinstance(right, ConcreteKernel)):
+            if not (isinstance(first, ConcreteKernel) and isinstance(second, ConcreteKernel)):
                 raise InvalidParameter(
                     "product of non-concrete kernels needs an anchor point set"
                 )
-            if left.matrix.shape[1] != right.matrix.shape[0]:
+            if first.matrix.shape[1] != second.matrix.shape[0]:
                 raise UnsupportedComposition("concrete domains do not chain")
-            self.concrete = ConcreteKernel(left.matrix @ right.matrix)
+            self.concrete = ConcreteKernel(first.matrix @ second.matrix)
             self.anchors = None
         else:
             self.anchors = as_point_set(anchors)
-        self.left = left
-        self.right = right
+        self.first = first
+        self.second = second
 
     @property
     def sign_class(self):
-        return _combined_sign(self.left, self.right)
+        return _combined_sign(self.first, self.second)
 
     def eval(self, x, y):
         if self.anchors is None:
             return self.concrete.eval(x, y)
-        lx = self.left.gram_values(as_point(x)[None, :], self.anchors)[0]
-        ry = self.right.gram_values(self.anchors, as_point(y)[None, :])[:, 0]
+        lx = self.first.gram_values(as_point(x)[None, :], self.anchors)[0]
+        ry = self.second.gram_values(self.anchors, as_point(y)[None, :])[:, 0]
         return float(lx @ ry)
 
     def gram_values(self, rows, cols):
         if self.anchors is None:
             return self.concrete.gram_values(rows, cols)
-        L = self.left.gram_values(rows, self.anchors)
-        R = self.right.gram_values(self.anchors, cols)
+        L = self.first.gram_values(rows, self.anchors)
+        R = self.second.gram_values(self.anchors, cols)
         return L @ R
 
 
 class PowerKernel(Kernel):
     """n-fold operator power of a kernel via an anchor set (or matrix power)."""
 
-    def __init__(self, base: Kernel, n: int, anchors=None):
+    def __init__(self, base: Kernel, n: int = 2, anchors=None):
         n = int(n)
         if n < 1:
             raise InvalidParameter(f"power must satisfy n >= 1, got {n}")
@@ -539,7 +539,7 @@ class RegularizedKernel(Kernel):
     """``alpha K + (1 - alpha) delta_xy``; alpha=0 is the Dirac kernel."""
 
     base: Kernel
-    alpha: float
+    alpha: float = 1.0
 
     def __post_init__(self):
         a = float(self.alpha)
@@ -604,8 +604,8 @@ class MultiKernel(Kernel):
     def __init__(self, weights, parts):
         weights = np.asarray(weights, dtype=float)
         parts = tuple(parts)
-        if weights.ndim != 1 or len(parts) != weights.size:
-            raise InvalidParameter("need one weight per part kernel")
+        if weights.ndim != 1 or len(parts) != weights.size or not parts:
+            raise InvalidParameter("need one weight per part kernel, and at least one part")
         if (weights < 0).any():
             raise InvalidParameter("multi-kernel weights must be >= 0")
         self.weights = weights
@@ -706,70 +706,68 @@ def concrete(matrix) -> ConcreteKernel:
     return ConcreteKernel(matrix)
 
 
-_ALGEBRA = {
-    "dual": lambda base, **kw: DualKernel(base),
-    "product": lambda left, right, anchors=None, **kw: ProductKernel(left, right, anchors),
-    "power": lambda base, n=2, anchors=None, **kw: PowerKernel(base, n, anchors),
-    "regularized": lambda base, alpha=1.0, **kw: RegularizedKernel(base, alpha),
-    "hollow": lambda base, eps0=0.0, **kw: HollowKernel(base, eps0),
-    "multi": lambda *parts, weights=None, **kw: MultiKernel(weights, parts),
-    "difference": lambda first, second, **kw: DifferenceKernel(first, second),
+# kind -> (kernel class, its fields that hold nested descriptors); the other fields are the class's parameters
+_KINDS = {
+    "gaussian": (GaussianKernel, ()),
+    "epanechnikov": (EpanechnikovKernel, ()),
+    "neighborhood": (NeighborhoodKernel, ()),
+    "uniform": (UniformKernel, ()),
+    "dirac": (DiracKernel, ()),
+    "knn": (KnnKernel, ()),
+    "concrete": (ConcreteKernel, ()),
+    "feature": (FeatureKernel, ()),
+    "dual": (DualKernel, ("base",)),
+    "product": (ProductKernel, ("first", "second")),
+    "power": (PowerKernel, ("base",)),
+    "regularized": (RegularizedKernel, ("base",)),
+    "hollow": (HollowKernel, ("base",)),
+    "multi": (MultiKernel, ("parts",)),
+    "difference": (DifferenceKernel, ("first", "second")),
+    "self": (SelfKernel, ("k_x", "k_y")),
 }
+_OPERATIONS = ("dual", "product", "power", "regularized", "hollow", "multi", "difference")
+
+
+def _construct(kind: str, fields: dict) -> Kernel:
+    """The kind's class called on ``fields``; a field it does not take or a malformed value raises InvalidParameter."""
+    try:
+        return _KINDS[kind][0](**fields)
+    except (TypeError, ValueError) as exc:
+        raise InvalidParameter(f"kernel kind {kind!r}: {exc}") from exc
 
 
 def derive_kernel(op: str, *kernels: Kernel, **params) -> Kernel:
-    """Apply an algebra operation (dual/product/power/regularized/hollow/
-    multi/difference) to one or more kernels."""
-    if op not in _ALGEBRA:
+    """Apply an algebra operation (dual/product/power/regularized/hollow/multi/difference) to kernels, which
+    fill its nested fields in order (``multi``'s are its ``parts``); ``params`` are the class's other parameters."""
+    if op not in _OPERATIONS:
         raise InvalidParameter(f"unknown kernel operation {op!r}")
-    return _ALGEBRA[op](*kernels, **params)
+    nested = _KINDS[op][1]
+    kernels = (kernels,) if op == "multi" else kernels
+    if len(kernels) != len(nested) or not params.keys().isdisjoint(nested):  # nested fields come only from kernels
+        raise InvalidParameter(f"kernel operation {op!r} takes {' and '.join(nested)} as kernels, got {len(kernels)}")
+    return _construct(op, {**params, **dict(zip(nested, kernels))})
 
 
 def make_kernel(spec) -> Kernel:
     """Build a kernel from a descriptor.
 
-    Accepts an existing :class:`Kernel` (returned as-is) or a dict such as
-    ``{"kind": "gaussian", "h": 0.5}``.  Composite kinds reference nested
-    descriptors, e.g. ``{"kind": "multi", "weights": [...], "parts": [...]}``.
+    Accepts an existing :class:`Kernel` (returned as-is) or a dict such as ``{"kind": "gaussian", "h": 0.5}``,
+    whose other keys are the parameters of the kind's class; omitted ones take the class's defaults.  Composite
+    kinds nest descriptors, e.g. ``{"kind": "multi", "weights": [...], "parts": [...]}``.
     """
     if isinstance(spec, Kernel):
         return spec
     if not isinstance(spec, dict) or "kind" not in spec:
         raise InvalidParameter(f"kernel descriptor must be a dict with 'kind', got {spec!r}")
     kind = spec["kind"]
-    args = {k: v for k, v in spec.items() if k != "kind"}
-    simple = {
-        "gaussian": lambda: GaussianKernel(args["h"]),
-        "epanechnikov": lambda: EpanechnikovKernel(args["h"]),
-        "neighborhood": lambda: NeighborhoodKernel(args["eps"]),
-        "uniform": lambda: UniformKernel(),
-        "dirac": lambda: DiracKernel(),
-        "knn": lambda: KnnKernel(args["k"], args["reference"]),
-        "concrete": lambda: ConcreteKernel(args["matrix"]),
-        "feature": lambda: FeatureKernel(
-            args["phi"], args["psi"], args.get("relation", "dot")
-        ),
-    }
-    try:
-        if kind in simple:
-            return simple[kind]()
-        if kind == "multi":
-            parts = [make_kernel(p) for p in args["parts"]]
-            return MultiKernel(args["weights"], parts)
-        if kind in ("dual", "regularized", "hollow", "power"):
-            base = make_kernel(args.pop("base"))
-            return derive_kernel(kind, base, **args)
-        if kind in ("product", "difference"):
-            a = make_kernel(args.pop("first"))
-            b = make_kernel(args.pop("second"))
-            return derive_kernel(kind, a, b, **args)
-        if kind == "self":
-            return SelfKernel(make_kernel(args["k_x"]), make_kernel(args["k_y"]))
-    except KeyError as exc:
-        raise InvalidParameter(f"kernel kind {kind!r} missing key {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise InvalidParameter(f"kernel kind {kind!r} has a malformed value: {exc}") from exc
-    raise InvalidParameter(f"unknown kernel kind {kind!r}")
+    if not isinstance(kind, str) or kind not in _KINDS:
+        raise InvalidParameter(f"unknown kernel kind {kind!r}")
+    fields = {name: value for name, value in spec.items() if name != "kind"}
+    for name in (name for name in _KINDS[kind][1] if name in fields):
+        if name == "parts" and not isinstance(fields[name], (list, tuple)):
+            raise InvalidParameter(f"kernel kind {kind!r}: 'parts' must be a list of descriptors, got {fields[name]!r}")
+        fields[name] = [make_kernel(p) for p in fields[name]] if name == "parts" else make_kernel(fields[name])
+    return _construct(kind, fields)
 
 
 def eval_kernel(k: Kernel, x, y) -> float:

@@ -16,9 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidParameter, ShapeMismatch
+from .estimators import Dataset, lazy_transform
 from .kernels import (
     Kernel, KernelMatrix, _block_height, _local_weights, _matrix_values, _row_blocks, _softmax_in_place,
-    as_point_set, gram, local_reduce, normalize_rows,
+    as_point_set, gram, normalize_rows,
 )
 
 __all__ = [
@@ -275,14 +276,9 @@ def local_local_mean(X, k1: Kernel, k2: Kernel, nonlinearity: str = "identity") 
     }
     if nonlinearity not in funcs:
         raise InvalidParameter(f"unknown nonlinearity {nonlinearity!r}")
-    means, empty = local_reduce(k1, X, X, X)
-    if empty.any():
-        raise InvalidParameter(f"first-stage rows {np.flatnonzero(empty).tolist()} are empty")
-    Xp = funcs[nonlinearity](means)
-    means, empty = local_reduce(k2, Xp, Xp, Xp)
-    if empty.any():
-        raise InvalidParameter(f"second-stage rows {np.flatnonzero(empty).tolist()} are empty")
-    return means
+    X = as_point_set(X)
+    Xp = funcs[nonlinearity](lazy_transform(k1, Dataset(X, X), X))
+    return lazy_transform(k2, Dataset(Xp, Xp), Xp)
 
 
 # ---------------------------------------------------------------------------

@@ -577,8 +577,13 @@ def test_malformed_pgm_header_exit_two(tmp_path, capsys, header):
 
 @pytest.mark.parametrize(
     "grid, field",
-    [({"max": 1.0, "count": 3}, "min"), ({"min": 0, "max": 1.0, "count": 3}, "min"), (["wide"], "grid")],
-    ids=["missing-min", "zero-min", "non-numeric-list"],
+    [
+        ({"max": 1.0, "count": 3}, "min"),
+        ({"min": 0, "max": 1.0, "count": 3}, "min"),
+        (["wide"], "grid"),
+        ({"min": 0.1, "max": 1.0, "count": 3, "cnt": 9}, "cnt"),
+    ],
+    ids=["missing-min", "zero-min", "non-numeric-list", "unknown-key"],
 )
 def test_malformed_grid_exit_two(tmp_path, capsys, grid, field):
     cfg = write_config(tmp_path, "c.json", {"input": "bundled:noisy-sine", "grid": grid})
@@ -594,8 +599,13 @@ def test_malformed_grid_exit_two(tmp_path, capsys, grid, field):
         ("regress-local-mean", {"kind": "noisy-sine", "n": True}, "n"),
         ("regress-local-mean", {"kind": "noisy-sine", "seed": -1}, "seed"),
         ("regress-local-mean", {"kind": "noisy-sine", "seed": 1.5}, "seed"),
+        ("regress-local-mean", {"kind": "noisy-sine", "n": 50, "noize": 5.0}, "noize"),
+        ("cluster-meanshift", {"kind": "blobs", "n": 20}, "n"),
     ],
-    ids=["string-count", "list-count", "negative-scale", "bool-count", "negative-seed", "fractional-seed"],
+    ids=[
+        "string-count", "list-count", "negative-scale", "bool-count", "negative-seed", "fractional-seed",
+        "unknown-key", "key-of-another-kind",
+    ],
 )
 def test_malformed_synthetic_field_exit_two(tmp_path, capsys, task, synthetic, field):
     cfg = write_config(tmp_path, "c.json", {"input": {"synthetic": synthetic}, "seed": 1})
@@ -634,6 +644,14 @@ _SINE = {"input": "bundled:noisy-sine"}
         ("regress-local-mean", {**_SINE, "kernel": {"kind": "dual"}}, "'base'"),
         ("regress-local-mean", {**_SINE, "kernel": {"kind": "multi", "parts": [{"kind": "uniform"}]}}, "'weights'"),
         ("regress-local-mean", {**_SINE, "kernel": {"kind": "knn", "k": 2, "reference": "abc"}}, "'knn'"),
+        ("regress-local-mean", {**_SINE, "kernel": {"kind": "gaussian", "h": 0.3, "H": 9}}, "'H'"),
+        (
+            "regress-local-mean",
+            {**_SINE, "kernel": {"kind": "hollow", "base": {"kind": "uniform"}, "eps": 0.3}},
+            "'eps'",
+        ),
+        ("regress-local-mean", {**_SINE, "kernel": {"kind": "multi", "weights": [1.0], "parts": 5}}, "'parts'"),
+        ("regress-local-mean", {"input": {"synthetic": {"kind": "noisy-sine"}, "noise": 5.0}}, "'noise'"),
         ("transformer-demo", {"seed": 1, "hidden": -1}, "'hidden' must be int >= 1"),
         ("transformer-demo", {"seed": 1, "depth": -1}, "'depth' must be int >= 1"),
         ("embed-amds", {"input": _SWISS, "seed": 1, "iters": -1}, "'iters' must be int >= 0"),
@@ -665,7 +683,8 @@ _SINE = {"input": "bundled:noisy-sine"}
         "zero-classes", "negative-classes", "more-classes-than-rows", "unknown-mode", "negative-grid-count",
         "negative-steps", "zero-attention-width", "empty-demo-sequence", "negative-meanshift-iterations",
         "negative-relax-iterations", "unknown-fallback", "dual-without-base", "multi-without-weights",
-        "knn-non-numeric-reference", "negative-hidden-width", "negative-depth", "negative-amds-iterations",
+        "knn-non-numeric-reference", "unknown-kernel-field", "unknown-nested-kernel-field", "parts-not-a-list",
+        "unknown-input-key", "negative-hidden-width", "negative-depth", "negative-amds-iterations",
         "negative-meanshift-tolerance", "negative-trimap-rate", "negative-qkv-rate", "zero-qkv-rate",
         "underflowing-similarity-bandwidth", "unknown-amds-method", "unknown-trimap-transform",
         "unknown-predictor", "unknown-qkv-form", "zero-lle-neighbors", "zero-lle-dimension",

@@ -72,6 +72,144 @@ class TestMakeKernel:
             make_kernel({"kind": "warp"})
 
 
+_P = np.random.default_rng(21).normal(size=(6, 2))
+_Z = np.random.default_rng(22).normal(size=(4, 2))
+_M = np.array([[1.0, 2.0, 0.5], [0.0, 1.5, 1.0], [3.0, 0.25, 2.0]])
+_G = {"kind": "gaussian", "h": 0.7}
+_E = {"kind": "epanechnikov", "h": 1.5}
+
+
+def _phi(x):
+    return np.asarray(x) * 0.5
+
+
+def _psi(y):
+    return np.asarray(y)[::-1]
+
+
+# kind -> (descriptor, the same kernel from its class's constructor, the points its gram is compared on)
+_EVERY_KIND = {
+    "gaussian": (_G, kernels.GaussianKernel(0.7), _P),
+    "epanechnikov": (_E, kernels.EpanechnikovKernel(1.5), _P),
+    "neighborhood": ({"kind": "neighborhood", "eps": 1.0}, kernels.NeighborhoodKernel(1.0), _P),
+    "uniform": ({"kind": "uniform"}, kernels.UniformKernel(), _P),
+    "dirac": ({"kind": "dirac"}, kernels.DiracKernel(), np.vstack([_P, _P[:2]])),
+    "knn": ({"kind": "knn", "k": 3, "reference": _P.tolist()}, kernels.KnnKernel(3, _P), _P),
+    "concrete": ({"kind": "concrete", "matrix": _M.tolist()}, kernels.ConcreteKernel(_M), np.arange(3)),
+    "feature": (
+        {"kind": "feature", "phi": _phi, "psi": _psi, "relation": "exp-dot"},
+        kernels.FeatureKernel(_phi, _psi, "exp-dot"),
+        _P,
+    ),
+    "dual": ({"kind": "dual", "base": _E}, kernels.DualKernel(epanechnikov(1.5)), _P),
+    "product": (
+        {"kind": "product", "first": _G, "second": _E, "anchors": _Z},
+        kernels.ProductKernel(gaussian(0.7), epanechnikov(1.5), _Z),
+        _P,
+    ),
+    "power": (
+        {"kind": "power", "base": _G, "n": 3, "anchors": _Z},
+        kernels.PowerKernel(gaussian(0.7), 3, _Z),
+        _P,
+    ),
+    "regularized": (
+        {"kind": "regularized", "base": _G, "alpha": 0.3},
+        kernels.RegularizedKernel(gaussian(0.7), 0.3),
+        _P,
+    ),
+    "hollow": ({"kind": "hollow", "base": _G, "eps0": 0.5}, kernels.HollowKernel(gaussian(0.7), 0.5), _P),
+    "multi": (
+        {"kind": "multi", "weights": [0.25, 0.75], "parts": [_G, {"kind": "neighborhood", "eps": 1.0}]},
+        kernels.MultiKernel([0.25, 0.75], [gaussian(0.7), neighborhood(1.0)]),
+        _P,
+    ),
+    "difference": (
+        {"kind": "difference", "first": _G, "second": {"kind": "gaussian", "h": 0.3}},
+        kernels.DifferenceKernel(gaussian(0.7), gaussian(0.3)),
+        _P,
+    ),
+    "self": ({"kind": "self", "k_x": _G, "k_y": _E}, SelfKernel(gaussian(0.7), epanechnikov(1.5)), _P),
+}
+
+
+class TestKindTable:
+    def test_every_kind_is_covered(self):
+        assert set(_EVERY_KIND) == set(kernels._KINDS)
+
+    @pytest.mark.parametrize("kind", sorted(_EVERY_KIND))
+    def test_descriptor_builds_the_constructed_kernel(self, kind):
+        spec, direct, points = _EVERY_KIND[kind]
+        k = make_kernel(spec)
+        assert type(k) is type(direct)
+        np.testing.assert_array_equal(k.gram_values(points, points), direct.gram_values(points, points))
+
+    def test_power_default_is_the_square(self):
+        c = concrete(_M)
+        built = [
+            make_kernel({"kind": "power", "base": {"kind": "concrete", "matrix": _M.tolist()}}),
+            derive_kernel("power", c),
+            kernels.PowerKernel(c),
+        ]
+        for k in built:
+            assert k.n == 2
+            np.testing.assert_array_equal(k.gram_values(np.arange(3), np.arange(3)), _M @ _M)
+
+    def test_regularized_default_is_the_base(self):
+        g = gaussian(0.7)
+        want = kernels.RegularizedKernel(g, 1.0)
+        assert make_kernel({"kind": "regularized", "base": _G}) == derive_kernel("regularized", g) == want
+        assert kernels.RegularizedKernel(g) == want
+
+    def test_product_fields_are_named_as_the_descriptor(self):
+        first, second = concrete(_M), concrete(_M.T)
+        k = derive_kernel("product", first, second)
+        assert (k.first, k.second) == (first, second)
+
+    @pytest.mark.parametrize(
+        "spec, named",
+        [
+            ({"kind": "hollow", "base": _G, "eps": 0.3}, "'eps'"),
+            ({"kind": "regularized", "base": _G, "aplha": 0.3}, "'aplha'"),
+            ({"kind": "gaussian", "h": 0.3, "H": 9}, "'H'"),
+            ({"kind": "multi", "weights": [1.0], "parts": 5}, "'parts'"),
+            ({"kind": "multi", "weights": [1.0], "parts": [5]}, "got 5"),
+            ({"kind": "dual", "base": 5}, "got 5"),
+            ({"kind": "dual"}, "'base'"),
+            ({"kind": ["gaussian"], "h": 1.0}, "unknown kernel kind"),
+        ],
+        ids=[
+            "hollow-eps", "regularized-aplha", "gaussian-H", "parts-not-a-list", "part-not-a-descriptor",
+            "base-not-a-descriptor", "missing-base", "unhashable-kind",
+        ],
+    )
+    def test_unknown_missing_or_malformed_field_rejected(self, spec, named):
+        with pytest.raises(errors.InvalidParameter, match=named):
+            make_kernel(spec)
+
+    @pytest.mark.parametrize(
+        "op, args, params",
+        [
+            ("dual", (gaussian(1.0), gaussian(2.0)), {}),
+            ("dual", (), {}),
+            ("product", (gaussian(1.0),), {"anchors": _Z}),
+            ("difference", (gaussian(1.0), gaussian(2.0), gaussian(3.0)), {}),
+            ("hollow", (gaussian(1.0),), {"base": gaussian(2.0)}),
+            ("regularized", (gaussian(1.0),), {"aplha": 0.5}),
+            ("multi", (gaussian(1.0), gaussian(2.0)), {}),
+            ("multi", (), {"weights": []}),
+            ("self", (gaussian(1.0), gaussian(2.0)), {}),
+            ("gaussian", (), {"h": 1.0}),
+        ],
+        ids=[
+            "dual-of-two", "dual-of-none", "product-of-one", "difference-of-three", "hollow-base-twice",
+            "regularized-aplha", "multi-without-weights", "multi-of-none", "self-is-not-an-operation", "base-kind-is-not-an-operation",
+        ],
+    )
+    def test_derive_kernel_rejects_a_wrong_call(self, op, args, params):
+        with pytest.raises(errors.InvalidParameter):
+            derive_kernel(op, *args, **params)
+
+
 class TestEvalKernel:
     def test_epanechnikov_values(self):
         k = epanechnikov(1.0)

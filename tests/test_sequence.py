@@ -386,6 +386,15 @@ class TestLocalLocalMean:
         np.testing.assert_allclose(out, want, atol=1e-12)
 
 
+    def test_an_empty_row_raises_as_every_local_mean_does(self):
+        X = np.array([[0.0], [0.05], [3.0]])
+        lonely = kernels.HollowKernel(kernels.neighborhood(0.5))
+        with pytest.raises(errors.EmptyNeighborhood, match=r"queries \[2\] have zero degree"):
+            local_local_mean(X, lonely, uniform())
+        with pytest.raises(errors.EmptyNeighborhood, match=r"queries \[2\] have zero degree"):
+            local_local_mean(X, dirac(), lonely)
+
+
 class TestNlm:
     def test_constant_signal_unchanged(self):
         seq = Sequence(np.full((20, 1), 2.0))
