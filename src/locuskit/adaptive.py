@@ -284,11 +284,11 @@ class QkvParams:
 
 
 def _attention(form, phi, psi, mask_diagonal):
-    """Row-stochastic attention ``A`` and the linear form's degrees ``deg``.
+    """Row-stochastic attention ``A`` and, for the linear form, the factors its gradient reuses.
 
-    softmax: ``A = softmax(phi psi^T / sqrt(d))`` and deg None.  linear:
-    ``A = B / deg`` with ``B = softplus(phi) softplus(psi)^T`` and ``deg = B 1``.
-    A masked diagonal gets weight 0.
+    softmax: ``A = softmax(phi psi^T / sqrt(d))`` and None.  linear:
+    ``A = B / deg`` with ``B = softplus(phi) softplus(psi)^T`` and ``deg = B 1``,
+    and ``(deg, softplus(phi), softplus(psi))``.  A masked diagonal gets weight 0.
     """
     if form == "softmax":
         S = phi @ psi.T
@@ -298,11 +298,12 @@ def _attention(form, phi, psi, mask_diagonal):
         return _softmax_in_place(S), None
     if form != "linear":
         raise InvalidParameter(f"unknown form {form!r}")
-    B = softplus(phi) @ softplus(psi).T
+    sp_phi, sp_psi = softplus(phi), softplus(psi)
+    B = sp_phi @ sp_psi.T
     if mask_diagonal:
         np.fill_diagonal(B, 0.0)
     deg = B.sum(axis=1, keepdims=True)
-    return B / deg, deg
+    return B / deg, (deg, sp_phi, sp_psi)
 
 
 def _attention_matrix(form, phi, psi, mask_diagonal):
@@ -344,7 +345,7 @@ def qkv_objective(
         w = np.asarray(next(extra), dtype=float) if target_x is not None else None
         target = v if target_x is None else target_x
         M = v if w is None else v @ w.T  # decoded values
-        A, deg = _attention(form, phi, psi, mask_diagonal)
+        A, linear = _attention(form, phi, psi, mask_diagonal)
         Mh = A @ M
         R = Mh - target
         loss = float((R * R).sum())
@@ -357,12 +358,13 @@ def qkv_objective(
             gphi = GS @ psi / math.sqrt(phi.shape[1])
             gpsi = GS.T @ phi / math.sqrt(phi.shape[1])
         else:
+            deg, sp_phi, sp_psi = linear
             # dL/dB_ij = G_i . (M_j - Mh_i) / deg_i
             GB = (GA - (G * Mh).sum(axis=1, keepdims=True)) / deg
             if mask_diagonal:
                 np.fill_diagonal(GB, 0.0)
-            gphi = (GB @ softplus(psi)) * (1.0 / (1.0 + np.exp(-phi)))
-            gpsi = (GB.T @ softplus(phi)) * (1.0 / (1.0 + np.exp(-psi)))
+            gphi = (GB @ sp_psi) * (1.0 / (1.0 + np.exp(-phi)))
+            gpsi = (GB.T @ sp_phi) * (1.0 / (1.0 + np.exp(-psi)))
 
         grads = [gphi, gpsi]
         if learn_v:

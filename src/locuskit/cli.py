@@ -31,7 +31,9 @@ from .dataio import Columns, ingest_csv, read_pgm, write_csv, write_json, write_
 from .density import (  # kde is unused here, but perfbench/tracer.py wraps it by name
     DiffusionSchedule, diffusion_generate, kde, kde_values,
 )
-from .embedding import amds_factorize, cooccurrence_embed, lle_embed, lle_weights, read_corpus, trimap_embed
+from .embedding import (  # lle_weights is unused here, but perfbench/tracer.py wraps it by name
+    _lle_knn_weights, amds_factorize, cooccurrence_embed, lle_embed, lle_weights, read_corpus, trimap_embed,
+)
 from .errors import EmptyNeighborhood, LocusKitError, NumericError, ValidationError
 from .estimators import (  # the three *_predict are unused here, but perfbench/tracer.py wraps them by name
     Dataset, local_linear_predict, local_linear_transform, local_mean_predict, local_mode_predict, loo_error,
@@ -372,8 +374,7 @@ def _run_relax(cfg, seed):
 
 def _run_lle(cfg, seed):
     data = _resolve_input(cfg["input"], "features-only")
-    S = lle_weights(data.X, cfg["n_neighbors"])
-    res = lle_embed(S, cfg["dim"])
+    res = lle_embed(_lle_knn_weights(data.X, cfg["n_neighbors"]), cfg["dim"])
     files = {"results.csv": ([f"z{i}" for i in range(res.Z.shape[1])], res.Z)}
     metrics = {"objective": res.objective, "n": data.n, "diagnostics": {"counters": {"eigen_solves": res.iterations}}}
     return metrics, files, ("scatter", {"points": res.Z[:, :2]})

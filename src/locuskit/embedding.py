@@ -14,7 +14,9 @@ from .errors import (
     NegativeInputForNMF,
 )
 from .estimators import _fix_signs
-from .kernels import StochasticMatrix, _matrix_values, _row_blocks, as_point_set, normalize_rows, pairwise_sq_dists
+from .kernels import (  # normalize_rows is unused here, but perfbench/tracer.py wraps it by name
+    StochasticMatrix, _matrix_values, _row_blocks, as_point_set, normalize_rows, pairwise_sq_dists,
+)
 
 __all__ = [
     "EmbeddingResult",
@@ -49,9 +51,10 @@ class WordVectors:
 # LLE
 # ---------------------------------------------------------------------------
 
-def lle_weights(X, n_neighbors: int) -> StochasticMatrix:
-    """Reconstruction weights: each row solves a sum-to-one least squares
-    over its nearest neighbors.
+def _lle_knn_weights(X, n_neighbors: int):
+    """Reconstruction weights as ``(neighbors, weights)``, two N x k arrays:
+    row i of W holds ``weights[i]`` at the columns ``neighbors[i]`` and is 0
+    elsewhere.
 
     Every row solves ``(C + r I) w = 1`` for its local Gram C with the one
     ridge ``r = 1e-9 * trace(C)`` (``1e-9`` when the trace is not positive),
@@ -60,19 +63,19 @@ def lle_weights(X, n_neighbors: int) -> StochasticMatrix:
     N x N distance matrix is built, and each row's weights do not depend on
     the block height.  Negative solution weights are clipped to zero and the
     row renormalized, honoring the stochastic-matrix reading.
-    Off-neighborhood entries and the diagonal are exactly zero.
     """
     X = as_point_set(X)
     n = X.shape[0]
     n_neighbors = int(n_neighbors)
     if not 1 <= n_neighbors < n:
         raise InvalidParameter(f"neighbor count must be in [1, {n - 1}]")
-    W = np.zeros((n, n))
+    neighbors = np.empty((n, n_neighbors), dtype=np.intp)
+    weights = np.empty((n, n_neighbors))
     diag = np.arange(n_neighbors)
     for rows in _row_blocks(n, n):
         D2 = pairwise_sq_dists(X[rows], X)
         np.fill_diagonal(D2[:, rows], np.inf)
-        nbrs = np.argsort(D2, axis=1, kind="stable")[:, :n_neighbors]
+        nbrs = neighbors[rows] = np.argsort(D2, axis=1, kind="stable")[:, :n_neighbors]
         Z = X[nbrs] - X[rows, None, :]
         C = Z @ Z.transpose(0, 2, 1)
         ridge = 1e-9 * np.trace(C, axis1=1, axis2=2)
@@ -81,8 +84,22 @@ def lle_weights(X, n_neighbors: int) -> StochasticMatrix:
         w /= w.sum(axis=1, keepdims=True)
         np.clip(w, 0.0, None, out=w)
         w /= w.sum(axis=1, keepdims=True)
-        np.put_along_axis(W[rows], nbrs, w, axis=1)
-    return normalize_rows(W)
+        weights[rows] = w
+    return neighbors, weights
+
+
+def lle_weights(X, n_neighbors: int) -> StochasticMatrix:
+    """Reconstruction weights as a dense N x N stochastic matrix: each row
+    solves a sum-to-one least squares over its nearest neighbors.
+
+    The weights are ``_lle_knn_weights``' (see there for the ridged solve
+    and the clipping), scattered into W; off-neighborhood entries and the
+    diagonal are exactly zero.
+    """
+    neighbors, weights = _lle_knn_weights(X, n_neighbors)
+    W = np.zeros((len(weights), len(weights)))
+    np.put_along_axis(W, neighbors, weights, axis=1)
+    return StochasticMatrix(W, weights.sum(axis=1))
 
 
 def lle_objective(Kt, Z) -> float:
@@ -90,6 +107,39 @@ def lle_objective(Kt, Z) -> float:
     vals = _matrix_values(Kt)
     Z = np.asarray(Z, dtype=float)
     return float(((Z - vals @ Z) ** 2).sum())
+
+
+def _dense_lle_matrix(Kt) -> np.ndarray:
+    """``M = (I - W)^T (I - W)`` for a square stochastic matrix W, by one GEMM."""
+    vals = _matrix_values(Kt)
+    if vals.ndim != 2 or vals.shape[0] != vals.shape[1]:
+        raise InvalidParameter("lle_embed needs a square stochastic matrix")
+    n = vals.shape[0]
+    M = vals.T @ vals
+    M -= vals
+    M -= vals.T
+    M.flat[:: n + 1] += 1.0
+    return M
+
+
+def _knn_lle_matrix(neighbors: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """``M = I - W - W^T + W^T W`` from W's nonzeros, ``weights[i]`` at the
+    columns ``neighbors[i]``, with O(N k) temporaries beside the one N x N M.
+
+    ``W^T W`` is the sum over rows i of the outer product of row i's weights,
+    scattered to (neighbors[i], neighbors[i]); ``np.add.at`` sums the entries
+    that several rows share.  A row's neighbors are distinct, so the -W and
+    -W^T entries are scattered without collisions.
+    """
+    n = len(weights)
+    M = np.zeros((n, n))
+    for j in range(weights.shape[1]):
+        np.add.at(M, (neighbors[:, j, None], neighbors), weights[:, j, None] * weights)
+    rows = np.arange(n)[:, None]
+    M[rows, neighbors] -= weights
+    M[neighbors, rows] -= weights
+    M.flat[:: n + 1] += 1.0
+    return M
 
 
 _MAX_SHIFTED_SOLVES = 10  # lle_embed's inverse iteration steps before it falls back to the full eigh
@@ -107,7 +157,7 @@ def _bottom_eigenpairs(M: np.ndarray, k: int):
     diagonal = M.diagonal().copy()
     M.flat[:: n + 1] += sigma
     try:
-        Q = np.linalg.qr(np.random.default_rng(0).standard_normal((n, k + 4)))[0]
+        Q = np.linalg.qr(np.random.default_rng(0).standard_normal((n, k + 8)))[0]
         for solves in range(1, _MAX_SHIFTED_SOLVES + 1):
             Y = np.linalg.solve(M, Q)
             if not np.isfinite(Y).all():
@@ -125,15 +175,20 @@ def _bottom_eigenpairs(M: np.ndarray, k: int):
     return None
 
 
-def lle_embed(Kt: StochasticMatrix, r: int) -> EmbeddingResult:
+def lle_embed(Kt, r: int) -> EmbeddingResult:
     """Embed by the small eigenvectors of ``M = (I - K_tilde)^T (I - K_tilde)``.
+
+    ``Kt`` is a square stochastic matrix, or the pair ``(neighbors, weights)``
+    of N x k arrays that ``_lle_knn_weights`` returns.  From the pair, M is
+    assembled from the N k nonzeros and no dense K_tilde is formed; then M,
+    and the copy of it each linear solve makes, are the only N x N arrays.
 
     The smallest eigenvector (the constant direction of a stochastic matrix)
     is discarded; the next r are scaled to column norm sqrt(N), so
     Z^T Z / N = I.  The stored objective is the sum of the kept eigenvalues.
 
     The r + 1 smallest eigenpairs come from block inverse iteration on
-    ``M + sigma I`` with ``sigma = 1e-9 trace(M) / N``: r + 5 columns from a
+    ``M + sigma I`` with ``sigma = 1e-9 trace(M) / N``: r + 9 columns from a
     fixed seed, one linear solve per step, each step followed by
     Rayleigh-Ritz.  It stops once every kept pair has
     ``||M q - lambda q|| <= 1e-14 ||M||_inf``; ``iterations`` counts the solves.
@@ -141,17 +196,11 @@ def lle_embed(Kt: StochasticMatrix, r: int) -> EmbeddingResult:
     not met within ``_MAX_SHIFTED_SOLVES`` solves, the full ``eigh`` of M
     gives the result and ``iterations`` is 0.
     """
-    vals = _matrix_values(Kt)
-    n = vals.shape[0]
-    if vals.shape[0] != vals.shape[1]:
-        raise InvalidParameter("lle_embed needs a square stochastic matrix")
+    M = _knn_lle_matrix(*Kt) if isinstance(Kt, tuple) else _dense_lle_matrix(Kt)
+    n = M.shape[0]
     r = int(r)
     if not 1 <= r < n - 1:
         raise InvalidParameter(f"embedding dimension must be in [1, {n - 2}]")
-    M = vals.T @ vals
-    M -= vals
-    M -= vals.T
-    M.flat[:: n + 1] += 1.0
     found = _bottom_eigenpairs(M, r + 1)
     if found is None:
         try:

@@ -356,6 +356,9 @@ class FeatureKernel(Kernel):
     relation: str = "dot"
 
     def __post_init__(self):
+        for name in ("phi", "psi"):
+            if not callable(getattr(self, name)):
+                raise InvalidParameter(f"feature map {name!r} must be callable, got {getattr(self, name)!r}")
         if self.relation not in ("dot", "exp-dot"):
             raise InvalidParameter(f"unknown relation {self.relation!r}")
 

@@ -678,6 +678,11 @@ _SINE = {"input": "bundled:noisy-sine"}
         ),
         ("embed-lle", {"input": _SWISS, "n_neighbors": 0}, "'n_neighbors' must be int >= 1"),
         ("embed-lle", {"input": _SWISS, "dim": 0}, "'dim' must be int >= 1"),
+        (
+            "regress-local-mean",
+            {**_SINE, "kernel": {"kind": "feature", "phi": "a", "psi": "b"}},
+            "'phi' must be callable",
+        ),
     ],
     ids=[
         "zero-classes", "negative-classes", "more-classes-than-rows", "unknown-mode", "negative-grid-count",
@@ -688,6 +693,7 @@ _SINE = {"input": "bundled:noisy-sine"}
         "negative-meanshift-tolerance", "negative-trimap-rate", "negative-qkv-rate", "zero-qkv-rate",
         "underflowing-similarity-bandwidth", "unknown-amds-method", "unknown-trimap-transform",
         "unknown-predictor", "unknown-qkv-form", "zero-lle-neighbors", "zero-lle-dimension",
+        "non-callable-feature-map",
     ],
 )
 def test_out_of_range_config_value_exit_two(tmp_path, capsys, task, config, named):

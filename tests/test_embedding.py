@@ -184,6 +184,35 @@ class TestLleSolver:
         np.testing.assert_array_equal(res.Z, _fix_signs(eigvecs[:, 1:3]) * np.sqrt(300))
         assert res.objective == float(eigvals[1:3].sum())
 
+    @pytest.mark.parametrize(
+        "X, k",
+        [
+            (swiss_roll(60, 1)[0], 8),
+            (swiss_roll(300, 2)[0], 10),
+            (swiss_roll(400, 3)[0], 1),
+            (np.array([[1.0, 2.0], [1.0, 2.0], [1.0, 2.0], [5.0, 5.0], [9.0, 0.0]]), 2),
+        ],
+        ids=["roll-60", "roll-300", "roll-400-one-neighbor", "coincident-points"],
+    )
+    def test_knn_assembly_matches_the_dense_product(self, X, k):
+        neighbors, weights = embedding._lle_knn_weights(X, k)
+        W = lle_weights(X, k).values
+        np.testing.assert_array_equal(np.take_along_axis(W, neighbors, axis=1), weights)
+        dense = lle_matrix(W)
+        bound = 1e-15 * np.abs(dense).sum(axis=1).max()
+        assert np.abs(embedding._knn_lle_matrix(neighbors, weights) - dense).max() <= bound
+
+    def test_knn_path_allocates_at_most_one_square_array(self):
+        n = 500
+        X, _ = swiss_roll(n, 2)
+        tracemalloc.start()
+        try:
+            lle_embed(embedding._lle_knn_weights(X, 10), 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= n * n * 8 + 2**20
+
     def test_allocates_at_most_two_square_arrays(self):
         n = 500
         X, _ = swiss_roll(n, 2)
