@@ -2,7 +2,7 @@
 
 CSV data files carry a header row and decimal floats; data written back
 uses %.17g so a round trip reproduces every float64 exactly.  All writers
-go through a temp file + rename.
+go through ``atomic_write``: byte chunks to a temp file, then a rename.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import json
 import math
 import os
 import tempfile
-from itertools import zip_longest
+from itertools import islice, zip_longest
 
 import numpy as np
 
@@ -20,28 +20,27 @@ from .errors import InvalidParameter, ParseError, SchemaMismatch
 from .estimators import Dataset
 from .sequence import Sequence
 
-__all__ = ["ingest_csv", "write_csv", "Columns", "write_json", "read_pgm", "write_pgm", "atomic_write_text",
-           "atomic_write_bytes"]
+__all__ = ["ingest_csv", "write_csv", "Columns", "write_json", "read_pgm", "write_pgm", "atomic_write"]
 
 SCHEMAS = ("features-only", "features+target", "features+label", "sequence")
+_CHUNK_ROWS = 1024  # rows formatted and written at a time by write_csv
 
 
-def atomic_write_bytes(path, payload: bytes) -> None:
+def atomic_write(path, chunks) -> None:
+    """Write the byte chunks in turn to a temp file beside ``path``, then rename it to ``path``; if a chunk
+    fails to arrive, neither file is left."""
     path = os.fspath(path)
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=os.path.basename(path))
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(payload)
+            for chunk in chunks:
+                fh.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-
-
-def atomic_write_text(path, text: str) -> None:
-    atomic_write_bytes(path, text.encode("utf-8"))
 
 
 def _parse_cell(raw: str, row: int, col: int) -> float:
@@ -121,17 +120,42 @@ def _column(cells):
     return (kinds[0], cells) if len(set(kinds)) == 1 else ("%s", [k % c for k, c in zip(kinds, cells)])
 
 
+def _chunks(rows):
+    """The table's rows in chunks of ``_CHUNK_ROWS``, each as a list of columns; ragged rows raise TypeError."""
+    if isinstance(rows, (Columns, np.ndarray)):
+        blocks = rows if isinstance(rows, Columns) else (rows,)
+        columns = [c for b in blocks for c in (b.T if isinstance(b, np.ndarray) and b.ndim == 2 else (b,))]
+        n = min(map(len, columns), default=0)
+        for start in range(0, n, _CHUNK_ROWS):
+            yield [c[start : start + _CHUNK_ROWS] for c in columns]
+        return
+    rows, width = iter(rows), None
+    while chunk := list(islice(rows, _CHUNK_ROWS)):
+        columns = list(zip_longest(*chunk))  # a short row's missing cells are None, which no format takes
+        if width is not None and len(columns) != width:
+            raise TypeError(f"ragged rows: {len(columns)} cells after rows of {width}")
+        width = len(columns)
+        yield columns
+
+
 def write_csv(path, header, rows) -> None:
     """Write a table under a header, one format per column (``_column``).  ``rows`` is a :class:`Columns`,
-    or any iterable of rows (a 2-D array, a list of lists) read column by column; ragged rows raise TypeError."""
-    blocks = rows if isinstance(rows, Columns) else (rows,) if isinstance(rows, np.ndarray) else zip_longest(*rows)
-    columns = [_column(c) for b in blocks for c in (b.T if isinstance(b, np.ndarray) and b.ndim == 2 else (b,))]
-    lines = map(",".join([fmt for fmt, _ in columns]).__mod__, zip(*[values for _, values in columns]))
-    atomic_write_text(path, "\n".join([",".join(header), *lines]) + "\n")
+    or any iterable of rows (a 2-D array, a list of lists) read column by column; ragged rows raise TypeError.
+    The table goes to disk ``_CHUNK_ROWS`` rows at a time; ``_column`` picks each chunk's formats, which
+    write every cell as the per-cell rule does."""
+
+    def text():
+        yield (",".join(header) + "\n").encode("utf-8")
+        for columns in _chunks(rows):
+            columns = [_column(c) for c in columns]
+            line = ",".join([fmt for fmt, _ in columns]) + "\n"
+            yield "".join(map(line.__mod__, zip(*[values for _, values in columns]))).encode("utf-8")
+
+    atomic_write(path, text())
 
 
 def write_json(path, payload: dict) -> None:
-    atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    atomic_write(path, [(json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("utf-8")])
 
 
 def read_pgm(path) -> np.ndarray:
@@ -177,4 +201,4 @@ def write_pgm(path, image) -> None:
         raise InvalidParameter("PGM image must be 2-D")
     clipped = np.clip(np.round(img), 0, 255).astype(np.uint8)
     header = f"P5\n{clipped.shape[1]} {clipped.shape[0]}\n255\n".encode("ascii")
-    atomic_write_bytes(path, header + clipped.tobytes())
+    atomic_write(path, [header, clipped.tobytes()])

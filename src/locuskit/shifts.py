@@ -15,7 +15,8 @@ import numpy as np
 from .errors import EmptyNeighborhood, InvalidParameter
 from .estimators import Dataset, LocalPcaBasis, local_pca
 from .kernels import (
-    Kernel, _dissimilarities, _row_blocks, as_point_set, gram, local_reduce, normalize_rows, pairwise_sq_dists,
+    Kernel, _block_height, _dissimilarities, _row_blocks, as_point_set, gram, local_reduce, normalize_rows,
+    pairwise_sq_dists,
 )
 
 __all__ = [
@@ -147,27 +148,38 @@ def _shift_result(X, Q, trajectories, iterations, converged_flags, empty_flags, 
 def extract_clusters(converged, merge_radius: float):
     """Single-linkage merge of converged points within ``merge_radius``.
 
-    The clusters are the connected components of the N x N boolean matrix
-    ``d2 < merge_radius**2`` (built in row blocks), labelled breadth-first
-    from the lowest unlabelled index, so labels are dense in first-seen
-    order; centers are the per-cluster means.
+    The clusters are the connected components of the graph joining points
+    with ``d2 < merge_radius**2``, labelled breadth-first from the lowest
+    unlabelled index, so labels are dense in first-seen order; centers are
+    the per-cluster means.  Each BFS level ORs its frontier's distance rows,
+    computed in row blocks, into one length-N mask, so every point's row is
+    computed once and memory is O(N * block), never N x N.
     """
     P = as_point_set(converged)
     if not merge_radius > 0:
         raise InvalidParameter("merge_radius must be positive")
-    near = np.empty((P.shape[0], P.shape[0]), dtype=bool)
-    for rows in _row_blocks(P.shape[0], P.shape[0]):
-        near[rows] = pairwise_sq_dists(P[rows], P) < merge_radius * merge_radius
-    labels = np.full(P.shape[0], -1)
+    n = P.shape[0]
+    height = min(_block_height(n), n)
+    # one block buffer per call: blocks allocated afresh each time fault their pages in again, ~3x slower
+    d2, near = np.empty((height, n)), np.empty((height, n), dtype=bool)
+    reached = np.empty(n, dtype=bool)
+    r2 = merge_radius * merge_radius
+    labels = np.full(n, -1)
     count = 0
-    for i in range(P.shape[0]):
-        if labels[i] < 0:
-            labels[i] = count
-            frontier = np.flatnonzero(near[i] & (labels < 0))
-            while frontier.size:
-                labels[frontier] = count
-                frontier = np.flatnonzero(near[frontier].any(axis=0) & (labels < 0))
-            count += 1
+    for i in range(n):
+        if labels[i] >= 0:
+            continue
+        labels[i] = count
+        frontier = np.array([i])
+        while frontier.size:
+            reached.fill(False)
+            for rows in _row_blocks(frontier.size, n):
+                block = frontier[rows]
+                np.less(pairwise_sq_dists(P[block], P, out=d2[: block.size]), r2, out=near[: block.size])
+                reached |= near[: block.size].any(axis=0)
+            frontier = np.flatnonzero(reached & (labels < 0))
+            labels[frontier] = count
+        count += 1
     sums = np.zeros((count, P.shape[1]))
     np.add.at(sums, labels, P)
     return labels, sums / np.bincount(labels, minlength=count)[:, None]

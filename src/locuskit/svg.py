@@ -6,12 +6,12 @@ no timestamps, fixed palette and layout.
 
 from __future__ import annotations
 
-from itertools import islice
+from itertools import chain
 
 import numpy as np
 
 from .errors import InvalidParameter
-from .dataio import atomic_write_text
+from .dataio import atomic_write
 
 __all__ = ["emit_svg"]
 
@@ -28,6 +28,7 @@ _PALETTE = (
     "#e377c2",
     "#7f7f7f",
 )
+_CHUNK_POINTS = 1024  # mapped points formatted and written at a time
 
 
 def _fmt(x) -> str:
@@ -54,30 +55,43 @@ class _Frame:
     def y(self, v):
         return _HEIGHT - _MARGIN - (np.asarray(v, dtype=float) - self.y_lo) / self.y_span * (_HEIGHT - 2 * _MARGIN)
 
-    def points(self, xs, ys):
-        """The mapped points as ``"x,y"`` strings, both coordinates ``%.6g``."""
-        return map("%.6g,%.6g".__mod__, zip(self.x(xs).tolist(), self.y(ys).tolist()))
 
-
-def _document(body: list) -> str:
-    head = (
+def _document(elements):
+    """The document as byte chunks: the head, each chunk of elements, the tail."""
+    yield (
         '<?xml version="1.0" encoding="UTF-8"?>\n'
         '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'width="{_fmt(_WIDTH)}" height="{_fmt(_HEIGHT)}" '
         f'viewBox="0 0 {_fmt(_WIDTH)} {_fmt(_HEIGHT)}">\n'
         f'<rect width="{_fmt(_WIDTH)}" height="{_fmt(_HEIGHT)}" fill="white"/>\n'
-    )
-    return head + "\n".join(body) + "\n</svg>\n"
+    ).encode("utf-8")
+    for chunk in elements:
+        yield chunk.encode("utf-8")
+    yield b"</svg>\n"
 
 
-def _polyline(points, color, width="1.5"):
-    return f'<polyline fill="none" stroke="{color}" stroke-width="{width}" points="{" ".join(points)}"/>'
+def _polylines(x, y, bounds, width, colors=_PALETTE):
+    """One ``<polyline>`` per run ``bounds[i]:bounds[i + 1]`` of the mapped points ``x``, ``y``, coloured in
+    turn by ``colors``; formatted in runs of whole polylines, at most ``_CHUNK_POINTS`` points or one polyline each."""
+    bounds = np.asarray(bounds)
+    per = max(1, _CHUNK_POINTS // max(int(np.diff(bounds).max()), 1))
+    for first in range(0, len(bounds) - 1, per):
+        b = bounds[first : first + per + 1]
+        points = list(map("%.6g,%.6g".__mod__, zip(x[b[0] : b[-1]].tolist(), y[b[0] : b[-1]].tolist())))
+        b = (b - b[0]).tolist()
+        yield "".join(
+            f'<polyline fill="none" stroke="{colors[(first + i) % len(colors)]}" stroke-width="{width}" '
+            f'points="{" ".join(points[lo:hi])}"/>\n'
+            for i, (lo, hi) in enumerate(zip(b, b[1:]))
+        )
 
 
-def _circles(frame, xs, ys, r, colors):
-    """One ``<circle>`` per mapped point, coloured in turn by ``colors``."""
-    template = '<circle cx="%.6g" cy="%.6g" r="' + _fmt(r) + '" fill="%s"/>'
-    return list(map(template.__mod__, zip(frame.x(xs).tolist(), frame.y(ys).tolist(), colors)))
+def _circles(x, y, r, colors):
+    """One ``<circle>`` per mapped point, coloured in turn by ``colors``; ``_CHUNK_POINTS`` at a time."""
+    template = '<circle cx="%.6g" cy="%.6g" r="' + _fmt(r) + '" fill="%s"/>\n'
+    for s in range(0, len(x), _CHUNK_POINTS):
+        rows = slice(s, s + _CHUNK_POINTS)
+        yield "".join(map(template.__mod__, zip(x[rows].tolist(), y[rows].tolist(), colors[rows])))
 
 
 def emit_svg(kind: str, data: dict, path) -> None:
@@ -88,8 +102,8 @@ def emit_svg(kind: str, data: dict, path) -> None:
     curve+argmin: ``x``, ``y`` arrays; the minimum gets a marker.
     trajectories: ``trajectories`` as a list of (steps, 2) arrays or one
     (n, steps, 2) array, one polyline each.
+    Points are mapped on whole arrays, then formatted and written in chunks of whole elements.
     """
-    body = []
     if kind == "scatter":
         pts = np.atleast_2d(np.asarray(data["points"], dtype=float))
         if pts.shape[1] == 1:
@@ -98,24 +112,27 @@ def emit_svg(kind: str, data: dict, path) -> None:
         frame = _Frame(pts[:, 0], pts[:, 1])
         n = len(pts)
         colors = [_PALETTE[0]] * n if labels is None else [_PALETTE[int(labels[i]) % len(_PALETTE)] for i in range(n)]
-        body = _circles(frame, pts[:, 0], pts[:, 1], 3.0, colors)
+        body = _circles(frame.x(pts[:, 0]), frame.y(pts[:, 1]), 3.0, colors)
     elif kind == "line":
-        series = data["series"]
+        series = [(np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)) for xs, ys in data["series"]]
         if not series:
             raise InvalidParameter("nothing to draw")
-        all_x = np.concatenate([np.asarray(s[0], dtype=float) for s in series])
-        all_y = np.concatenate([np.asarray(s[1], dtype=float) for s in series])
+        if any(len(xs) != len(ys) for xs, ys in series):
+            raise InvalidParameter("each series needs as many x values as y values")
+        all_x = np.concatenate([xs for xs, _ in series])
+        all_y = np.concatenate([ys for _, ys in series])
         frame = _Frame(all_x, all_y)
-        for i, (xs, ys) in enumerate(series):
-            body.append(_polyline(frame.points(xs, ys), _PALETTE[i % len(_PALETTE)]))
+        body = _polylines(frame.x(all_x), frame.y(all_y), np.cumsum([0] + [len(xs) for xs, _ in series]), "1.5")
     elif kind == "curve+argmin":
         xs = np.asarray(data["x"], dtype=float)
         ys = np.asarray(data["y"], dtype=float)
         frame = _Frame(xs, ys)
-        body.append(_polyline(frame.points(xs, ys), _PALETTE[0]))
         k = int(np.argmin(ys))
-        body.append(_polyline(frame.points(xs[[k, k]], [ys.max(), ys.min()]), _PALETTE[1], width="1"))
-        body += _circles(frame, xs[k : k + 1], ys[k : k + 1], 4.0, [_PALETTE[1]])
+        body = chain(
+            _polylines(frame.x(xs), frame.y(ys), [0, len(xs)], "1.5"),
+            _polylines(frame.x(xs[[k, k]]), frame.y([ys.max(), ys.min()]), [0, 2], "1", (_PALETTE[1],)),
+            _circles(frame.x(xs[k : k + 1]), frame.y(ys[k : k + 1]), 4.0, [_PALETTE[1]]),
+        )
     elif kind == "trajectories":
         trajs = [np.atleast_2d(np.asarray(t, dtype=float)) for t in data["trajectories"]]
         if not trajs:
@@ -123,9 +140,8 @@ def emit_svg(kind: str, data: dict, path) -> None:
         trajs = [np.hstack([t, np.zeros_like(t)]) if t.shape[1] == 1 else t for t in trajs]
         all_pts = np.concatenate(trajs)
         frame = _Frame(all_pts[:, 0], all_pts[:, 1])
-        points = frame.points(all_pts[:, 0], all_pts[:, 1])
-        for i, t in enumerate(trajs):
-            body.append(_polyline(islice(points, len(t)), _PALETTE[i % len(_PALETTE)], width="1"))
+        bounds = np.cumsum([0] + [len(t) for t in trajs])
+        body = _polylines(frame.x(all_pts[:, 0]), frame.y(all_pts[:, 1]), bounds, "1")
     else:
         raise InvalidParameter(f"unknown figure kind {kind!r}")
-    atomic_write_text(path, _document(body))
+    atomic_write(path, _document(body))

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from locuskit import dataio, svg
 from locuskit.dataio import Columns, ingest_csv, write_csv
 from locuskit.errors import InvalidParameter
 from locuskit.svg import emit_svg
@@ -38,6 +39,13 @@ def per_cell_csv(header, rows) -> str:
                 cells.append("%.17g" % float(cell))
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
+
+
+@pytest.fixture(params=["one-chunk", "chunks-of-2-rows"])
+def chunk_rows(request, monkeypatch):
+    """Runs a test with the writer's own chunk size and again with chunks of 2 rows, so tables span several."""
+    if request.param == "chunks-of-2-rows":
+        monkeypatch.setattr(dataio, "_CHUNK_ROWS", 2)
 
 
 def written(tmp_path, header, rows) -> str:
@@ -70,7 +78,7 @@ ROW_TABLES = {
 
 
 @pytest.mark.parametrize("header, rows", list(ROW_TABLES.values()), ids=list(ROW_TABLES))
-def test_rows_match_the_per_cell_rule(tmp_path, header, rows):
+def test_rows_match_the_per_cell_rule(tmp_path, chunk_rows, header, rows):
     assert written(tmp_path, header, rows) == per_cell_csv(header, rows)
 
 
@@ -88,6 +96,32 @@ def test_a_ragged_row_or_none_cell_raises_and_writes_nothing(tmp_path, rows):
     assert not (tmp_path / "t.csv").exists()
 
 
+def test_tables_of_several_chunks_match_the_per_cell_rule(tmp_path):
+    c = dataio._CHUNK_ROWS
+    # a list column whose chunks differ in kind: ints, then ints and floats, then strings and floats
+    mixed = [*range(c), *([i, 0.5 * i][i % 2] for i in range(c, 2 * c)),
+             *(["s%d" % i, 0.1 * i][i % 2] for i in range(2 * c, 5 * c // 2))]
+    n = len(mixed)
+    X = np.random.default_rng(7).normal(size=(n, 2))
+    rows = [[m, *x, i] for m, x, i in zip(mixed, X, range(n))]
+    header = ["m", "x0", "x1", "i"]
+    want = per_cell_csv(header, rows)
+    assert written(tmp_path, header, rows) == want
+    assert written(tmp_path, header, iter(rows)) == want
+    assert written(tmp_path, header, Columns((mixed, X, np.arange(n)))) == want
+    assert written(tmp_path, ["x0", "x1"], X) == per_cell_csv(["x0", "x1"], X)
+
+
+@pytest.mark.parametrize("late", [[3.0], [3.0, 4.0, 5.0], [3.0, None]], ids=["short", "long", "none"])
+@pytest.mark.parametrize("whole_chunk", [False, True], ids=["amid-a-chunk", "a-chunk-of-its-own"])
+def test_a_ragged_row_after_the_first_chunk_raises_and_leaves_no_file(tmp_path, late, whole_chunk):
+    good = [[1.0, 2.0]] * dataio._CHUNK_ROWS
+    rows = good + ([late] * dataio._CHUNK_ROWS if whole_chunk else [[1.0, 2.0], late, [1.0, 2.0]])
+    with pytest.raises(TypeError):
+        write_csv(tmp_path / "t.csv", ["a", "b"], rows)
+    assert list(tmp_path.iterdir()) == []  # neither the target nor a .tmp- file
+
+
 ARRAYS = {
     "float64": np.random.default_rng(0).normal(size=(6, 3)) * 1e7,
     "float32": np.random.default_rng(1).normal(size=(5, 2)).astype(np.float32),
@@ -100,12 +134,12 @@ ARRAYS = {
 
 
 @pytest.mark.parametrize("table", list(ARRAYS.values()), ids=list(ARRAYS))
-def test_a_2d_array_matches_the_per_cell_rule_of_its_rows(tmp_path, table):
+def test_a_2d_array_matches_the_per_cell_rule_of_its_rows(tmp_path, chunk_rows, table):
     header = [f"c{j}" for j in range(table.shape[1])]
     assert written(tmp_path, header, table) == per_cell_csv(header, table)
 
 
-def test_columns_match_the_rows_they_stand_for(tmp_path):
+def test_columns_match_the_rows_they_stand_for(tmp_path, chunk_rows):
     rng = np.random.default_rng(5)
     X = rng.normal(size=(7, 2))
     labels = rng.integers(-3, 9, size=7)
@@ -119,7 +153,7 @@ def test_columns_match_the_rows_they_stand_for(tmp_path):
     assert written(tmp_path, header, table) == per_cell_csv(header, rows)
 
 
-def test_columns_of_a_3d_path_array(tmp_path):
+def test_columns_of_a_3d_path_array(tmp_path, chunk_rows):
     paths = np.random.default_rng(6).normal(size=(4, 3, 2))  # (queries, steps, p)
     n, steps = paths.shape[:2]
     table = Columns((np.repeat(np.arange(n), steps), np.tile(np.arange(steps), n), paths.reshape(n * steps, -1)))
@@ -241,6 +275,7 @@ def per_point_svg(kind, data) -> str:
 
 
 _RNG = np.random.default_rng(11)
+_CHUNK = svg._CHUNK_POINTS
 _PTS = _RNG.normal(size=(40, 2)) * [1e-3, 1e4] + [5.0, -2e4]
 _CURVE_X = np.log10(np.geomspace(0.05, 1.0, 17))
 # Mapped to within an ulp of a %.6g rounding midpoint (x 100.1315, 100.3935; y 100.2625, 100.3935), so a map
@@ -263,6 +298,17 @@ FIGURES = {
     "trajectories-array": ("trajectories", {"trajectories": _RNG.normal(size=(25, 7, 3))}),
     "trajectories-one-column": ("trajectories", {"trajectories": _RNG.normal(size=(4, 6, 1))}),
     "trajectories-constant": ("trajectories", {"trajectories": np.ones((3, 4, 2))}),
+    # several chunks of the writer's own size: whole polylines per chunk, one polyline longer than a chunk
+    "trajectories-several-chunks": ("trajectories", {"trajectories": _RNG.normal(size=(_CHUNK // 4, 11, 2))}),
+    "trajectories-longer-than-a-chunk": (
+        "trajectories", {"trajectories": [_RNG.normal(size=(k, 2)) for k in (3, _CHUNK + 5, 1, _CHUNK // 2, 700)]}
+    ),
+    "scatter-several-chunks": (
+        "scatter", {"points": _RNG.normal(size=(5 * _CHUNK // 2, 2)), "labels": np.arange(5 * _CHUNK // 2) % 11 - 3}
+    ),
+    "line-several-chunks": (
+        "line", {"series": [(np.arange(k), _RNG.normal(size=k)) for k in (2 * _CHUNK, 30, _CHUNK)]}
+    ),
 }
 
 
@@ -281,3 +327,9 @@ def test_nothing_to_draw_is_rejected(tmp_path, kind, data):
     with pytest.raises(InvalidParameter, match="nothing to draw"):
         emit_svg(kind, data, tmp_path / "f.svg")
     assert not (tmp_path / "f.svg").exists()
+
+
+def test_a_series_with_more_x_than_y_values_is_rejected(tmp_path):
+    with pytest.raises(InvalidParameter, match="as many x values as y values"):
+        emit_svg("line", {"series": [(np.arange(5), np.arange(5)), (np.arange(4), np.arange(3))]}, tmp_path / "f.svg")
+    assert list(tmp_path.iterdir()) == []

@@ -1,12 +1,15 @@
 """Shift-iteration tests: fixed points, clustering, Hopfield recall,
 medoid mappings, label propagation, and the KDE-ascent facts."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from locuskit import errors
 from locuskit.kernels import (
     GaussianKernel,
+    _block_height,
     concrete,
     dirac,
     epanechnikov,
@@ -459,10 +462,27 @@ def shuffled_chain(seed, n=400, step=0.1):
     return pts[rng.permutation(n)]
 
 
+def dense_modes(seed, n_per=250, centers=((0.0, 0.0), (5.0, 5.0), (10.0, 0.0)), spread=1e-3):
+    """Shuffled tight modes, as mean shift leaves them: every point of a mode is within reach of every other."""
+    rng = np.random.default_rng(seed)
+    pts = np.concatenate([np.asarray(c) + spread * rng.normal(size=(n_per, 2)) for c in centers])
+    return pts[rng.permutation(len(pts))]
+
+
+def hub_and_spokes(seed, spokes=200):
+    """A hub joined to ``spokes`` mutually distant points, each joined to a leaf of its own (radius 1.1): the
+    spokes make one BFS frontier, and each of its row blocks reaches leaves that no other block reaches."""
+    rng = np.random.default_rng(seed)
+    pts = np.concatenate([np.zeros((1, spokes)), np.eye(spokes), 2.0 * np.eye(spokes)])
+    return pts[rng.permutation(len(pts))]
+
+
 class TestExtractClustersAgainstUnionFind:
     CASES = {
         "many-components": (lambda: np.random.default_rng(30).uniform(0.0, 10.0, (400, 2)), 0.35),
         "shuffled-chain": (lambda: shuffled_chain(31), 0.15),
+        "dense-modes": (lambda: dense_modes(35), 0.01),
+        "hub-and-spokes": (lambda: hub_and_spokes(37), 1.1),
         "duplicates": (lambda: np.random.default_rng(32).integers(0, 6, (300, 2)).astype(float), 0.5),
         "singletons": (lambda: np.random.default_rng(33).permutation(
             np.stack(np.meshgrid(np.arange(15.0), np.arange(12.0)), -1).reshape(-1, 2)), 0.5),
@@ -489,6 +509,25 @@ class TestExtractClustersAgainstUnionFind:
         grid = self.CASES["singletons"][0]()
         labels, _ = extract_clusters(grid, 0.5)
         np.testing.assert_array_equal(labels, np.arange(len(grid)))
+        modes = dense_modes(35)
+        labels, _ = extract_clusters(modes, 0.01)
+        assert labels.max() + 1 == 3
+        assert (labels == labels[0]).sum() - 1 > 2 * _block_height(len(modes))  # a frontier spans 3+ row blocks
+        star = hub_and_spokes(37)
+        labels, _ = extract_clusters(star, 1.1)
+        assert (labels == 0).all()
+        assert 200 > _block_height(len(star))  # the spokes' frontier spans 2 row blocks
+
+    def test_peak_memory_is_linear_in_n(self):
+        P = dense_modes(36, n_per=1000)  # N = 3000: an N x N boolean alone is 9 MB
+        tracemalloc.start()
+        try:
+            labels, _ = extract_clusters(P, 0.01)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert labels.max() + 1 == 3
+        assert peak < 1.5 * 2**20
 
 
 def all_rows_mean_shift(k, X, queries=None, alpha=1.0, tol=1e-8, max_iter=500, overwrite=False):
