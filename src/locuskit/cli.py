@@ -38,7 +38,7 @@ from .errors import EmptyNeighborhood, LocusKitError, NumericError, ValidationEr
 from .estimators import (  # the three *_predict are unused here, but perfbench/tracer.py wraps them by name
     Dataset, local_linear_predict, local_linear_transform, local_mean_predict, local_mode_predict, loo_error,
 )
-from .kernels import gaussian, gram, local_reduce, make_kernel, pairwise_sq_dists
+from .kernels import _is_integer, _nearest, gaussian, gram, local_reduce, make_kernel, pairwise_sq_dists
 from .metrics import accuracy, adjusted_rand_index, r2_score, w1_distance
 from .sequence import (
     MlpParams,
@@ -101,11 +101,6 @@ def _rule(rule: str, accept, cast=lambda value: value):
 def _is_real(value) -> bool:
     """True for a JSON number: 3 and 3.5, not True or "3"."""
     return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _is_integer(value) -> bool:
-    """True for a JSON number with an integral value: 3 and 3.0, not 3.5, True or "3"."""
-    return _is_real(value) and (isinstance(value, int) or value.is_integer())
 
 
 def _integer(minimum=None):
@@ -272,7 +267,7 @@ def _run_regress(cfg, seed, linear: bool):
         if empty.any() and cfg["fallback"] == "error":
             raise EmptyNeighborhood(f"no positive kernel weights at {data.X[empty.argmax()]!r}")
         if empty.any():  # each empty row takes its nearest sample's target, the lowest index among ties
-            preds[empty] = data.y[pairwise_sq_dists(data.X[empty], data.X).argmin(axis=1)]
+            preds[empty] = data.y[_nearest(pairwise_sq_dists(data.X[empty], data.X), 1)[:, 0]]
         counters = {"empty_rows": int(empty.sum())}
     metrics = {"r2_train": r2_score(data.y, preds), "n": data.n, "diagnostics": {"counters": counters}}
     try:  # leave-one-out squared error of the model fitted above

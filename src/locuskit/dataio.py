@@ -11,7 +11,6 @@ import csv
 import json
 import math
 import os
-import tempfile
 from itertools import islice, zip_longest
 
 import numpy as np
@@ -28,10 +27,12 @@ _CHUNK_ROWS = 1024  # rows formatted and written at a time by write_csv
 
 def atomic_write(path, chunks) -> None:
     """Write the byte chunks in turn to a temp file beside ``path``, then rename it to ``path``; if a chunk
-    fails to arrive, neither file is left."""
+    fails to arrive, neither file is left.  The temp file is created as ``open`` creates a file, so the umask
+    sets its mode (``tempfile.mkstemp`` would make it 0600)."""
     path = os.fspath(path)
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=os.path.basename(path))
+    tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}{os.path.basename(path)}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0), 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
             for chunk in chunks:

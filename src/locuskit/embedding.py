@@ -15,7 +15,8 @@ from .errors import (
 )
 from .estimators import _fix_signs
 from .kernels import (  # normalize_rows is unused here, but perfbench/tracer.py wraps it by name
-    StochasticMatrix, _matrix_values, _row_blocks, as_point_set, normalize_rows, pairwise_sq_dists,
+    StochasticMatrix, _is_integer, _matrix_values, _nearest, _row_blocks, as_point_set, normalize_rows,
+    pairwise_sq_dists,
 )
 
 __all__ = [
@@ -66,16 +67,16 @@ def _lle_knn_weights(X, n_neighbors: int):
     """
     X = as_point_set(X)
     n = X.shape[0]
+    if not _is_integer(n_neighbors) or not 1 <= n_neighbors < n:
+        raise InvalidParameter(f"neighbor count must be an integer in [1, {n - 1}], got {n_neighbors!r}")
     n_neighbors = int(n_neighbors)
-    if not 1 <= n_neighbors < n:
-        raise InvalidParameter(f"neighbor count must be in [1, {n - 1}]")
     neighbors = np.empty((n, n_neighbors), dtype=np.intp)
     weights = np.empty((n, n_neighbors))
     diag = np.arange(n_neighbors)
     for rows in _row_blocks(n, n):
         D2 = pairwise_sq_dists(X[rows], X)
         np.fill_diagonal(D2[:, rows], np.inf)
-        nbrs = neighbors[rows] = np.argsort(D2, axis=1, kind="stable")[:, :n_neighbors]
+        nbrs = neighbors[rows] = _nearest(D2, n_neighbors)
         Z = X[nbrs] - X[rows, None, :]
         C = Z @ Z.transpose(0, 2, 1)
         ridge = 1e-9 * np.trace(C, axis1=1, axis2=2)
@@ -297,7 +298,7 @@ def cooccurrence_embed(windows, d: int) -> WordVectors:
     # tiny corpus produces, where a generic SVD routine may return factors
     # with zero rows
     eigvals, eigvecs = np.linalg.eigh(damped)
-    order = np.argsort(-np.abs(eigvals), kind="stable")[:d]
+    order = _nearest(-np.abs(eigvals)[None], d)[0]
     lam = eigvals[order]
     U = _fix_signs(eigvecs[:, order])
     root = np.sqrt(np.abs(lam))
@@ -343,32 +344,25 @@ def _contrast_h(kind: str):
 
 
 def _all_triplets(n):
-    trips = []
-    for i in range(n):
-        for j in range(n):
-            if j == i:
-                continue
-            for k in range(n):
-                if k != i and k != j:
-                    trips.append((i, j, k))
-    return np.asarray(trips, dtype=int)
+    """Every (i, j, k) of distinct indices in lexicographic order, as the three index arrays."""
+    i, j, k = np.indices((n, n, n)).reshape(3, -1)
+    keep = (i != j) & (i != k) & (j != k)
+    return i[keep], j[keep], k[keep]
 
 
 def _sampled_triplets(S, n_neighbors, n_contrast, rng):
+    """Triplets (i, j, k) as three index arrays: per anchor i its ``min(n_neighbors, n - 1)`` most similar j (ties by
+    index), and per (i, j) ``min(n_contrast, n - 2)`` draws without replacement from range(n - 2), shifted past i, j."""
     n = S.shape[0]
-    trips = []
-    for i in range(n):
-        sims = S[i].copy()
-        sims[i] = -np.inf
-        nbrs = np.argsort(-sims, kind="stable")[: min(n_neighbors, n - 1)]
-        for j in nbrs:
-            pool = np.setdiff1d(np.arange(n), [i, j])
-            if pool.size == 0:
-                continue
-            ks = rng.choice(pool, size=min(n_contrast, pool.size), replace=False)
-            for k in ks:
-                trips.append((i, int(j), int(k)))
-    return np.asarray(trips, dtype=int)
+    D = -S
+    np.fill_diagonal(D, np.inf)
+    j = _nearest(D, min(n_neighbors, n - 1)).ravel()
+    i = np.repeat(np.arange(n), len(j) // n)
+    m = min(n_contrast, n - 2)
+    k = np.array([rng.choice(n - 2, m, replace=False) for _ in j])
+    k += k >= np.minimum(i, j)[:, None]
+    k += k >= np.maximum(i, j)[:, None]
+    return np.repeat(i, m), np.repeat(j, m), k.ravel()
 
 
 def trimap_embed(
@@ -395,19 +389,16 @@ def trimap_embed(
     n = X.shape[0]
     if n < 3:
         raise InvalidParameter("need at least three points")
+    if min(int(q), int(steps), n_neighbors, n_contrast) < 1:
+        raise InvalidParameter("the dimension q, steps, n_neighbors and n_contrast must be >= 1")
     q = int(q)
-    if q < 1:
-        raise InvalidParameter("embedding dimension must be >= 1")
-    if int(steps) < 1:
-        raise InvalidParameter("steps must be >= 1")
     hf, hpf = _contrast_h(h)
     rng = np.random.default_rng(rng_seed)
 
     S = np.array([[similarity(a, b) for b in X] for a in X], dtype=float)
     if (S < 0).any():
         raise InvalidParameter("similarities must be non-negative")
-    trips = _all_triplets(n) if full_triplets else _sampled_triplets(S, n_neighbors, n_contrast, rng)
-    i1, i2, i3 = trips.T
+    i1, i2, i3 = _all_triplets(n) if full_triplets else _sampled_triplets(S, n_neighbors, n_contrast, rng)
     denom = S[i1, i2] + S[i1, i3]
     keep = denom > 0
     i1, i2, i3, denom = i1[keep], i2[keep], i3[keep], denom[keep]

@@ -23,8 +23,8 @@ from .errors import (
     ZeroDenominator,
 )
 from .kernels import (  # normalize_rows is unused here, but perfbench/tracer.py wraps it by name
-    GaussianKernel, Kernel, SelfKernel, _dissimilarities, _local_weights, _row_blocks, as_point, as_point_set,
-    local_reduce, normalize_rows, pairwise_sq_dists, softmax_rows, uniform,
+    GaussianKernel, Kernel, SelfKernel, _dissimilarities, _is_integer, _local_weights, _nearest, _row_blocks, as_point,
+    as_point_set, local_reduce, normalize_rows, pairwise_sq_dists, softmax_rows, uniform,
 )
 
 __all__ = [
@@ -131,11 +131,6 @@ def weights_at(k: Kernel, X: np.ndarray, x_star) -> np.ndarray:
     return k.gram_values(x_star[None, :], X)[0]
 
 
-def _nearest_order(X, x_star) -> np.ndarray:
-    """Sample indices by distance to x*, distance ties broken by ascending index."""
-    return np.argsort(pairwise_sq_dists(as_point(x_star)[None, :], X)[0], kind="stable")
-
-
 # ---------------------------------------------------------------------------
 # local decision fitting
 # ---------------------------------------------------------------------------
@@ -238,7 +233,7 @@ def local_mean_predict(k: Kernel, data: Dataset, x_star, fallback="error"):
     means, empty = local_reduce(k, as_point(x_star)[None, :], data.X, data.y)
     if empty[0]:
         if fallback == "nearest-neighbor":
-            return data.y[_nearest_order(data.X, x_star)[0]]
+            return data.y[_nearest(pairwise_sq_dists(as_point(x_star)[None, :], data.X), 1)[0, 0]]
         raise EmptyNeighborhood(f"no positive kernel weights at {x_star!r}")
     return means[0] if data.y.ndim > 1 else float(means[0, 0])
 
@@ -299,12 +294,11 @@ def knn_predict(n_neighbors: int, data: Dataset, x_star, weight_kernel: Kernel |
     :func:`local_mode_predict` or :func:`local_mean_predict` over the
     neighbor set, under the weight kernel or, by default, uniform weights.
     """
-    n_neighbors = int(n_neighbors)
-    if not 1 <= n_neighbors <= data.n:
-        raise InvalidParameter(f"neighbor count must be in [1, {data.n}]")
+    if not _is_integer(n_neighbors) or not 1 <= n_neighbors <= data.n:
+        raise InvalidParameter(f"neighbor count must be an integer in [1, {data.n}], got {n_neighbors!r}")
     if data.kind == "none":
         raise InvalidParameter("knn prediction needs targets")
-    idx = _nearest_order(data.X, x_star)[:n_neighbors]
+    idx = _nearest(pairwise_sq_dists(as_point(x_star)[None, :], data.X), int(n_neighbors))[0]
     k = uniform() if weight_kernel is None else weight_kernel
     neighbors = Dataset(data.X[idx], data.y[idx])
     if data.kind == "labels":

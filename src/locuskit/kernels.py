@@ -22,6 +22,7 @@ Conventions
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -132,6 +133,19 @@ def pairwise_sq_dists(A: np.ndarray, B: np.ndarray, out=None) -> np.ndarray:
     return d2
 
 
+def _nearest(D: np.ndarray, k: int) -> np.ndarray:
+    """Each row's k smallest column indices in ``np.argsort(D, axis=1, kind="stable")[:, :k]``'s order (ties by index,
+    NaN last): the columns below the row's k-th value and the first ones equal to it, stably sorted by value."""
+    kth = np.partition(D, k - 1, axis=1)[:, k - 1, None].copy()  # frees the partitioned copy of D at once
+    gap = kth != kth  # a NaN k-th value: every number sorts below it and every NaN ties with it
+    below, tied = (D < kth) | gap & (D == D), (D == kth) | gap & (D != D)
+    need = k - below.sum(axis=1)
+    over = tied.sum(axis=1) > need  # rows with more ties at the k-th value than places left keep the first by index
+    tied[over] &= np.cumsum(tied[over], axis=1) <= need[over, None]
+    cols = np.nonzero(below | tied)[1].reshape(-1, k)
+    return np.take_along_axis(cols, np.argsort(np.take_along_axis(D, cols, axis=1), axis=1, kind="stable"), axis=1)
+
+
 def _dissimilarities(d, A, B) -> np.ndarray:
     """``d(A, B)``, which must be the finite ``len(A) x len(B)`` dissimilarity array."""
     D = np.asarray(d(A, B), dtype=float)
@@ -188,6 +202,12 @@ class Kernel:
 
     def __call__(self, x, y) -> float:
         return self.eval(x, y)
+
+
+def _is_integer(value) -> bool:
+    """True for an int or an integral float, numpy's included: 3 and 3.0, not 3.5, True or "3"."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    return real and (isinstance(value, numbers.Integral) or float(value).is_integer())
 
 
 def _check_bandwidth(h) -> float:
@@ -292,19 +312,16 @@ class KnnKernel(Kernel):
 
     def __init__(self, k: int, reference):
         reference = as_point_set(reference)
-        k = int(k)
-        if not 1 <= k <= reference.shape[0]:
-            raise InvalidParameter(
-                f"k must be in [1, {reference.shape[0]}], got {k}"
-            )
-        self.k = k
+        if not _is_integer(k) or not 1 <= k <= reference.shape[0]:
+            raise InvalidParameter(f"k must be an integer in [1, {reference.shape[0]}], got {k!r}")
+        self.k = int(k)
         self.reference = reference.copy()
         self.reference.setflags(write=False)
 
     def _selected(self, x):
         """Indices of the k nearest reference points to x (index tie-break)."""
-        d2 = pairwise_sq_dists(as_point(x)[None, :], self.reference)[0]
-        return np.argsort(d2, kind="stable")[: self.k], d2
+        d2 = pairwise_sq_dists(as_point(x)[None, :], self.reference)
+        return _nearest(d2, self.k)[0], d2[0]
 
     def eval(self, x, y):
         sel, d2 = self._selected(x)
@@ -317,16 +334,14 @@ class KnnKernel(Kernel):
             return 0.0
         # boundary tie: member reference points defer to the index rule
         matches = np.where((self.reference == y).all(1))[0]
-        if matches.size:
-            return 1.0 if np.isin(matches, sel).any() else 0.0
-        return 1.0
+        return 1.0 if matches.size == 0 or np.isin(matches, sel).any() else 0.0
 
     def gram_values(self, rows, cols):
         """``eval`` at every pair. A column exactly at a row's k-th distance counts when it equals no
         reference point, or when its lowest-indexed copy's index is at most the k-th neighbor's."""
         rows, cols = as_point_set(rows), as_point_set(cols)
         d2 = pairwise_sq_dists(rows, self.reference)
-        last = np.argsort(d2, axis=1, kind="stable")[:, self.k - 1]
+        last = _nearest(d2, self.k)[:, -1]
         kth = d2[np.arange(rows.shape[0]), last][:, None]
         dy = pairwise_sq_dists(rows, cols)
         out = (dy < kth).astype(float)
@@ -496,9 +511,9 @@ class PowerKernel(Kernel):
     """n-fold operator power of a kernel via an anchor set (or matrix power)."""
 
     def __init__(self, base: Kernel, n: int = 2, anchors=None):
+        if not _is_integer(n) or n < 1:
+            raise InvalidParameter(f"power must be an integer n >= 1, got {n!r}")
         n = int(n)
-        if n < 1:
-            raise InvalidParameter(f"power must satisfy n >= 1, got {n}")
         if anchors is None:
             if not isinstance(base, ConcreteKernel):
                 raise InvalidParameter(

@@ -644,6 +644,11 @@ _SINE = {"input": "bundled:noisy-sine"}
         ("regress-local-mean", {**_SINE, "kernel": {"kind": "dual"}}, "'base'"),
         ("regress-local-mean", {**_SINE, "kernel": {"kind": "multi", "parts": [{"kind": "uniform"}]}}, "'weights'"),
         ("regress-local-mean", {**_SINE, "kernel": {"kind": "knn", "k": 2, "reference": "abc"}}, "'knn'"),
+        (
+            "regress-local-mean",
+            {**_SINE, "kernel": {"kind": "knn", "k": 2.5, "reference": [[0.0], [1.0]]}},
+            "k must be an integer",
+        ),
         ("regress-local-mean", {**_SINE, "kernel": {"kind": "gaussian", "h": 0.3, "H": 9}}, "'H'"),
         (
             "regress-local-mean",
@@ -688,7 +693,8 @@ _SINE = {"input": "bundled:noisy-sine"}
         "zero-classes", "negative-classes", "more-classes-than-rows", "unknown-mode", "negative-grid-count",
         "negative-steps", "zero-attention-width", "empty-demo-sequence", "negative-meanshift-iterations",
         "negative-relax-iterations", "unknown-fallback", "dual-without-base", "multi-without-weights",
-        "knn-non-numeric-reference", "unknown-kernel-field", "unknown-nested-kernel-field", "parts-not-a-list",
+        "knn-non-numeric-reference", "knn-fractional-k", "unknown-kernel-field", "unknown-nested-kernel-field",
+        "parts-not-a-list",
         "unknown-input-key", "negative-hidden-width", "negative-depth", "negative-amds-iterations",
         "negative-meanshift-tolerance", "negative-trimap-rate", "negative-qkv-rate", "zero-qkv-rate",
         "underflowing-similarity-bandwidth", "unknown-amds-method", "unknown-trimap-transform",

@@ -19,6 +19,7 @@ from locuskit.embedding import (
 from locuskit.estimators import _fix_signs
 from locuskit.kernels import epanechnikov, gram, normalize_rows, pairwise_sq_dists
 from locuskit.synth import swiss_roll
+from triplets import all_triplets, sampled_triplets
 
 
 def gaussian_similarity(h):
@@ -67,6 +68,11 @@ class TestLleWeights:
     def test_bad_neighbor_count(self):
         with pytest.raises(errors.InvalidParameter):
             lle_weights(np.zeros((4, 2)), 4)
+
+    @pytest.mark.parametrize("k", [1.9, "2", True])
+    def test_a_non_integral_neighbor_count_is_rejected_not_truncated(self, k):
+        with pytest.raises(errors.InvalidParameter, match="must be an integer"):
+            lle_weights(np.arange(12.0).reshape(6, 2), k)
 
 
 class TestLleRidge:
@@ -394,3 +400,39 @@ class TestTrimap:
             trimap_embed(np.zeros((2, 2)), lambda a, b: 1.0, q=2)
         with pytest.raises(errors.InvalidParameter):
             trimap_embed(np.zeros((4, 2)), lambda a, b: 1.0, q=2, h="cubic")
+
+    @pytest.mark.parametrize("field", ["q", "steps", "n_neighbors", "n_contrast"])
+    def test_a_count_below_one_is_rejected(self, field):
+        with pytest.raises(errors.InvalidParameter, match=field):
+            trimap_embed(np.eye(4), lambda a, b: 1.0, **{"q": 2, field: 0})
+
+
+class TestTripletBuilders:
+    """The array builders against the loop references in ``tests/triplets.py``, bit for bit."""
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 8, 13])
+    def test_all_triplets_match_the_loop_reference(self, n):
+        want = all_triplets(n)
+        got = np.column_stack(embedding._all_triplets(n))
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("n", [3, 4, 7, 40, 90])
+    @pytest.mark.parametrize("n_neighbors, n_contrast", [(10, 10), (1, 1), (2, 60), (60, 3)])
+    @pytest.mark.parametrize("ties", [False, True], ids=["distinct", "tie-heavy"])
+    def test_sampled_triplets_match_the_loop_reference(self, n, n_neighbors, n_contrast, ties):
+        for seed in (0, 1, 2):
+            rng = np.random.default_rng([seed, n])
+            # a tie-heavy S has three values, so most neighbor choices fall to the index rule
+            S = rng.integers(0, 3, size=(n, n)).astype(float) if ties else rng.random((n, n))
+            want = sampled_triplets(S, n_neighbors, n_contrast, np.random.default_rng(seed))
+            got = np.column_stack(embedding._sampled_triplets(S, n_neighbors, n_contrast, np.random.default_rng(seed)))
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+
+    def test_the_draws_leave_the_generator_where_the_reference_does(self):
+        S = np.random.default_rng(3).random((20, 20))
+        a, b = np.random.default_rng(4), np.random.default_rng(4)
+        sampled_triplets(S, 5, 7, a)
+        embedding._sampled_triplets(S, 5, 7, b)
+        assert a.random() == b.random()

@@ -6,6 +6,9 @@ writers must reproduce: each CSV cell formatted on its own by its type, and
 each SVG coordinate mapped as a Python float and formatted with ``%.6g``.
 """
 
+import os
+import stat
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -120,6 +123,19 @@ def test_a_ragged_row_after_the_first_chunk_raises_and_leaves_no_file(tmp_path, 
     with pytest.raises(TypeError):
         write_csv(tmp_path / "t.csv", ["a", "b"], rows)
     assert list(tmp_path.iterdir()) == []  # neither the target nor a .tmp- file
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600), (0o002, 0o664)], ids=["022", "077", "002"])
+def test_written_files_take_the_mode_the_umask_gives(tmp_path, umask, mode):
+    old = os.umask(umask)
+    try:
+        write_csv(tmp_path / "t.csv", ["a"], [[1.0]])
+        emit_svg("scatter", {"points": np.eye(2)}, tmp_path / "f.svg")
+        dataio.write_json(tmp_path / "m.json", {"a": 1})
+    finally:
+        os.umask(old)
+    for name in ("t.csv", "f.svg", "m.json"):
+        assert stat.S_IMODE(os.stat(tmp_path / name).st_mode) == mode, name
 
 
 ARRAYS = {

@@ -277,6 +277,14 @@ class TestKnn:
         with pytest.raises(errors.InvalidParameter):
             knn_predict(2, data, [0.0])
 
+    @pytest.mark.parametrize("k", [1.5, "1", True])
+    def test_a_non_integral_k_is_rejected_not_truncated(self, k):
+        with pytest.raises(errors.InvalidParameter, match="must be an integer"):
+            knn_predict(k, Dataset([[0.0], [1.0]], [1.0, 2.0]), [0.0])
+
+    def test_an_integral_float_k_is_read_as_an_int(self):
+        assert knn_predict(2.0, Dataset([[0.0], [1.0], [5.0]], [1.0, 2.0, 9.0]), [0.0]) == 1.5
+
 
 class TestLocalLinear:
     def test_affine_data_exact(self):

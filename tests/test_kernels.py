@@ -9,6 +9,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from locuskit import errors, kernels
 from locuskit.kernels import (
@@ -185,6 +187,22 @@ class TestKindTable:
     def test_unknown_missing_or_malformed_field_rejected(self, spec, named):
         with pytest.raises(errors.InvalidParameter, match=named):
             make_kernel(spec)
+
+    @pytest.mark.parametrize("value", [2.5, "2", True, float("nan"), float("inf"), [2]])
+    @pytest.mark.parametrize(
+        "spec, field",
+        [({"kind": "knn", "reference": _P.tolist()}, "k"), ({"kind": "power", "base": _G, "anchors": _Z}, "n")],
+        ids=["knn-k", "power-n"],
+    )
+    def test_a_non_integral_count_is_rejected_not_truncated(self, spec, field, value):
+        with pytest.raises(errors.InvalidParameter, match="must be an integer"):
+            make_kernel({**spec, field: value})
+
+    @pytest.mark.parametrize("value", [2, 2.0, np.int64(2), np.float32(2.0)])
+    def test_an_integral_count_is_read_as_an_int(self, value):
+        knn = make_kernel({"kind": "knn", "k": value, "reference": _P.tolist()})
+        power = kernels.PowerKernel(gaussian(0.7), value, _Z)
+        assert knn.k == power.n == 2 and type(knn.k) is type(power.n) is int
 
     @pytest.mark.parametrize(
         "op, args, params",
@@ -364,6 +382,28 @@ class TestDistanceArithmetic:
         D = pairwise_sq_dists(A, B)
         for i in range(A.shape[0]):
             assert np.array_equal(D[i], pairwise_sq_dists(A[i : i + 1], B)[0])
+
+
+# integer-valued cells, full of ties, mixed with the values a stable argsort orders specially
+_NEAREST_CELLS = st.one_of(st.integers(-3, 3).map(float), st.sampled_from([np.inf, -np.inf, np.nan, -0.0]))
+
+
+class TestNearest:
+    """``_nearest(D, k)``, the one k-nearest rule, pinned to the stable argsort cut to k columns."""
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(arrays(float, st.tuples(st.integers(1, 4), st.integers(1, 12)), elements=_NEAREST_CELLS))
+    def test_matches_the_stable_argsort_at_every_k(self, D):
+        want = np.argsort(D, axis=1, kind="stable")
+        for k in range(1, D.shape[1] + 1):
+            np.testing.assert_array_equal(kernels._nearest(D, k), want[:, :k])
+
+    @pytest.mark.parametrize("k", [1, 2, 9, 150, 299, 300])
+    def test_wide_rows_of_few_values(self, k):
+        D = np.random.default_rng(k).integers(0, 5, size=(7, 300)).astype(float)
+        D[3, ::7] = np.nan
+        D[5, :] = np.nan
+        np.testing.assert_array_equal(kernels._nearest(D, k), np.argsort(D, axis=1, kind="stable")[:, :k])
 
 
 class TestBuiltinSymmetry:
