@@ -26,7 +26,7 @@ from .estimators import (  # local_linear_predict is unused here, but perfbench/
     Dataset, _local_linear_blocks, local_linear_predict, loo_error,
 )
 from .kernels import (  # normalize_rows is unused here, but perfbench/tracer.py wraps it by name
-    MultiKernel, _row_blocks, _softmax_in_place, gaussian, local_reduce, normalize_rows,
+    MultiKernel, _check_count, _row_blocks, _softmax_in_place, gaussian, local_reduce, normalize_rows,
 )
 
 __all__ = [
@@ -410,11 +410,7 @@ def fit_qkv(
     V = np.asarray(V, dtype=float)
     if V.ndim != 2:
         raise InvalidParameter("V must be an (N, q) matrix")
-    d, steps = int(d), int(steps)
-    if d < 1:
-        raise InvalidParameter("feature dimension must be >= 1")
-    if steps < 0:
-        raise InvalidParameter("steps must be >= 0")
+    d, steps = _check_count(d, "feature dimension d"), _check_count(steps, "steps", 0)
     n, q = V.shape
     rng = np.random.default_rng(rng_seed)
     learned = [rng.uniform(-0.1, 0.1, size=(n, d)), rng.uniform(-0.1, 0.1, size=(n, d))]

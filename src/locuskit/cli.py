@@ -389,7 +389,7 @@ def _run_trimap(cfg, seed):
     data = _resolve_input(cfg["input"], "features-only")
     res = trimap_embed(
         data.X,
-        gaussian(cfg["similarity_h"]),
+        gaussian(cfg["similarity_h"]).gram_values,
         q=cfg["q"],
         h=cfg["transform"],
         steps=cfg["steps"],
@@ -633,7 +633,7 @@ _register(
         _INPUT_KEY,
         _KERNEL_KEY,
         _SEED_KEY,
-        Key("q", _int, default=2),
+        Key("q", _count, default=2),
         Key("method", _choice("svd", "nmf"), default="svd"),
         Key("iters", _integer(0), default=200),
     ],
@@ -646,11 +646,11 @@ _register(
     [
         _INPUT_KEY,
         _SEED_KEY,
-        Key("q", _int, default=2),
+        Key("q", _count, default=2),
         Key("transform", _choice("identity", "log1p"), default="log1p"),
-        Key("steps", _int, default=200),
+        Key("steps", _count, default=200),
         Key("lr", _bound, default=0.05),
-        Key("similarity_h", _float, default=1.0),
+        Key("similarity_h", _bound, default=1.0),
     ],
     _run_trimap,
     stochastic=True,
@@ -661,8 +661,8 @@ _register(
     [
         Key("input", _str, default=_REQUIRED, help="plain-text corpus path"),
         _SEED_KEY,
-        Key("window", _int, default=5),
-        Key("dim", _int, default=2),
+        Key("window", _integer(2), default=5),
+        Key("dim", _count, default=2),
     ],
     _run_words,
 )

@@ -26,6 +26,7 @@ from .kernels import (
     GaussianKernel,
     Kernel,
     NeighborhoodKernel,
+    _check_count,
     _row_blocks,
     as_point,
     as_point_set,
@@ -198,9 +199,7 @@ def dae_chain(denoiser, noise, x0, steps: int, rng_seed: int) -> np.ndarray:
     noising-denoising iterative algorithm; with zero-scale noise it
     degenerates to the plain prediction iteration of the denoiser.
     """
-    steps = int(steps)
-    if steps < 1:
-        raise InvalidParameter("need at least one step")
+    steps = _check_count(steps, "steps")
     rng = np.random.default_rng(rng_seed)
     x = as_point(x0)
     chain = [x.copy()]

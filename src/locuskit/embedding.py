@@ -15,7 +15,7 @@ from .errors import (
 )
 from .estimators import _fix_signs
 from .kernels import (  # normalize_rows is unused here, but perfbench/tracer.py wraps it by name
-    StochasticMatrix, _is_integer, _matrix_values, _nearest, _row_blocks, as_point_set, normalize_rows,
+    StochasticMatrix, _check_count, _matrix_values, _nearest, _pairwise, _row_blocks, as_point_set, normalize_rows,
     pairwise_sq_dists,
 )
 
@@ -67,9 +67,7 @@ def _lle_knn_weights(X, n_neighbors: int):
     """
     X = as_point_set(X)
     n = X.shape[0]
-    if not _is_integer(n_neighbors) or not 1 <= n_neighbors < n:
-        raise InvalidParameter(f"neighbor count must be an integer in [1, {n - 1}], got {n_neighbors!r}")
-    n_neighbors = int(n_neighbors)
+    n_neighbors = _check_count(n_neighbors, "neighbor count", 1, n - 1)
     neighbors = np.empty((n, n_neighbors), dtype=np.intp)
     weights = np.empty((n, n_neighbors))
     diag = np.arange(n_neighbors)
@@ -199,9 +197,7 @@ def lle_embed(Kt, r: int) -> EmbeddingResult:
     """
     M = _knn_lle_matrix(*Kt) if isinstance(Kt, tuple) else _dense_lle_matrix(Kt)
     n = M.shape[0]
-    r = int(r)
-    if not 1 <= r < n - 1:
-        raise InvalidParameter(f"embedding dimension must be in [1, {n - 2}]")
+    r = _check_count(r, "embedding dimension r", 1, n - 2)
     found = _bottom_eigenpairs(M, r + 1)
     if found is None:
         try:
@@ -229,9 +225,8 @@ def amds_factorize(K, q: int, method: str = "svd", iters: int = 200, rng_seed: i
     K = _matrix_values(K)
     if K.ndim != 2:
         raise InvalidParameter("kernel matrix must be 2-D")
-    q = int(q)
-    if not 1 <= q <= min(K.shape):
-        raise InvalidParameter(f"q must be in [1, {min(K.shape)}]")
+    q = _check_count(q, "q", 1, min(K.shape))
+    iters = _check_count(iters, "iters", 0)
     if method == "svd":
         U, S, Vt = np.linalg.svd(K, full_matrices=False)
         root = np.sqrt(S[:q])
@@ -252,7 +247,7 @@ def amds_factorize(K, q: int, method: str = "svd", iters: int = 200, rng_seed: i
         Psi = rng.uniform(0.5, 1.5, size=(m, q)) * scale
         eps = 1e-12
         history = []
-        for _ in range(int(iters)):
+        for _ in range(iters):
             Phi *= (K @ Psi) / np.maximum(Phi @ (Psi.T @ Psi), eps)
             Psi *= (K.T @ Phi) / np.maximum(Psi @ (Phi.T @ Phi), eps)
             history.append(float(((K - Phi @ Psi.T) ** 2).sum()))
@@ -265,33 +260,36 @@ def amds_factorize(K, q: int, method: str = "svd", iters: int = 200, rng_seed: i
 # co-occurrence word vectors
 # ---------------------------------------------------------------------------
 
-def cooccurrence_embed(windows, d: int) -> WordVectors:
-    """SVD word vectors from log-damped window co-occurrence counts.
+def _cooccurrence_counts(windows):
+    """``(vocabulary, C)``: the tokens in first-seen order, and the V x V counts of every ordered pair of distinct
+    positions inside each window, ``C[id(w[a]), id(w[b])]`` summed over windows w and positions a != b.
 
-    Counts every ordered pair of distinct positions inside each window,
-    applies log(1 + count), and takes the rank-d SVD; input vectors are
-    U_d S_d^(1/2), output vectors V_d S_d^(1/2).
-    """
-    windows = [list(w) for w in windows]
-    vocab = []
+    Windows of one length are counted together, by one ``np.bincount`` over the flat pair codes
+    ``ids[:, a] * V + ids[:, b]``; the counts are integers, so the order of the sums does not matter."""
     index = {}
     for w in windows:
         for tok in w:
-            if tok not in index:
-                index[tok] = len(vocab)
-                vocab.append(tok)
+            index.setdefault(tok, len(index))
+    V = len(index)
+    C = np.zeros(V * V)
+    for length in {len(w) for w in windows}:
+        ids = np.array([[index[t] for t in w] for w in windows if len(w) == length], dtype=np.intp)
+        a, b = np.nonzero(~np.eye(length, dtype=bool))
+        C += np.bincount((ids[:, a] * V + ids[:, b]).ravel(), minlength=V * V)
+    return list(index), C.reshape(V, V)
+
+
+def cooccurrence_embed(windows, d: int) -> WordVectors:
+    """SVD word vectors from log-damped window co-occurrence counts.
+
+    Counts every ordered pair of distinct positions inside each window
+    (``_cooccurrence_counts``), applies log(1 + count), and takes the rank-d
+    SVD; input vectors are U_d S_d^(1/2), output vectors V_d S_d^(1/2).
+    """
+    vocab, C = _cooccurrence_counts([list(w) for w in windows])
     if not vocab:
         raise EmptyCorpus("no tokens in any window")
-    d = int(d)
-    if not 1 <= d < len(vocab):
-        raise InvalidParameter(f"dimension must be in [1, {len(vocab) - 1}]")
-    C = np.zeros((len(vocab), len(vocab)))
-    for w in windows:
-        ids = [index[t] for t in w]
-        for a in range(len(ids)):
-            for b in range(len(ids)):
-                if a != b:
-                    C[ids[a], ids[b]] += 1.0
+    d = _check_count(d, "dimension d", 1, len(vocab) - 1)
     damped = np.log1p(C)
     # the counting is symmetric, so take the SVD through the symmetric
     # eigendecomposition: deterministic on the degenerate +/-lambda pairs a
@@ -311,9 +309,7 @@ def cooccurrence_embed(windows, d: int) -> WordVectors:
 
 def read_corpus(path, window: int):
     """Whitespace-tokenized, lowercased sliding windows from a text file."""
-    window = int(window)
-    if window < 2:
-        raise InvalidParameter("window length must be at least 2")
+    window = _check_count(window, "window length", 2)
     with open(path, "r", encoding="utf-8") as fh:
         tokens = fh.read().lower().split()
     if not tokens:
@@ -380,22 +376,27 @@ def trimap_embed(
 ) -> EmbeddingResult:
     """Gradient descent on the contrast-kernel ternary MDS objective.
 
-    The contrast kernel ``s12 / (s12 + s13)`` scores how much closer x2 is
-    to x1 than x3 is; the loss sums K * h(d12^2 - d13^2) over triplets.
-    Triplets are either fully enumerated or sampled per anchor (nearest
-    ``n_neighbors`` by similarity, ``n_contrast`` uniform contrasts).
+    ``similarity(A, B)`` is a pairwise similarity: it takes two point sets and
+    returns the ``len(A) x len(B)`` array, for example a kernel's
+    ``gram_values``, and is called once, as ``similarity(X, X)``.  The
+    contrast kernel ``s12 / (s12 + s13)`` scores how much closer x2 is to x1
+    than x3 is; the loss sums K * h(d12^2 - d13^2) over triplets.  Triplets
+    are either fully enumerated or sampled per anchor (nearest
+    ``n_neighbors`` by similarity, ``n_contrast`` uniform contrasts).  Each
+    step scatters the triplets' gradient terms into Z's rows by one
+    ``np.bincount`` per column over the anchors, then the near and the far
+    points, so every row sums its terms in that order.
     """
     X = as_point_set(X)
     n = X.shape[0]
     if n < 3:
         raise InvalidParameter("need at least three points")
-    if min(int(q), int(steps), n_neighbors, n_contrast) < 1:
-        raise InvalidParameter("the dimension q, steps, n_neighbors and n_contrast must be >= 1")
-    q = int(q)
+    q, steps = _check_count(q, "q"), _check_count(steps, "steps")
+    n_neighbors, n_contrast = _check_count(n_neighbors, "n_neighbors"), _check_count(n_contrast, "n_contrast")
     hf, hpf = _contrast_h(h)
     rng = np.random.default_rng(rng_seed)
 
-    S = np.array([[similarity(a, b) for b in X] for a in X], dtype=float)
+    S = _pairwise(similarity, X, X, "similarity")
     if (S < 0).any():
         raise InvalidParameter("similarities must be non-negative")
     i1, i2, i3 = _all_triplets(n) if full_triplets else _sampled_triplets(S, n_neighbors, n_contrast, rng)
@@ -410,7 +411,8 @@ def trimap_embed(
         Z = np.asarray(init, dtype=float).copy()
         if Z.shape != (n, q):
             raise InvalidParameter(f"init must have shape ({n}, {q})")
-    history = np.empty(int(steps) + 1)
+    history = np.empty(steps + 1)
+    rows = np.concatenate([i1, i2, i3])
 
     def loss_and_grad(Z):
         d12 = Z[i1] - Z[i2]
@@ -418,16 +420,12 @@ def trimap_embed(
         u = (d12**2).sum(1) - (d13**2).sum(1)
         loss = float((K * hf(u)).sum())
         coef = (K * hpf(u))[:, None]
-        g = np.zeros_like(Z)
-        np.add.at(g, i1, coef * 2.0 * (d12 - d13))
-        np.add.at(g, i2, -coef * 2.0 * d12)
-        np.add.at(g, i3, coef * 2.0 * d13)
+        terms = np.concatenate([coef * 2.0 * (d12 - d13), -coef * 2.0 * d12, coef * 2.0 * d13])
+        g = np.column_stack([np.bincount(rows, weights=terms[:, c], minlength=n) for c in range(q)])
         return loss, g
 
     history[0], g = loss_and_grad(Z)
-    for t in range(1, int(steps) + 1):
+    for t in range(1, steps + 1):
         Z = Z - lr * g
         history[t], g = loss_and_grad(Z)
-    return EmbeddingResult(
-        Z=Z, objective=float(history[-1]), method="trimap", iterations=int(steps), history=history
-    )
+    return EmbeddingResult(Z=Z, objective=float(history[-1]), method="trimap", iterations=steps, history=history)

@@ -34,7 +34,7 @@ class ShapeMismatch(ValidationError):
 
 class DomainError(ValidationError):
     """A value off its domain: a concrete (finite-domain) kernel queried off
-    its index set, or a non-finite dissimilarity."""
+    its index set, or a non-finite entry of a pairwise similarity or dissimilarity."""
 
 
 class UnsupportedComposition(ValidationError):

@@ -23,7 +23,7 @@ from .errors import (
     ZeroDenominator,
 )
 from .kernels import (  # normalize_rows is unused here, but perfbench/tracer.py wraps it by name
-    GaussianKernel, Kernel, SelfKernel, _dissimilarities, _is_integer, _local_weights, _nearest, _row_blocks, as_point,
+    GaussianKernel, Kernel, SelfKernel, _check_count, _local_weights, _nearest, _pairwise, _row_blocks, as_point,
     as_point_set, local_reduce, normalize_rows, pairwise_sq_dists, softmax_rows, uniform,
 )
 
@@ -294,11 +294,10 @@ def knn_predict(n_neighbors: int, data: Dataset, x_star, weight_kernel: Kernel |
     :func:`local_mode_predict` or :func:`local_mean_predict` over the
     neighbor set, under the weight kernel or, by default, uniform weights.
     """
-    if not _is_integer(n_neighbors) or not 1 <= n_neighbors <= data.n:
-        raise InvalidParameter(f"neighbor count must be an integer in [1, {data.n}], got {n_neighbors!r}")
+    n_neighbors = _check_count(n_neighbors, "neighbor count", 1, data.n)
     if data.kind == "none":
         raise InvalidParameter("knn prediction needs targets")
-    idx = _nearest(pairwise_sq_dists(as_point(x_star)[None, :], data.X), int(n_neighbors))[0]
+    idx = _nearest(pairwise_sq_dists(as_point(x_star)[None, :], data.X), n_neighbors)[0]
     k = uniform() if weight_kernel is None else weight_kernel
     neighbors = Dataset(data.X[idx], data.y[idx])
     if data.kind == "labels":
@@ -542,7 +541,7 @@ def local_centerless_classify(k: Kernel, d, data: Dataset, x_star, with_dispersi
     x_star = as_point(x_star)
     w = _local_weights(k, x_star[None, :], data.X)[0]
     classes = int(data.y.max()) + 1
-    dist_to_query = _dissimilarities(d, x_star[None, :], data.X)[0]
+    dist_to_query = _pairwise(d, x_star[None, :], data.X)[0]
     delta = np.full(classes, -np.inf)
     any_class = False
     for c in range(classes):
@@ -555,7 +554,7 @@ def local_centerless_classify(k: Kernel, d, data: Dataset, x_star, with_dispersi
         score = -(wc @ dist_to_query[mask]) / total
         if with_dispersion:
             Xc = data.X[mask]
-            score += (wc @ _dissimilarities(d, Xc, Xc) @ wc) / (total * total)
+            score += (wc @ _pairwise(d, Xc, Xc) @ wc) / (total * total)
         delta[c] = score
     if not any_class:
         raise EmptyNeighborhood("every class has zero weight at the query")
@@ -600,9 +599,7 @@ def local_pca(k: Kernel, data: Dataset, x_star, r: int) -> LocalPcaBasis:
     V holds the top-r right singular vectors (orthonormal, sign fixed so
     each column's largest-magnitude entry is positive).
     """
-    r = int(r)
-    if not 1 <= r < data.p:
-        raise InvalidParameter(f"target dimension must be in [1, {data.p - 1}]")
+    r = _check_count(r, "target dimension r", 1, data.p - 1)
     w = _local_weights(k, as_point(x_star)[None, :], data.X)[0]
     total = w.sum()
     if total <= 0:
@@ -627,7 +624,7 @@ class LocalPcaEncoder:
     def __init__(self, k: Kernel, data: Dataset, r: int):
         self.k = k
         self.data = data
-        self.r = int(r)
+        self.r = _check_count(r, "target dimension r")
         Xc = data.X - data.X.mean(0)
         _, S, Vt = np.linalg.svd(Xc, full_matrices=False)
         self.global_mu = data.X.mean(0)

@@ -146,16 +146,18 @@ def _nearest(D: np.ndarray, k: int) -> np.ndarray:
     return np.take_along_axis(cols, np.argsort(np.take_along_axis(D, cols, axis=1), axis=1, kind="stable"), axis=1)
 
 
-def _dissimilarities(d, A, B) -> np.ndarray:
-    """``d(A, B)``, which must be the finite ``len(A) x len(B)`` dissimilarity array."""
-    D = np.asarray(d(A, B), dtype=float)
+def _pairwise(f, A, B, name: str = "d") -> np.ndarray:
+    """``f(A, B)`` for a pairwise similarity or dissimilarity ``f``, the library's one contract for a function of two
+    points: it takes two point sets and must return the finite ``len(A) x len(B)`` array of its values over their
+    rows.  ``name`` is the parameter ``f`` was passed as, for the errors."""
+    D = np.asarray(f(A, B), dtype=float)
     if D.shape != (len(A), len(B)):
         raise ShapeMismatch(
-            f"d(A, B) must return the pairwise ({len(A)}, {len(B)}) dissimilarity matrix, got shape {D.shape}; "
-            "d(A, B) takes two point sets and returns the len(A) x len(B) array"
+            f"{name}(A, B) must return the pairwise ({len(A)}, {len(B)}) matrix, got shape {D.shape}; "
+            f"{name}(A, B) takes two point sets and returns the len(A) x len(B) array, not one value per pair"
         )
     if not np.isfinite(D).all():
-        raise DomainError("d(A, B) has non-finite entries")
+        raise DomainError(f"{name}(A, B) has non-finite entries")
     return D
 
 
@@ -208,6 +210,14 @@ def _is_integer(value) -> bool:
     """True for an int or an integral float, numpy's included: 3 and 3.0, not 3.5, True or "3"."""
     real = isinstance(value, numbers.Real) and not isinstance(value, bool)
     return real and (isinstance(value, numbers.Integral) or float(value).is_integer())
+
+
+def _check_count(value, name: str, low: int = 1, high: int | None = None) -> int:
+    """``value`` as an int; InvalidParameter naming ``name`` unless ``_is_integer(value)`` and it lies in [low, high]."""
+    if not _is_integer(value) or value < low or high is not None and value > high:
+        bounds = f">= {low}" if high is None else f"in [{low}, {high}]"
+        raise InvalidParameter(f"{name} must be an integer {bounds}, got {value!r}")
+    return int(value)
 
 
 def _check_bandwidth(h) -> float:
@@ -312,9 +322,7 @@ class KnnKernel(Kernel):
 
     def __init__(self, k: int, reference):
         reference = as_point_set(reference)
-        if not _is_integer(k) or not 1 <= k <= reference.shape[0]:
-            raise InvalidParameter(f"k must be an integer in [1, {reference.shape[0]}], got {k!r}")
-        self.k = int(k)
+        self.k = _check_count(k, "k", 1, reference.shape[0])
         self.reference = reference.copy()
         self.reference.setflags(write=False)
 
@@ -511,9 +519,7 @@ class PowerKernel(Kernel):
     """n-fold operator power of a kernel via an anchor set (or matrix power)."""
 
     def __init__(self, base: Kernel, n: int = 2, anchors=None):
-        if not _is_integer(n) or n < 1:
-            raise InvalidParameter(f"power must be an integer n >= 1, got {n!r}")
-        n = int(n)
+        n = _check_count(n, "power n")
         if anchors is None:
             if not isinstance(base, ConcreteKernel):
                 raise InvalidParameter(

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import DimensionMismatch, InvalidParameter, ShapeMismatch
 from .estimators import Dataset, lazy_transform
 from .kernels import (
-    Kernel, KernelMatrix, _block_height, _local_weights, _matrix_values, _row_blocks, _softmax_in_place,
+    Kernel, KernelMatrix, _block_height, _check_count, _local_weights, _matrix_values, _row_blocks, _softmax_in_place,
     as_point_set, gram, normalize_rows,
 )
 
@@ -425,9 +425,7 @@ def autoregressive_complete(seq: Sequence, model, steps: int) -> Sequence:
     Each step evaluates the causal model at the next position and appends
     the result, feeding it back for the following step.
     """
-    steps = int(steps)
-    if steps < 1:
-        raise InvalidParameter("need at least one completion step")
+    steps = _check_count(steps, "completion steps")
     tokens = seq.tokens
     times = seq.times
     dt = times[-1] - times[-2] if len(times) > 1 else 1.0

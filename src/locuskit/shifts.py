@@ -15,7 +15,7 @@ import numpy as np
 from .errors import EmptyNeighborhood, InvalidParameter
 from .estimators import Dataset, LocalPcaBasis, local_pca
 from .kernels import (
-    Kernel, _block_height, _dissimilarities, _row_blocks, as_point_set, gram, local_reduce, normalize_rows,
+    Kernel, _block_height, _check_count, _pairwise, _row_blocks, as_point_set, gram, local_reduce, normalize_rows,
     pairwise_sq_dists,
 )
 
@@ -259,7 +259,7 @@ def medoid_shift(k: Kernel, d, X, merge_radius: float | None = None):
     """
     X = as_point_set(X)
     n = X.shape[0]
-    D = _dissimilarities(d, X, X)
+    D = _pairwise(d, X, X)
     cost, empty = local_reduce(k, X, X, D)
     if empty.any():
         raise EmptyNeighborhood(f"rows {np.flatnonzero(empty).tolist()} have zero degree")
@@ -336,7 +336,7 @@ def pc_shift(
     X = as_point_set(X)
     if not 0.0 < alpha <= 1.0:
         raise InvalidParameter("step alpha must lie in (0, 1]")
-    if int(r) == X.shape[1]:
+    if _check_count(r, "target dimension r") == X.shape[1]:
         n = X.shape[0]
         none = np.zeros(n, dtype=bool)
         return _shift_result(X, X.copy(), [X.copy()], np.zeros(n, dtype=int), ~none, none, merge_radius)

@@ -1,5 +1,6 @@
-"""Per-pair reference for the pairwise dissimilarity ``d(A, B)`` that
-``medoid_shift`` takes: the matrix built one scalar call at a time."""
+"""Per-pair reference for the pairwise functions the library takes, the
+dissimilarity ``d(A, B)`` of ``medoid_shift`` and the similarity ``s(A, B)``
+of ``trimap_embed``: the matrix built one scalar call at a time."""
 
 import numpy as np
 
@@ -9,7 +10,7 @@ def sq_euclid(a, b):
 
 
 def pairwise(f):
-    """``d(A, B)``: the len(A) x len(B) array of the scalar ``f(a, b)`` over the rows."""
+    """The pairwise form of the scalar ``f(a, b)``: the len(A) x len(B) array of its values over the rows."""
 
     def d(A, B):
         return np.array([[f(a, b) for b in B] for a in A], dtype=float)

@@ -688,6 +688,12 @@ _SINE = {"input": "bundled:noisy-sine"}
             {**_SINE, "kernel": {"kind": "feature", "phi": "a", "psi": "b"}},
             "'phi' must be callable",
         ),
+        ("embed-trimap", {"input": _SWISS, "seed": 1, "q": 0}, "'q' must be int >= 1"),
+        ("embed-trimap", {"input": _SWISS, "seed": 1, "steps": 0}, "'steps' must be int >= 1"),
+        ("embed-trimap", {"input": _SWISS, "seed": 1, "similarity_h": -1.0}, "'similarity_h' must be float > 0"),
+        ("embed-words", {"input": "corpus.txt", "window": 1}, "'window' must be int >= 2"),
+        ("embed-words", {"input": "corpus.txt", "dim": 0}, "'dim' must be int >= 1"),
+        ("embed-amds", {"input": _SWISS, "seed": 1, "q": 0}, "'q' must be int >= 1"),
     ],
     ids=[
         "zero-classes", "negative-classes", "more-classes-than-rows", "unknown-mode", "negative-grid-count",
@@ -699,7 +705,8 @@ _SINE = {"input": "bundled:noisy-sine"}
         "negative-meanshift-tolerance", "negative-trimap-rate", "negative-qkv-rate", "zero-qkv-rate",
         "underflowing-similarity-bandwidth", "unknown-amds-method", "unknown-trimap-transform",
         "unknown-predictor", "unknown-qkv-form", "zero-lle-neighbors", "zero-lle-dimension",
-        "non-callable-feature-map",
+        "non-callable-feature-map", "zero-trimap-dimension", "zero-trimap-steps", "negative-similarity-bandwidth",
+        "one-token-window", "zero-word-dimension", "zero-amds-dimension",
     ],
 )
 def test_out_of_range_config_value_exit_two(tmp_path, capsys, task, config, named):

@@ -19,7 +19,9 @@ from locuskit.embedding import (
 from locuskit.estimators import _fix_signs
 from locuskit.kernels import epanechnikov, gram, normalize_rows, pairwise_sq_dists
 from locuskit.synth import swiss_roll
-from triplets import all_triplets, sampled_triplets
+from cooccurrence import cooccurrence_counts
+from per_pair import pairwise
+from triplets import add_at_descent, all_triplets, sampled_triplets
 
 
 def gaussian_similarity(h):
@@ -312,6 +314,17 @@ class TestCooccurrence:
         with pytest.raises(errors.EmptyCorpus):
             cooccurrence_embed([], 1)
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_counts_match_the_loop_reference_on_ragged_windows(self, seed):
+        # windows of lengths 0 to 6 drawn from 5 tokens, so most of them repeat a token
+        rng = np.random.default_rng(seed)
+        windows = [list(rng.choice(list("abcde"), size=rng.integers(0, 7))) for _ in range(60)]
+        vocab, C = embedding._cooccurrence_counts(windows)
+        want_vocab, want_C = cooccurrence_counts(windows)
+        assert vocab == want_vocab
+        assert C.dtype == want_C.dtype
+        np.testing.assert_array_equal(C, want_C)
+
     def test_read_corpus_windows(self, tmp_path):
         path = tmp_path / "corpus.txt"
         path.write_text("The cat SAT on the mat")
@@ -327,7 +340,7 @@ class TestTrimap:
         X = rng.normal(size=(3, 2))
         sim = gaussian_similarity(1.0)
         res = trimap_embed(
-            X, sim, q=2, h="identity", steps=1, lr=0.0, rng_seed=5, full_triplets=True
+            X, pairwise(sim), q=2, h="identity", steps=1, lr=0.0, rng_seed=5, full_triplets=True
         )
         Z0 = 0.1 * np.random.default_rng(5).standard_normal((3, 2))
         total = 0.0
@@ -345,7 +358,7 @@ class TestTrimap:
 
     def test_all_identical_points_zero_gradient_at_origin(self):
         X = np.zeros((4, 2))
-        sim = lambda a, b: 1.0
+        sim = pairwise(lambda a, b: 1.0)
         res = trimap_embed(X, sim, q=2, h="identity", steps=3, lr=0.5, rng_seed=6, full_triplets=True)
         # contrast kernel is exactly 1/2 everywhere; at any centrally
         # symmetric configuration gradients cancel pairwise over (j, k) swaps
@@ -359,7 +372,7 @@ class TestTrimap:
         rng = np.random.default_rng(13)
         X = np.concatenate([rng.normal(0, 0.05, (8, 2)), rng.normal(5, 0.05, (8, 2))])
         labels = np.repeat([0, 1], 8)
-        sim = gaussian_similarity(1.0)
+        sim = pairwise(gaussian_similarity(1.0))
         res = trimap_embed(X, sim, q=2, h="log1p", steps=150, lr=0.05, rng_seed=7)
         Z = res.Z
         intra, inter = [], []
@@ -375,7 +388,7 @@ class TestTrimap:
         X = np.zeros((4, 2))
         res = trimap_embed(
             X,
-            lambda a, b: 1.0,
+            pairwise(lambda a, b: 1.0),
             q=2,
             h="identity",
             steps=5,
@@ -391,20 +404,62 @@ class TestTrimap:
         # the signed extension must stay finite for arguments below -1
         rng = np.random.default_rng(14)
         X = rng.normal(size=(6, 2)) * 3
-        sim = gaussian_similarity(2.0)
+        sim = pairwise(gaussian_similarity(2.0))
         res = trimap_embed(X, sim, q=2, h="log1p", steps=30, lr=0.1, rng_seed=8)
         assert np.isfinite(res.history).all()
 
     def test_invalid_parameters(self):
         with pytest.raises(errors.InvalidParameter):
-            trimap_embed(np.zeros((2, 2)), lambda a, b: 1.0, q=2)
+            trimap_embed(np.zeros((2, 2)), pairwise(lambda a, b: 1.0), q=2)
         with pytest.raises(errors.InvalidParameter):
-            trimap_embed(np.zeros((4, 2)), lambda a, b: 1.0, q=2, h="cubic")
+            trimap_embed(np.zeros((4, 2)), pairwise(lambda a, b: 1.0), q=2, h="cubic")
 
     @pytest.mark.parametrize("field", ["q", "steps", "n_neighbors", "n_contrast"])
     def test_a_count_below_one_is_rejected(self, field):
         with pytest.raises(errors.InvalidParameter, match=field):
-            trimap_embed(np.eye(4), lambda a, b: 1.0, **{"q": 2, field: 0})
+            trimap_embed(np.eye(4), pairwise(lambda a, b: 1.0), **{"q": 2, field: 0})
+
+    def test_the_similarity_is_called_once_on_the_whole_set(self):
+        X = np.random.default_rng(15).normal(size=(9, 2))
+        calls = []
+
+        def similarity(A, B):
+            calls.append((A.shape, B.shape))
+            return kernels.gaussian(1.0).gram_values(A, B)
+
+        trimap_embed(X, similarity, q=2, steps=3, rng_seed=1)
+        assert calls == [((9, 2), (9, 2))]
+
+    def test_a_per_pair_similarity_is_a_shape_mismatch(self):
+        with pytest.raises(errors.ShapeMismatch, match=r"similarity\(A, B\) must return the pairwise \(4, 4\)"):
+            trimap_embed(np.eye(4), gaussian_similarity(1.0), q=2)
+
+    def test_negative_or_non_finite_similarities_are_rejected(self):
+        with pytest.raises(errors.InvalidParameter, match="non-negative"):
+            trimap_embed(np.eye(4), lambda A, B: -np.ones((len(A), len(B))), q=2)
+        with pytest.raises(errors.DomainError, match="non-finite"):
+            trimap_embed(np.eye(4), lambda A, B: np.full((len(A), len(B)), np.inf), q=2)
+
+    @pytest.mark.parametrize("q", [1, 2, 3])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_bincount_descent_matches_the_add_at_reference(self, q, seed):
+        # the same S, triplets and start, so Z and every loss must agree bit for bit with three np.add.at per step
+        rng = np.random.default_rng([seed, q])
+        X = rng.normal(size=(40, 3))
+        Z0 = rng.normal(size=(40, q))
+        similarity = kernels.gaussian(1.5).gram_values
+        S = similarity(X, X)
+        i1, i2, i3 = embedding._sampled_triplets(S, 6, 5, np.random.default_rng(seed))
+        denom = S[i1, i2] + S[i1, i3]
+        assert (denom > 0).all()  # trimap_embed keeps every triplet
+        K = S[i1, i2] / denom
+        for h in ("identity", "log1p"):
+            res = trimap_embed(
+                X, similarity, q=q, h=h, steps=25, lr=0.01, rng_seed=seed, n_neighbors=6, n_contrast=5, init=Z0
+            )
+            Z, history = add_at_descent(Z0, i1, i2, i3, K, h, 25, 0.01)
+            np.testing.assert_array_equal(res.Z, Z)
+            np.testing.assert_array_equal(res.history, history)
 
 
 class TestTripletBuilders:

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from locuskit import errors, kernels
+from locuskit import adaptive, density, embedding, errors, estimators, kernels, sequence, shifts
 from locuskit.kernels import (
     DiracKernel,
     SelfKernel,
@@ -226,6 +226,38 @@ class TestKindTable:
     def test_derive_kernel_rejects_a_wrong_call(self, op, args, params):
         with pytest.raises(errors.InvalidParameter):
             derive_kernel(op, *args, **params)
+
+
+_PTS = np.random.default_rng(0).normal(size=(8, 4))
+_TOKENS = list("abcdef")
+
+# (library call, given the count under test) for every count parameter that was truncated with int()
+_LIBRARY_COUNTS = {
+    "amds_factorize-q": lambda v: embedding.amds_factorize(np.eye(5), v),
+    "amds_factorize-iters": lambda v: embedding.amds_factorize(np.eye(5), 2, method="nmf", iters=v),
+    "lle_embed-r": lambda v: embedding.lle_embed(embedding.lle_weights(_PTS, 3), v),
+    "cooccurrence_embed-d": lambda v: embedding.cooccurrence_embed([_TOKENS], v),
+    "read_corpus-window": lambda v: embedding.read_corpus(__file__, v),
+    "trimap_embed-q": lambda v: embedding.trimap_embed(_PTS, gaussian(1.0).gram_values, q=v),
+    "trimap_embed-steps": lambda v: embedding.trimap_embed(_PTS, gaussian(1.0).gram_values, 2, steps=v),
+    "trimap_embed-n_neighbors": lambda v: embedding.trimap_embed(_PTS, gaussian(1.0).gram_values, 2, n_neighbors=v),
+    "trimap_embed-n_contrast": lambda v: embedding.trimap_embed(_PTS, gaussian(1.0).gram_values, 2, n_contrast=v),
+    "fit_qkv-d": lambda v: adaptive.fit_qkv(_PTS, d=v),
+    "fit_qkv-steps": lambda v: adaptive.fit_qkv(_PTS, d=2, steps=v),
+    "dae_chain-steps": lambda v: density.dae_chain(lambda x: x, density.GaussianNoise(0.1), [0.0], v, rng_seed=0),
+    "autoregressive_complete-steps": lambda v: sequence.autoregressive_complete(
+        sequence.Sequence(_PTS), sequence.TransformerModel([sequence.TransformerLayer(kernel=uniform())]), v
+    ),
+    "local_pca-r": lambda v: estimators.local_pca(gaussian(1.0), estimators.Dataset(_PTS), _PTS[0], v),
+    "pc_shift-r": lambda v: shifts.pc_shift(gaussian(1.0), _PTS, v),
+}
+
+
+@pytest.mark.parametrize("value", [2.5, "2", True])
+@pytest.mark.parametrize("call", _LIBRARY_COUNTS.values(), ids=_LIBRARY_COUNTS.keys())
+def test_a_fractional_library_count_is_rejected_not_truncated(call, value):
+    with pytest.raises(errors.InvalidParameter, match="must be an integer"):
+        call(value)
 
 
 class TestEvalKernel:

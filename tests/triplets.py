@@ -1,7 +1,10 @@
-"""Loop references for the triplet builders of ``trimap_embed``: the triplets
-built one tuple at a time, as ``(T, 3)`` arrays of ``(i, j, k)`` rows."""
+"""Loop references for ``trimap_embed``: the triplets built one tuple at a
+time, as ``(T, 3)`` arrays of ``(i, j, k)`` rows, and the descent with its
+gradient scattered by ``np.add.at``."""
 
 import numpy as np
+
+from locuskit.embedding import _contrast_h
 
 
 def all_triplets(n):
@@ -32,3 +35,28 @@ def sampled_triplets(S, n_neighbors, n_contrast, rng):
             for k in ks:
                 trips.append((i, int(j), int(k)))
     return np.asarray(trips, dtype=int)
+
+
+def add_at_descent(Z, i1, i2, i3, K, h, steps, lr):
+    """``trimap_embed``'s descent from Z over the triplets (i1, i2, i3) with contrast kernel values K, its gradient
+    scattered by three ``np.add.at``, one per triplet role; returns the final Z and the loss before each step and
+    after the last."""
+    hf, hpf = _contrast_h(h)
+
+    def loss_and_grad(Z):
+        d12 = Z[i1] - Z[i2]
+        d13 = Z[i1] - Z[i3]
+        u = (d12**2).sum(1) - (d13**2).sum(1)
+        coef = (K * hpf(u))[:, None]
+        g = np.zeros_like(Z)
+        np.add.at(g, i1, coef * 2.0 * (d12 - d13))
+        np.add.at(g, i2, -coef * 2.0 * d12)
+        np.add.at(g, i3, coef * 2.0 * d13)
+        return float((K * hf(u)).sum()), g
+
+    history = [None] * (steps + 1)
+    history[0], g = loss_and_grad(Z)
+    for t in range(1, steps + 1):
+        Z = Z - lr * g
+        history[t], g = loss_and_grad(Z)
+    return Z, np.asarray(history)
