@@ -213,7 +213,7 @@ def fit_multikernel(kernels, data: Dataset, n_iter: int = 500) -> MultiKernelFit
     lip = 2.0 * float(np.linalg.eigvalsh(G)[-1])
     step = 1.0 / lip if lip > 0 else 1.0
     w = np.full(len(kernels), 1.0 / len(kernels))
-    for _ in range(int(n_iter)):
+    for _ in range(_check_count(n_iter, "n_iter", 0)):
         grad = 2.0 * G @ w
         w = _project_simplex(w - step * grad)
     grad = 2.0 * G @ w

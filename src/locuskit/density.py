@@ -26,6 +26,7 @@ from .kernels import (
     GaussianKernel,
     Kernel,
     NeighborhoodKernel,
+    _check_bandwidth,
     _check_count,
     _row_blocks,
     as_point,
@@ -126,17 +127,13 @@ def score_estimate(h: float, X, x_star) -> np.ndarray:
     ``(m_K(x*) - x*) / h^2`` equals the analytic gradient of the log of the
     Gaussian KDE on the same sample.
     """
-    h = float(h)
-    if h <= 0:
-        raise InvalidParameter("bandwidth must be positive")
+    h = _check_bandwidth(h)
     return mean_shift_vector(h, X, x_star) / (h * h)
 
 
 def tweedie_denoise(sigma: float, score, x) -> np.ndarray:
     """Posterior-mean denoising ``x + sigma^2 * score(x)`` under Gaussian noise."""
-    sigma = float(sigma)
-    if sigma <= 0:
-        raise InvalidParameter("noise std must be positive")
+    sigma = GaussianNoise(sigma).sigma
     x = as_point(x)
     s = np.asarray(score(x), dtype=float)
     return x + sigma * sigma * s
@@ -148,11 +145,15 @@ def tweedie_denoise(sigma: float, score, x) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GaussianNoise:
+    """Gaussian noise of std ``sigma``: any finite real > 0, even one whose square underflows."""
+
     sigma: float
 
     def __post_init__(self):
-        if not float(self.sigma) > 0:
-            raise InvalidParameter("noise std must be positive")
+        sigma = float(self.sigma)
+        if not 0 < sigma < math.inf:
+            raise InvalidParameter(f"noise std must be a finite positive real, got {sigma!r}")
+        object.__setattr__(self, "sigma", sigma)
 
     def draw(self, rng, shape):
         return rng.normal(0.0, self.sigma, size=shape)
@@ -255,9 +256,7 @@ class DiffusionSchedule:
     @classmethod
     def linear_variance_preserving(cls, T: int, s2_min: float = 1e-4, s2_max: float = 0.2):
         """Linear sigma2 ramp with a_t = sqrt(1 - sigma2_t)."""
-        T = int(T)
-        if T < 1:
-            raise InvalidSchedule("need at least one step")
+        T = _check_count(T, "step count T")
         sigma2 = np.linspace(s2_min, s2_max, T)
         if (sigma2 >= 1).any():
             raise InvalidSchedule("variance-preserving schedule needs sigma2 < 1")
@@ -288,17 +287,13 @@ def diffusion_generate(
     Returns ``(generated, cached)`` where cached[t] is X_t.
     """
     X0 = as_point_set(X0)
-    n = int(n)
-    if n < 1:
-        raise InvalidParameter("need at least one sample")
+    n = _check_count(n, "sample count n")
     if not 0.0 < alpha <= 1.0:
         raise InvalidParameter("reverse damping alpha must lie in (0, 1]")
-    if bandwidths is None:
-        bandwidths = np.sqrt(schedule.sigma2)
-    else:
-        bandwidths = np.asarray(bandwidths, dtype=float)
-        if bandwidths.shape != (schedule.T,) or (bandwidths <= 0).any():
-            raise InvalidParameter("need one positive bandwidth per step")
+    bandwidths = np.sqrt(schedule.sigma2) if bandwidths is None else np.asarray(bandwidths, dtype=float)
+    if bandwidths.shape != (schedule.T,):
+        raise InvalidParameter("need one bandwidth per step")
+    reverse = [gaussian(h) for h in bandwidths]  # every bandwidth is checked before the forward pass
     rng = np.random.default_rng(rng_seed)
 
     cached = [X0]
@@ -313,7 +308,7 @@ def diffusion_generate(
     particles = rng.normal(0.0, np.sqrt(var_T), size=(n, X0.shape[1]))
     for t in range(schedule.T, 0, -1):
         ref = cached[t - 1]
-        mean, _ = local_reduce(gaussian(bandwidths[t - 1]), particles, schedule.a[t - 1] * ref, ref)
+        mean, _ = local_reduce(reverse[t - 1], particles, schedule.a[t - 1] * ref, ref)
         particles = alpha * mean + (1.0 - alpha) * particles
         if inject_noise and t > 1:
             particles = particles + rng.normal(

@@ -657,9 +657,7 @@ def monte_carlo_local_mean(k: Kernel, data: Dataset, x_star, n: int, rng_seed: i
     grows.
     """
     data.require("real")
-    n = int(n)
-    if n < 1:
-        raise InvalidParameter("need at least one draw")
+    n = _check_count(n, "draw count n")
     w = _local_weights(k, as_point(x_star)[None, :], data.X)[0]
     total = w.sum()
     if not total > 0:

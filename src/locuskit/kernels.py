@@ -194,7 +194,12 @@ class Kernel:
     difference kernels, which are always quarantined from normalization.
     """
 
-    sign_class: str = "nonnegative"
+    @property
+    def sign_class(self) -> str:
+        """The most permissive class among the kernels in this kind's nested fields; ``"nonnegative"`` without any."""
+        nested = next((names for cls, names in _KINDS.values() if isinstance(self, cls)), ())
+        parts = [k for name in nested for k in (self.parts if name == "parts" else (getattr(self, name),))]
+        return max((k.sign_class for k in parts), key=_SIGN_ORDER.__getitem__, default="nonnegative")
 
     def eval(self, x, y) -> float:
         raise NotImplementedError
@@ -452,10 +457,6 @@ class ConcreteKernel(Kernel):
 _SIGN_ORDER = {"nonnegative": 0, "signed": 1, "desmoothing": 2}
 
 
-def _combined_sign(*kernels: Kernel) -> str:
-    return max((k.sign_class for k in kernels), key=_SIGN_ORDER.__getitem__)
-
-
 @dataclass(frozen=True)
 class DualKernel(Kernel):
     """``K*(x, y) = K(y, x)``."""
@@ -467,10 +468,6 @@ class DualKernel(Kernel):
 
     def gram_values(self, rows, cols):
         return self.base.gram_values(cols, rows).T
-
-    @property
-    def sign_class(self):
-        return self.base.sign_class
 
 
 class ProductKernel(Kernel):
@@ -495,10 +492,6 @@ class ProductKernel(Kernel):
             self.anchors = as_point_set(anchors)
         self.first = first
         self.second = second
-
-    @property
-    def sign_class(self):
-        return _combined_sign(self.first, self.second)
 
     def eval(self, x, y):
         if self.anchors is None:
@@ -535,10 +528,6 @@ class PowerKernel(Kernel):
             self.anchors = as_point_set(anchors)
         self.base = base
         self.n = n
-
-    @property
-    def sign_class(self):
-        return self.base.sign_class
 
     def gram_values(self, rows, cols):
         if self.anchors is None:
@@ -580,10 +569,6 @@ class RegularizedKernel(Kernel):
         delta = DiracKernel().gram_values(rows, cols)
         return self.alpha * base + (1.0 - self.alpha) * delta
 
-    @property
-    def sign_class(self):
-        return self.base.sign_class
-
 
 @dataclass(frozen=True)
 class HollowKernel(Kernel):
@@ -617,10 +602,6 @@ class HollowKernel(Kernel):
         out[same] = 0.0
         return out
 
-    @property
-    def sign_class(self):
-        return self.base.sign_class
-
 
 class MultiKernel(Kernel):
     """Non-negative combination ``sum_m w_m K_m``."""
@@ -644,10 +625,6 @@ class MultiKernel(Kernel):
             term = w * k.gram_values(rows, cols)
             acc = term if acc is None else acc + term
         return acc
-
-    @property
-    def sign_class(self):
-        return _combined_sign(*self.parts)
 
     def __repr__(self):
         return f"MultiKernel(weights={self.weights.tolist()}, parts={self.parts})"
@@ -970,9 +947,7 @@ def smoothing_norm(Kt: StochasticMatrix, f, order: int = 1) -> float:
     Zero exactly when f is fixed by m applications of the transition matrix;
     in particular constants always score 0.
     """
-    order = int(order)
-    if order < 1:
-        raise InvalidParameter("order must be >= 1")
+    order = _check_count(order, "order")
     vals = _matrix_values(Kt)
     f = np.asarray(f, dtype=float)
     if f.shape[0] != vals.shape[1]:

@@ -18,8 +18,8 @@ import numpy as np
 from .errors import DimensionMismatch, InvalidParameter, ShapeMismatch
 from .estimators import Dataset, lazy_transform
 from .kernels import (
-    Kernel, KernelMatrix, _block_height, _check_count, _local_weights, _matrix_values, _row_blocks, _softmax_in_place,
-    as_point_set, gram, normalize_rows,
+    Kernel, KernelMatrix, _block_height, _check_bandwidth, _check_count, _local_weights, _matrix_values, _row_blocks,
+    _softmax_in_place, as_point_set, gram, normalize_rows,
 )
 
 __all__ = [
@@ -311,11 +311,9 @@ def _nlm(values: np.ndarray, patch_radius: int, h: float, search_radius: int) ->
     """Non-local means of ``values`` (*grid, c) with zero-padded square patches,
     shared by the sequence and image variants; patch distances are box sums of
     squared differences, never prefix sums, whose rounding would cross windows."""
-    r, s = int(patch_radius), int(search_radius)
-    if r < 0 or s < r:
-        raise InvalidParameter("need 0 <= patch_radius <= search_radius")
-    if not h > 0:
-        raise InvalidParameter("bandwidth must be positive")
+    r = _check_count(patch_radius, "patch_radius", 0)
+    s = _check_count(search_radius, "search_radius", r)
+    h = _check_bandwidth(h)
     ndim = values.ndim - 1
     padded = np.pad(values, [(r, r)] * ndim + [(0, 0)])
     psize = (2 * r + 1) ** ndim * values.shape[-1]
@@ -358,12 +356,8 @@ def gaussian_moving_average(seq: Sequence, search_radius: int, bandwidth: float 
     The comparison baseline: weights depend only on |t - s| (Gaussian with
     ``bandwidth``, default max(search_radius, 1) / 2), never on values.
     """
-    search_radius = int(search_radius)
-    if search_radius < 0:
-        raise InvalidParameter("search radius must be >= 0")
-    bw = max(search_radius, 1) / 2.0 if bandwidth is None else float(bandwidth)
-    if not bw > 0:
-        raise InvalidParameter("bandwidth must be positive")
+    search_radius = _check_count(search_radius, "search_radius", 0)
+    bw = _check_bandwidth(max(search_radius, 1) / 2.0 if bandwidth is None else bandwidth)
     t = np.arange(seq.length)
 
     def weights(here, there):

@@ -150,6 +150,14 @@ class TestRunTask:
         )
         assert metrics["ari"] == 1.0
 
+    def test_soft_relax_recovers_blobs_and_reruns_byte_identical(self, tmp_path):
+        cfg = {"input": "bundled:two-blobs", "n_classes": 2, "seed": 3, "mode": "soft"}
+        metrics = run_task("cluster-relax", cfg, str(tmp_path / "first"))
+        run_task("cluster-relax", cfg, str(tmp_path / "again"))
+        assert metrics["ari"] >= 0.9
+        for name in ("results.csv", "plot.svg"):
+            assert (tmp_path / "first" / name).read_bytes() == (tmp_path / "again" / name).read_bytes()
+
     def test_regress_tasks(self, tmp_path):
         cfg = {"input": "bundled:noisy-sine", "kernel": {"kind": "gaussian", "h": 0.3}, "seed": 1}
         m1 = run_task("regress-local-mean", cfg, str(tmp_path / "lm"))
@@ -694,6 +702,7 @@ _SINE = {"input": "bundled:noisy-sine"}
         ("embed-words", {"input": "corpus.txt", "window": 1}, "'window' must be int >= 2"),
         ("embed-words", {"input": "corpus.txt", "dim": 0}, "'dim' must be int >= 1"),
         ("embed-amds", {"input": _SWISS, "seed": 1, "q": 0}, "'q' must be int >= 1"),
+        ("denoise-nlm", {"input": _STEP, "bandwidth": 1e-200}, "2 h^2 underflows"),
     ],
     ids=[
         "zero-classes", "negative-classes", "more-classes-than-rows", "unknown-mode", "negative-grid-count",
@@ -706,7 +715,7 @@ _SINE = {"input": "bundled:noisy-sine"}
         "underflowing-similarity-bandwidth", "unknown-amds-method", "unknown-trimap-transform",
         "unknown-predictor", "unknown-qkv-form", "zero-lle-neighbors", "zero-lle-dimension",
         "non-callable-feature-map", "zero-trimap-dimension", "zero-trimap-steps", "negative-similarity-bandwidth",
-        "one-token-window", "zero-word-dimension", "zero-amds-dimension",
+        "one-token-window", "zero-word-dimension", "zero-amds-dimension", "underflowing-nlm-bandwidth",
     ],
 )
 def test_out_of_range_config_value_exit_two(tmp_path, capsys, task, config, named):

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from locuskit import errors
+from locuskit import density, errors
 from locuskit.density import (
     DiffusionSchedule,
     GaussianNoise,
@@ -181,6 +181,19 @@ class TestTweedie:
             np.testing.assert_allclose(got, [math.tanh(x / sigma**2)], atol=1e-8)
 
 
+@pytest.mark.parametrize("sigma", [0.0, -1.0, math.inf, math.nan], ids=["zero", "negative", "infinite", "nan"])
+def test_a_noise_std_must_be_finite_and_positive(sigma):
+    with pytest.raises(errors.InvalidParameter, match="noise std must be a finite positive real"):
+        GaussianNoise(sigma)
+    with pytest.raises(errors.InvalidParameter, match="noise std must be a finite positive real"):
+        tweedie_denoise(sigma, lambda x: np.zeros_like(x), [1.0])
+
+
+def test_a_noise_std_whose_square_underflows_is_accepted():
+    np.testing.assert_array_equal(tweedie_denoise(1e-300, lambda x: np.ones_like(x), [1.5]), [1.5])
+    assert GaussianNoise(1e-300).sigma == 1e-300
+
+
 class TestNoising:
     def test_vanishing_sigma_keeps_input(self):
         X = np.array([[1.0, 2.0], [3.0, 4.0]])
@@ -276,6 +289,17 @@ class TestDiffusionSchedule:
 
 
 class TestDiffusionGenerate:
+    @pytest.mark.parametrize(
+        "bad", [0.0, math.nan, math.inf, 1e-200], ids=["zero", "nan", "infinite", "square-underflows"]
+    )
+    def test_a_bad_bandwidth_raises_before_any_reverse_step(self, monkeypatch, bad):
+        steps = []
+        monkeypatch.setattr(density, "local_reduce", lambda *args: steps.append(args))
+        sched = DiffusionSchedule.linear_variance_preserving(3)
+        with pytest.raises(errors.InvalidParameter, match="bandwidth"):
+            diffusion_generate([[0.0], [1.0]], sched, 5, rng_seed=0, bandwidths=[bad, 0.3, 0.3])
+        assert steps == []
+
     def test_near_noiseless_single_step_collapses_to_training_points(self):
         X0 = np.array([[0.0], [1.0], [2.0]])
         sched = DiffusionSchedule(a=np.array([1.0]), sigma2=np.array([1e-12]))

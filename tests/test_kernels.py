@@ -4,6 +4,7 @@ Expected values below were either computed by hand oracles (elementwise
 kernel evaluation, 2x2 linear solves) or are structural identities.
 """
 
+import itertools
 import math
 import warnings
 
@@ -250,6 +251,20 @@ _LIBRARY_COUNTS = {
     ),
     "local_pca-r": lambda v: estimators.local_pca(gaussian(1.0), estimators.Dataset(_PTS), _PTS[0], v),
     "pc_shift-r": lambda v: shifts.pc_shift(gaussian(1.0), _PTS, v),
+    "smoothing_norm-order": lambda v: smoothing_norm(normalize_rows(np.ones((3, 3))), np.arange(3.0), v),
+    "monte_carlo_local_mean-n": lambda v: estimators.monte_carlo_local_mean(
+        gaussian(1.0), estimators.Dataset(_PTS, _PTS[:, 0]), _PTS[0], v, rng_seed=0
+    ),
+    "linear_variance_preserving-T": lambda v: density.DiffusionSchedule.linear_variance_preserving(v),
+    "diffusion_generate-n": lambda v: density.diffusion_generate(
+        _PTS, density.DiffusionSchedule.linear_variance_preserving(2), v, rng_seed=0
+    ),
+    "fit_multikernel-n_iter": lambda v: adaptive.fit_multikernel(
+        [gaussian(1.0), gaussian(2.0)], estimators.Dataset(_PTS, _PTS[:, 0]), n_iter=v
+    ),
+    "nlm_denoise-patch_radius": lambda v: sequence.nlm_denoise(sequence.Sequence(_PTS), v, 0.5, 3),
+    "nlm_denoise-search_radius": lambda v: sequence.nlm_denoise(sequence.Sequence(_PTS), 1, 0.5, v),
+    "gaussian_moving_average-search_radius": lambda v: sequence.gaussian_moving_average(sequence.Sequence(_PTS), v),
 }
 
 
@@ -258,6 +273,56 @@ _LIBRARY_COUNTS = {
 def test_a_fractional_library_count_is_rejected_not_truncated(call, value):
     with pytest.raises(errors.InvalidParameter, match="must be an integer"):
         call(value)
+
+
+# one kernel of each sign class, to fill the nested fields of the composite kinds
+_OF_SIGN = {
+    "nonnegative": gaussian(1.0),
+    "signed": feature_kernel(_phi, _psi, "dot"),
+    "desmoothing": derive_kernel("difference", gaussian(1.0), gaussian(0.5)),
+}
+# composite kind -> (number of nested kernels, the kind built on them)
+_COMPOSITES = {
+    "dual": (1, lambda ks: derive_kernel("dual", *ks)),
+    "product": (2, lambda ks: derive_kernel("product", *ks, anchors=_Z)),
+    "power": (1, lambda ks: derive_kernel("power", *ks, n=3, anchors=_Z)),
+    "regularized": (1, lambda ks: derive_kernel("regularized", *ks, alpha=0.5)),
+    "hollow": (1, lambda ks: derive_kernel("hollow", *ks, eps0=0.5)),
+    "multi": (3, lambda ks: derive_kernel("multi", *ks, weights=[0.2, 0.3, 0.5])),
+    "self": (2, lambda ks: SelfKernel(*ks)),
+}
+
+
+@pytest.mark.parametrize("kind", _COMPOSITES)
+def test_a_composite_kernel_takes_the_most_permissive_sign_of_its_nested_kernels(kind):
+    arity, build = _COMPOSITES[kind]
+    order = list(_OF_SIGN)
+    for signs in itertools.product(order, repeat=arity):
+        assert build([_OF_SIGN[s] for s in signs]).sign_class == max(signs, key=order.index), signs
+
+
+def test_the_sign_table_covers_every_composite_kind_but_difference():
+    assert set(_COMPOSITES) == {kind for kind, (_, nested) in kernels._KINDS.items() if nested} - {"difference"}
+
+
+_HOLLOW_POINTS = np.array([[0.0, 0.0], [0.3, 0.0], [2.0, 0.0], [0.0, 0.0], [2.0, 2.5], [2.1, 2.4]])
+_A = np.array([[1.0, -2.0, 0.5, 0.0], [0.25, 1.5, 1.0, -1.0], [3.0, 0.5, 2.0, 1.0]])
+_B = np.array([[0.5, 1.0], [-1.0, 2.0], [0.0, 0.75], [1.5, -0.5]])
+
+# case -> (kernel, rows, cols): composite paths whose gram and eval would otherwise never meet
+_GRAM_VS_EVAL = {
+    "hollow-eps0": (derive_kernel("hollow", gaussian(1.0), eps0=0.5), _HOLLOW_POINTS, _HOLLOW_POINTS),
+    "power-anchored-n1": (derive_kernel("power", gaussian(0.7), n=1, anchors=_Z), _P, _P[:4]),
+    "power-anchored-n3": (derive_kernel("power", gaussian(0.7), n=3, anchors=_Z), _P, _P[:4]),
+    "product-concrete": (derive_kernel("product", concrete(_A), concrete(_B)), np.arange(3), np.arange(2)),
+}
+
+
+@pytest.mark.parametrize("case", _GRAM_VS_EVAL)
+def test_a_composite_gram_equals_its_eval_at_every_pair(case):
+    k, rows, cols = _GRAM_VS_EVAL[case]
+    want = np.array([[k.eval(r, c) for c in cols] for r in rows])
+    np.testing.assert_allclose(k.gram_values(rows, cols), want, rtol=1e-13, atol=0)
 
 
 class TestEvalKernel:
@@ -839,6 +904,14 @@ class TestSelfKernel:
         np.testing.assert_allclose(k.gram_values(rows, cols), want, rtol=1e-14, atol=0)
         with pytest.raises(errors.DimensionMismatch):
             k.gram_values(rng.normal(size=(4, 3)), rng.normal(size=(6, 3)))
+
+    def test_a_difference_factor_makes_it_desmoothing(self):
+        k = SelfKernel(derive_kernel("difference", gaussian(1.0), gaussian(0.5)), gaussian(1.0))
+        XY = np.random.default_rng(6).normal(size=(5, 2))
+        assert k.sign_class == "desmoothing"
+        assert gram(k, XY, XY).desmoothing
+        with pytest.raises(errors.DesmoothingInput):
+            local_reduce(k, XY, XY, XY[:, 1])
 
 
 class TestFeatureKernel:

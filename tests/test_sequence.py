@@ -451,6 +451,20 @@ class TestNlm:
         with pytest.raises(errors.InvalidParameter):
             nlm_denoise(Sequence(np.zeros((6, 1))), 1, h, 2)
 
+    @pytest.mark.parametrize("h", [1e-200, math.inf], ids=["square-underflows", "infinite"])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda h: nlm_denoise(Sequence(np.zeros((6, 1))), 1, h, 2),
+            lambda h: nlm_denoise_image(np.zeros((6, 6)), 1, h, 2),
+            lambda h: gaussian_moving_average(Sequence(np.zeros((6, 1))), 2, bandwidth=h),
+        ],
+        ids=["nlm_denoise", "nlm_denoise_image", "gaussian_moving_average"],
+    )
+    def test_a_bandwidth_the_gaussian_rejects_is_rejected(self, call, h):
+        with pytest.raises(errors.InvalidParameter, match="bandwidth"):
+            call(h)
+
 
 # Per-position loops: the reference the offset-major window mean must match.
 # The weights are the same; only the order of the final sums differs.
@@ -637,6 +651,23 @@ def test_causal_hollow_first_row_passes_through():
     out = temporal_local_mean(seq, G)
     np.testing.assert_array_equal(out.tokens[0], seq.tokens[0])
     assert not np.allclose(out.tokens[1], seq.tokens[1])
+
+
+def test_temporal_mean_adds_the_sinusoidal_wave_to_keys_and_query_but_averages_raw_tokens():
+    seq = Sequence([[0.0, 1.0], [0.5, -0.5], [1.0, 0.2]])
+    model = TemporalMeanModel(gaussian(1.0), PositionEncoding("sinusoidal-additive"))
+    enc = sinusoidal_encoding(np.arange(4.0), 2)
+    keys, query = seq.tokens + enc[:3], seq.tokens[-1] + enc[3]
+    w = np.exp(-((keys - query) ** 2).sum(axis=1) / 2.0)
+    np.testing.assert_allclose(model.next_token(seq), w @ seq.tokens / w.sum(), rtol=1e-12)
+
+
+def test_temporal_mean_without_a_visible_token_repeats_the_last_one():
+    seq = Sequence([[1.0], [2.0], [5.0]])
+    model = TemporalMeanModel(uniform(), PositionEncoding("window", delta=0.5))
+    out = model.next_token(seq)
+    np.testing.assert_array_equal(out, [5.0])
+    assert not np.shares_memory(out, seq.tokens)
 
 
 def test_temporal_mean_shifts_weights_over_kept_tokens_only():

@@ -389,6 +389,16 @@ class TestRelaxation:
         np.testing.assert_array_equal(out, oracle)
         np.testing.assert_array_equal(out, labels)
 
+    def test_hard_relabels_until_a_sweep_changes_nothing(self):
+        # the label-1 point at 0.2 sits among label-0 points and flips in the first sweep, the second changes nothing
+        X = np.array([[0.0], [0.1], [0.2], [5.0], [5.1], [5.2]])
+        init = np.array([0, 0, 1, 1, 1, 1])
+        K = np.exp(-((X - X[:, 0]) ** 2) / 2.0)
+        first = (K @ np.eye(2)[init]).argmax(1)
+        assert not np.array_equal(first, init)
+        out = relaxation_label(gaussian(1.0), X, init, mode="hard")
+        np.testing.assert_array_equal(out, [0, 0, 0, 1, 1, 1])
+        np.testing.assert_array_equal(out, first)
 
     def test_hard_mode_evaluates_the_gram_once(self, monkeypatch):
         calls = []
