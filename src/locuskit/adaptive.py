@@ -26,7 +26,7 @@ from .estimators import (  # local_linear_predict is unused here, but perfbench/
     Dataset, _local_linear_blocks, local_linear_predict, loo_error,
 )
 from .kernels import (  # normalize_rows is unused here, but perfbench/tracer.py wraps it by name
-    MultiKernel, _check_count, _row_blocks, _softmax_in_place, gaussian, local_reduce, normalize_rows,
+    MultiKernel, _check_bandwidth, _check_count, _row_blocks, _softmax_in_place, gaussian, local_reduce, normalize_rows,
 )
 
 __all__ = [
@@ -124,9 +124,9 @@ def tune_bandwidth(predictor: str, data: Dataset, grid=None, bracket=None) -> Tu
 
     curve = []
     if grid is not None:
-        hs = [float(h) for h in grid]
-        if not hs or any(h <= 0 for h in hs):
-            raise InvalidParameter("grid must contain positive bandwidths")
+        hs = [_check_bandwidth(h) for h in grid]  # every point is checked before any is scored
+        if not hs:
+            raise InvalidParameter("grid must contain at least one bandwidth")
         for h in hs:
             curve.append((h, safe_loss(h)))
         finite = [(loss, h) for h, loss in curve if math.isfinite(loss)]

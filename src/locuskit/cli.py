@@ -678,11 +678,11 @@ _register(
     [
         _INPUT_KEY,
         _SEED_KEY,
-        Key("steps", _int, default=20),
+        Key("steps", _count, default=20),
         Key("s2_min", _float, default=1e-4),
         Key("s2_max", _float, default=0.2),
         Key("alpha", _float, default=0.8),
-        Key("n_samples", _int, default=500),
+        Key("n_samples", _count, default=500),
         Key("inject_noise", _bool, default=True),
     ],
     _run_diffusion,
@@ -695,9 +695,9 @@ _register(
         Key("input", _any, default=None, help="sequence CSV (t, features...)"),
         Key("image", _str, default=None, help="binary PGM path (overrides input)"),
         _SEED_KEY,
-        Key("patch_radius", _int, default=2),
+        Key("patch_radius", _integer(0), default=2),
         Key("bandwidth", _float, default=0.2),
-        Key("search_radius", _int, default=10),
+        Key("search_radius", _integer(0), default=10),
         Key("clean", _any, default=None, help="clean reference sequence for MSE"),
     ],
     _run_nlm,

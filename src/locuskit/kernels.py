@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -104,6 +105,22 @@ def as_point_set(X) -> np.ndarray:
     return arr
 
 
+@contextmanager
+def _small_buffer():
+    """numpy's ufunc buffer at 1024 entries inside the block, restored on exit and on raise.
+
+    numpy's buffered iterator copies a broadcast operand through its buffer when the buffer is longer than a row,
+    which makes an outer subtraction or a column shift 2.5-5x slower per entry at 2000-column rows; below one row it
+    runs each row in place.  Elementwise results and extrema do not depend on the buffer, but a sum's pairwise
+    order does, so sums stay outside.
+    """
+    old = np.setbufsize(1024)
+    try:
+        yield
+    finally:
+        np.setbufsize(old)
+
+
 def pairwise_sq_dists(A: np.ndarray, B: np.ndarray, out=None) -> np.ndarray:
     """Squared Euclidean distances between the rows of A (N, p) and B (M, p).
 
@@ -123,13 +140,14 @@ def pairwise_sq_dists(A: np.ndarray, B: np.ndarray, out=None) -> np.ndarray:
         d2.fill(0.0)
         return d2
     a_rows, b_rows = A.T.copy(), B.T.copy()  # contiguous coordinate rows
-    np.subtract.outer(a_rows[0], b_rows[0], out=d2)
-    d2 *= d2
-    t = np.empty_like(d2) if A.shape[1] > 1 else None
-    for a, b in zip(a_rows[1:], b_rows[1:]):
-        np.subtract.outer(a, b, out=t)
-        t *= t
-        d2 += t
+    with _small_buffer():
+        np.subtract.outer(a_rows[0], b_rows[0], out=d2)
+        d2 *= d2
+        t = np.empty_like(d2) if A.shape[1] > 1 else None
+        for a, b in zip(a_rows[1:], b_rows[1:]):
+            np.subtract.outer(a, b, out=t)
+            t *= t
+            d2 += t
     return d2
 
 
@@ -881,6 +899,33 @@ def _row_blocks(n_rows: int, n_cols: int):
     return (slice(i, i + step) for i in range(0, n_rows, step))
 
 
+_EXP_FAST = -707.0  # np.exp costs about 1 ns per entry from here up, 8-185 ns below about -707.7
+_EXP_ZERO = -745.1332191019412  # the largest double whose np.exp is 0.0
+
+
+def _exp_in_place(W: np.ndarray) -> np.ndarray:
+    """``np.exp(W, out=W)`` bit for bit, with no slow argument (below ``_EXP_FAST``) on numpy's vector loop.
+
+    Slow arguments are clamped to ``_EXP_FAST`` for the one ``exp`` over W and then zeroed, which is their ``exp``
+    at or below ``_EXP_ZERO``; the few between are exponentiated apart and written back.  NaN fails every comparison
+    and stays NaN.  A W that is not C-contiguous takes plain ``np.exp``, since only a C-contiguous W has a flat view
+    to write the gathered values through.
+    """
+    if not W.flags.c_contiguous or W.min(initial=0.0) >= _EXP_FAST:
+        return np.exp(W, out=W)
+    flat = W.reshape(-1)
+    mask = W > _EXP_ZERO
+    mask &= W < _EXP_FAST
+    apart = np.flatnonzero(mask)
+    vals = np.exp(flat[apart])
+    keep = np.greater_equal(W, _EXP_FAST, out=mask)  # in the mask's memory: one block-sized temporary fewer
+    np.maximum(W, _EXP_FAST, out=W)
+    np.exp(W, out=W)
+    W *= keep
+    flat[apart] = vals
+    return W
+
+
 def _local_weights(k: Kernel, Q, X, skip_from=None, out=None) -> np.ndarray:
     """Weights of Q's rows over X for a local mean; Gaussian rows are max-shifted in the log domain.
 
@@ -895,13 +940,14 @@ def _local_weights(k: Kernel, Q, X, skip_from=None, out=None) -> np.ndarray:
             raise DesmoothingInput("cannot average desmoothing or negative kernel weights")
         return W
     W = pairwise_sq_dists(Q, X, out=out)
-    W /= -(2.0 * k.h * k.h)
-    if skip_from is not None:
-        np.fill_diagonal(W[:, skip_from:], -np.inf)
-    top = W.max(axis=1, keepdims=True)
-    top[~np.isfinite(top)] = 0.0
-    W -= top
-    return np.exp(W, out=W)
+    with _small_buffer():
+        W /= -(2.0 * k.h * k.h)
+        if skip_from is not None:
+            np.fill_diagonal(W[:, skip_from:], -np.inf)
+        top = W.max(axis=1, keepdims=True)
+        top[~np.isfinite(top)] = 0.0
+        W -= top
+        return _exp_in_place(W)
 
 
 def local_reduce(k: Kernel, Q, X, Y, skip_self: bool = False):

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from locuskit import errors
+from locuskit import adaptive, errors
 from locuskit.adaptive import (
     QkvHead,
     QkvParams,
@@ -68,6 +68,18 @@ class TestTuneBandwidth:
         assert math.isfinite(r1.loss_star)
         r2 = tune_bandwidth("kde-loo", data, grid=[0.2, 0.5])
         assert math.isfinite(r2.loss_star)
+
+    @pytest.mark.parametrize(
+        "grid",
+        [[math.nan, 0.5], [1e-200, 0.5], [0.5, math.nan], [0.5, 1e-200], [0.5, math.inf], [0.5, 0.0]],
+        ids=["nan-first", "underflowing-first", "nan-last", "underflowing-last", "inf-last", "zero-last"],
+    )
+    def test_every_grid_point_is_checked_before_any_is_scored(self, grid, monkeypatch):
+        scored = []
+        monkeypatch.setitem(adaptive._PREDICTOR_LOSSES, "local-mean", lambda h, data: scored.append(h) or (1.0, 0))
+        with pytest.raises(errors.InvalidParameter, match="bandwidth"):
+            tune_bandwidth("local-mean", Dataset([0.0, 1.0], [0.0, 1.0]), grid=grid)
+        assert scored == []
 
     def test_all_empty(self):
         from locuskit.errors import AllEmptyNeighborhoods

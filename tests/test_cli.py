@@ -703,6 +703,11 @@ _SINE = {"input": "bundled:noisy-sine"}
         ("embed-words", {"input": "corpus.txt", "dim": 0}, "'dim' must be int >= 1"),
         ("embed-amds", {"input": _SWISS, "seed": 1, "q": 0}, "'q' must be int >= 1"),
         ("denoise-nlm", {"input": _STEP, "bandwidth": 1e-200}, "2 h^2 underflows"),
+        # a missing input file: the key's own rule must reject the value before any input is read
+        ("generate-diffusion", {"input": "missing.csv", "seed": 1, "steps": 0}, "'steps' must be int >= 1"),
+        ("generate-diffusion", {"input": "missing.csv", "seed": 1, "n_samples": 0}, "'n_samples' must be int >= 1"),
+        ("denoise-nlm", {"input": "missing.csv", "patch_radius": -1}, "'patch_radius' must be int >= 0"),
+        ("denoise-nlm", {"input": "missing.csv", "search_radius": -1}, "'search_radius' must be int >= 0"),
     ],
     ids=[
         "zero-classes", "negative-classes", "more-classes-than-rows", "unknown-mode", "negative-grid-count",
@@ -716,6 +721,7 @@ _SINE = {"input": "bundled:noisy-sine"}
         "unknown-predictor", "unknown-qkv-form", "zero-lle-neighbors", "zero-lle-dimension",
         "non-callable-feature-map", "zero-trimap-dimension", "zero-trimap-steps", "negative-similarity-bandwidth",
         "one-token-window", "zero-word-dimension", "zero-amds-dimension", "underflowing-nlm-bandwidth",
+        "zero-diffusion-steps", "zero-diffusion-samples", "negative-patch-radius", "negative-search-radius",
     ],
 )
 def test_out_of_range_config_value_exit_two(tmp_path, capsys, task, config, named):
