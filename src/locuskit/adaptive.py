@@ -19,11 +19,12 @@ from .errors import (
     AllEmptyNeighborhoods,
     EmptyNeighborhood,
     InvalidParameter,
+    LocusKitError,
     NonFiniteLoss,
     ShapeMismatch,
 )
 from .estimators import (  # local_linear_predict is unused here, but perfbench/tracer.py wraps it by name
-    Dataset, _local_linear_blocks, local_linear_predict, loo_error,
+    Dataset, _check_ridge, _local_linear_blocks, local_linear_predict, loo_error,
 )
 from .kernels import (  # normalize_rows is unused here, but perfbench/tracer.py wraps it by name
     MultiKernel, _check_bandwidth, _check_count, _row_blocks, _softmax_in_place, gaussian, local_reduce, normalize_rows,
@@ -56,21 +57,47 @@ class TuneResult:
     jittered: int = 0  # leave-one-out local linear rows that fell back to the local mean, over finite-loss h
 
 
+def _held_out_sum(total, Y_rows, L, Y):
+    """``total`` plus the squared errors of a block's held-out fits ``L``, added row by row as n refits would add them."""
+    return sum(((Y_rows - L @ Y) ** 2).sum(axis=1).tolist(), total)
+
+
 def _loo_local_linear(k, lam, data: Dataset):
     """Leave-one-out squared error of local linear (ridge) regression.
 
     Row i is fit with sample i's weight set to zero, which is the fit
     without sample i, so the loss is ``sum_i (y_i - L_i @ y)^2`` from one
-    blocked pass, its squared errors added row by row as n refits would add
-    them.  Returns ``(loss, rows that fell back to the local mean)``.
+    blocked pass.  Returns ``(loss, rows that fell back to the local mean)``.
     """
     data.require("real")
     Y = np.atleast_2d(data.y.T).T
     total, jittered = 0.0, 0
-    for rows, L, jit in _local_linear_blocks(k, data.X, data.X, lam, skip_self=True):
-        total = sum(((Y[rows] - L @ Y) ** 2).sum(axis=1).tolist(), total)
+    for rows, fit in _local_linear_blocks(k, data.X, data.X, lam):
+        L, jit = fit(skip_self=True)
+        total = _held_out_sum(total, Y[rows], L, Y)
         jittered += int(jit.sum())
     return total, jittered
+
+
+def _local_linear_with_loo(k, lam, data: Dataset):
+    """Local linear (ridge) predictions at the samples, their fallback flags and the leave-one-out error of
+    :func:`_loo_local_linear`, from one gram per row block.
+
+    Each block is fit in sample first; then the held-out fit reuses its gram with the diagonal zeroed.  A held-out
+    fit that raises ends only the leave-one-out sum, which is then None; the in-sample fits go on.
+    """
+    lam = _check_ridge(data, lam)
+    Y = np.atleast_2d(data.y.T).T
+    preds, jittered, loo = np.empty(Y.shape), np.zeros(data.n, dtype=bool), 0.0
+    for rows, fit in _local_linear_blocks(k, data.X, data.X, lam):
+        L, jittered[rows] = fit()
+        preds[rows] = L @ Y
+        if loo is not None:
+            try:
+                loo = _held_out_sum(loo, Y[rows], fit(skip_self=True)[0], Y)
+            except LocusKitError:
+                loo = None
+    return (preds if data.y.ndim > 1 else preds[:, 0]), jittered, loo
 
 
 def _loo_kde_nll(h, data: Dataset) -> float:

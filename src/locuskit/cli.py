@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import synth
-from .adaptive import _loo_local_linear, fit_qkv, tune_bandwidth
+from .adaptive import _local_linear_with_loo, fit_qkv, tune_bandwidth
 from .dataio import Columns, ingest_csv, read_pgm, write_csv, write_json, write_pgm
 from .density import (  # kde is unused here, but perfbench/tracer.py wraps it by name
     DiffusionSchedule, diffusion_generate, kde, kde_values,
@@ -36,7 +36,7 @@ from .embedding import (  # lle_weights is unused here, but perfbench/tracer.py 
 )
 from .errors import EmptyNeighborhood, LocusKitError, NumericError, ValidationError
 from .estimators import (  # the three *_predict are unused here, but perfbench/tracer.py wraps them by name
-    Dataset, local_linear_predict, local_linear_transform, local_mean_predict, local_mode_predict, loo_error,
+    Dataset, local_linear_predict, local_mean_predict, local_mode_predict, loo_error,
 )
 from .kernels import _is_integer, _nearest, gaussian, gram, local_reduce, make_kernel, pairwise_sq_dists
 from .metrics import accuracy, adjusted_rand_index, r2_score, w1_distance
@@ -258,8 +258,8 @@ def _label_scatter(X, labels):
 def _run_regress(cfg, seed, linear: bool):
     data = _resolve_input(cfg["input"], "features+target")
     kernel = make_kernel(cfg["kernel"])
-    if linear:
-        preds, jittered = local_linear_transform(kernel, data, data.X, lam=cfg["lambda"])
+    if linear:  # the leave-one-out error comes from the same grams as the fit
+        preds, jittered, loo = _local_linear_with_loo(kernel, cfg["lambda"], data)
         counters = {"jittered": int(jittered.sum())}
     else:
         means, empty = local_reduce(kernel, data.X, data.X, data.y)
@@ -269,14 +269,11 @@ def _run_regress(cfg, seed, linear: bool):
         if empty.any():  # each empty row takes its nearest sample's target, the lowest index among ties
             preds[empty] = data.y[_nearest(pairwise_sq_dists(data.X[empty], data.X), 1)[:, 0]]
         counters = {"empty_rows": int(empty.sum())}
-    metrics = {"r2_train": r2_score(data.y, preds), "n": data.n, "diagnostics": {"counters": counters}}
-    try:  # leave-one-out squared error of the model fitted above
-        if linear:
-            metrics["loo_error"] = _loo_local_linear(kernel, cfg["lambda"], data)[0]
-        else:
-            metrics["loo_error"] = loo_error(kernel, data)
-    except LocusKitError:
-        metrics["loo_error"] = None
+        try:  # leave-one-out squared error of the model fitted above
+            loo = loo_error(kernel, data)
+        except LocusKitError:
+            loo = None
+    metrics = {"r2_train": r2_score(data.y, preds), "n": data.n, "diagnostics": {"counters": counters}, "loo_error": loo}
     files = {"results.csv": (_feature_header(data.p) + ["target", "prediction"], Columns((data.X, data.y, preds)))}
     plot = None
     if data.p == 1:
@@ -719,7 +716,7 @@ _register(
     [
         _INPUT_KEY,
         _SEED_KEY,
-        Key("d", _int, default=2),
+        Key("d", _count, default=2),
         Key("form", _choice("softmax", "linear"), default="softmax"),
         Key("steps", _integer(0), default=500),
         Key("lr", _bound, default=0.1),

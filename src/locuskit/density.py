@@ -26,6 +26,7 @@ from .kernels import (
     GaussianKernel,
     Kernel,
     NeighborhoodKernel,
+    _block_height,
     _check_bandwidth,
     _check_count,
     _row_blocks,
@@ -57,29 +58,39 @@ def _unit_ball_volume(p: int) -> float:
 
 
 def _density_values(k: Kernel, sq_dists: np.ndarray, p: int) -> np.ndarray:
-    """Normalized density kernel evaluated at squared distances."""
+    """Normalized density kernel evaluated at squared distances, in place: ``sq_dists`` is overwritten."""
     if isinstance(k, GaussianKernel):
         c = (2.0 * math.pi * k.h * k.h) ** (-p / 2.0)
-        return c * np.exp(-sq_dists / (2.0 * k.h * k.h))
-    if isinstance(k, EpanechnikovKernel):
+        sq_dists /= -(2.0 * k.h * k.h)  # -a / b is a / -b exactly
+        np.exp(sq_dists, out=sq_dists)
+    elif isinstance(k, EpanechnikovKernel):
         # radial Epanechnikov: c_p (1 - ||u||^2)_+ with integral 1 on R^p
         c = (p + 2.0) / (2.0 * _unit_ball_volume(p)) / k.h**p
-        return c * np.maximum(1.0 - sq_dists / (k.h * k.h), 0.0)
-    if isinstance(k, NeighborhoodKernel):
+        sq_dists /= k.h * k.h
+        np.subtract(1.0, sq_dists, out=sq_dists)
+        np.maximum(sq_dists, 0.0, out=sq_dists)
+    elif isinstance(k, NeighborhoodKernel):
         c = 1.0 / (_unit_ball_volume(p) * k.eps**p)
-        return c * (sq_dists < k.eps * k.eps)
-    raise InvalidParameter(
-        f"kde requires a normalizable kernel (gaussian/epanechnikov/neighborhood), got {k!r}"
-    )
+        np.less(sq_dists, k.eps * k.eps, out=sq_dists)
+    else:
+        raise InvalidParameter(
+            f"kde requires a normalizable kernel (gaussian/epanechnikov/neighborhood), got {k!r}"
+        )
+    sq_dists *= c
+    return sq_dists
 
 
 def kde_values(k: Kernel, X, queries) -> np.ndarray:
-    """Kernel density estimates ``(1/N) sum_i K_h(q - x_i)`` at every row of ``queries``, in row blocks."""
+    """Kernel density estimates ``(1/N) sum_i K_h(q - x_i)`` at every row of ``queries``, in row blocks
+    computed in one reused buffer."""
     X = as_point_set(X)
     Q = as_point_set(queries)
     out = np.empty(Q.shape[0])
+    buf = np.empty((min(_block_height(X.shape[0]), Q.shape[0]), X.shape[0]))
     for rows in _row_blocks(Q.shape[0], X.shape[0]):
-        out[rows] = _density_values(k, pairwise_sq_dists(Q[rows], X), X.shape[1]).mean(axis=1)
+        Qb = Q[rows]
+        d2 = pairwise_sq_dists(Qb, X, out=buf[: Qb.shape[0]])
+        out[rows] = _density_values(k, d2, X.shape[1]).mean(axis=1)
     return out
 
 

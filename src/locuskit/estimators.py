@@ -10,6 +10,7 @@ kernel-weighted (Nadaraya-Watson) average and the workhorse of the library.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -341,10 +342,11 @@ def _ill_posed(A: np.ndarray, Q: np.ndarray, n: int) -> np.ndarray:
     return ~(ev[:, 0] > np.maximum(ev[:, -1] / _COND_LIMIT, rounding))
 
 
-def _local_linear_blocks(k: Kernel, X: np.ndarray, Q: np.ndarray, lam: float, skip_self: bool = False):
+def _local_linear_blocks(k: Kernel, X: np.ndarray, Q: np.ndarray, lam: float):
     """Local linear fits of Q's rows over X, in row blocks.
 
-    Yields ``(rows, L, jittered)`` per block: the equivalent-kernel rows
+    Yields ``(rows, fit)`` per block, one gram evaluation each; ``fit(skip_self=False)``
+    returns ``(L, jittered)``: the equivalent-kernel rows
     ``L_q = xt_q^T (A_q + lam P)^(-1) Xt^T diag(w_q)`` of the weighted designs
     ``A_q = Xt^T diag(w_q) Xt``, and the flags of the rows that fell back.
     Xt and xt_q are ``[1, x - m]`` with m the mean of X's rows, so the fits do
@@ -352,7 +354,8 @@ def _local_linear_blocks(k: Kernel, X: np.ndarray, Q: np.ndarray, lam: float, sk
     intercept unpenalised, so every L_q sums to 1.  A row whose system
     :func:`_ill_posed` flags gets the local mean ``L_q = w_q / sum(w_q)``.
     One solve covers the block.  With ``skip_self`` (Q is X), row i gives
-    sample ``rows.start + i`` weight 0: the fit without it.
+    sample ``rows.start + i`` weight 0: the fit without it.  That zeroes the
+    block's gram in place, so a block's in-sample fit, if wanted, comes first.
     """
     n, d = X.shape[0], X.shape[1] + 1
     m = X.mean(axis=0)
@@ -360,8 +363,8 @@ def _local_linear_blocks(k: Kernel, X: np.ndarray, Q: np.ndarray, lam: float, sk
     Qm = Q - m
     outer = (Xt[:, :, None] * Xt[:, None, :]).reshape(n, d * d)
     ridge = lam * np.diag([0.0] + [1.0] * (d - 1))
-    for rows in _row_blocks(Q.shape[0], n):
-        W = k.gram_values(Q[rows], X)
+
+    def fit(rows, W, skip_self=False):
         if skip_self:
             np.fill_diagonal(W[:, rows.start:], 0.0)
         empty = W.sum(axis=1) <= 0  # NaN weights are not empty: they raise SingularSystem below
@@ -375,11 +378,15 @@ def _local_linear_blocks(k: Kernel, X: np.ndarray, Q: np.ndarray, lam: float, sk
             coef = np.linalg.solve(A, qt[..., None])[..., 0]
         except np.linalg.LinAlgError:
             coef = np.full(qt.shape, np.nan)
-        L = (coef @ Xt.T) * W
+        L = coef @ Xt.T
+        L *= W
         L[jittered] = W[jittered] / W[jittered].sum(axis=1, keepdims=True)
         if not np.isfinite(L).all():
             raise SingularSystem("local linear weights are not finite: check the kernel weights")
-        yield rows, L, jittered
+        return L, jittered
+
+    for rows in _row_blocks(Q.shape[0], n):
+        yield rows, functools.partial(fit, rows, k.gram_values(Q[rows], X))
 
 
 def _check_ridge(data: Dataset, lam) -> float:
@@ -401,7 +408,8 @@ def local_linear_transform(k: Kernel, data: Dataset, queries, lam: float = 0.0):
     Y = np.atleast_2d(data.y.T).T
     preds = np.empty((Q.shape[0], Y.shape[1]))
     jittered = np.zeros(Q.shape[0], dtype=bool)
-    for rows, L, jit in _local_linear_blocks(k, data.X, Q, lam):
+    for rows, fit in _local_linear_blocks(k, data.X, Q, lam):
+        L, jit = fit()
         preds[rows] = L @ Y
         jittered[rows] = jit
     return (preds if data.y.ndim > 1 else preds[:, 0]), jittered
@@ -424,7 +432,8 @@ def local_linear_predict(k: Kernel, data: Dataset, x_star, lam: float = 0.0):
     of :func:`local_linear_transform`.
     """
     lam = _check_ridge(data, lam)
-    (_, L, jittered), = _local_linear_blocks(k, data.X, as_point(x_star)[None, :], lam)
+    (_, fit), = _local_linear_blocks(k, data.X, as_point(x_star)[None, :], lam)
+    L, jittered = fit()
     pred = L[0] @ np.atleast_2d(data.y.T).T
     pred = pred if data.y.ndim > 1 else float(pred[0])
     return pred, L[0], bool(jittered[0])

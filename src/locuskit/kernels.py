@@ -121,13 +121,14 @@ def _small_buffer():
         np.setbufsize(old)
 
 
-def pairwise_sq_dists(A: np.ndarray, B: np.ndarray, out=None) -> np.ndarray:
+def pairwise_sq_dists(A: np.ndarray, B: np.ndarray, out=None, work=None) -> np.ndarray:
     """Squared Euclidean distances between the rows of A (N, p) and B (M, p).
 
     Each entry sums the exact per-coordinate squared differences from the first coordinate
     to the last, so no row depends on the rows passed with it; up to 7 coordinates, where
     numpy's ``.sum()`` also adds left to right, this is ``((a - b) ** 2).sum()`` bit for bit.
-    The result is written into ``out`` (an (N, M) float array) when it is given.
+    The result is written into ``out`` (an (N, M) float array) when it is given, and the squared
+    differences of the second and later coordinates go through ``work`` (another) when it is given.
     """
     A = as_point_set(A)
     B = as_point_set(B)
@@ -143,7 +144,7 @@ def pairwise_sq_dists(A: np.ndarray, B: np.ndarray, out=None) -> np.ndarray:
     with _small_buffer():
         np.subtract.outer(a_rows[0], b_rows[0], out=d2)
         d2 *= d2
-        t = np.empty_like(d2) if A.shape[1] > 1 else None
+        t = np.empty_like(d2) if work is None and A.shape[1] > 1 else work
         for a, b in zip(a_rows[1:], b_rows[1:]):
             np.subtract.outer(a, b, out=t)
             t *= t
@@ -926,11 +927,12 @@ def _exp_in_place(W: np.ndarray) -> np.ndarray:
     return W
 
 
-def _local_weights(k: Kernel, Q, X, skip_from=None, out=None) -> np.ndarray:
+def _local_weights(k: Kernel, Q, X, skip_from=None, out=None, work=None) -> np.ndarray:
     """Weights of Q's rows over X for a local mean; Gaussian rows are max-shifted in the log domain.
 
     ``skip_from=s`` drops sample ``s + i`` from row i; negative weights raise ``DesmoothingInput``.
-    Gaussian weights are computed in ``out`` (a (len(Q), len(X)) float array) when it is given.
+    Gaussian weights are computed in ``out`` (a (len(Q), len(X)) float array) when it is given,
+    with ``work`` as :func:`pairwise_sq_dists`' per-coordinate temporary.
     """
     if not isinstance(k, GaussianKernel):
         W = k.gram_values(Q, X)
@@ -939,7 +941,7 @@ def _local_weights(k: Kernel, Q, X, skip_from=None, out=None) -> np.ndarray:
         if k.sign_class == "desmoothing" or (W < 0).any():
             raise DesmoothingInput("cannot average desmoothing or negative kernel weights")
         return W
-    W = pairwise_sq_dists(Q, X, out=out)
+    W = pairwise_sq_dists(Q, X, out=out, work=work)
     with _small_buffer():
         W /= -(2.0 * k.h * k.h)
         if skip_from is not None:
@@ -960,15 +962,18 @@ def local_reduce(k: Kernel, Q, X, Y, skip_self: bool = False):
     Q, X, Y = as_point_set(Q), as_point_set(X), as_point_set(Y)
     means = np.empty((Q.shape[0], Y.shape[1]))
     deg = np.empty(Q.shape[0])
-    buf = None  # one Gaussian weight block, reused by every row block
+    buf = work = None  # one Gaussian weight block and one distance temporary, reused by every row block
     if isinstance(k, GaussianKernel):
         buf = np.empty((min(_block_height(X.shape[0]), Q.shape[0]), X.shape[0]))
+        work = np.empty_like(buf) if X.shape[1] > 1 else None
     for rows in _row_blocks(Q.shape[0], X.shape[0]):
         Qb = Q[rows]
-        out = None if buf is None else buf[: Qb.shape[0]]
-        W = _local_weights(k, Qb, X, rows.start if skip_self else None, out)
+        m = Qb.shape[0]
+        out = None if buf is None else buf[:m]
+        W = _local_weights(k, Qb, X, rows.start if skip_self else None, out, None if work is None else work[:m])
         deg[rows] = W.sum(axis=1)
-        means[rows] = W @ Y
+        np.matmul(W, Y, out=means[rows])  # no block-sized product beside the two buffers when Y is wide
+    del work  # freed before the division's temporaries
     empty = ~(deg > 0)
     means /= np.where(empty, np.nan, deg)[:, None]
     return means, empty

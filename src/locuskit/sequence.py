@@ -289,10 +289,13 @@ def _window_mean(values: np.ndarray, radius: int, weights) -> np.ndarray:
     """Weighted mean of ``values`` (*grid, c) over the square window of
     ``radius`` grid steps around each point, clipped at the edges.
 
-    The sum runs offset by offset: for each offset, ``weights(here, there)``
-    gives the weight that each point in the slices ``here`` puts on the
-    point that offset away, in ``there``.  Offset 0 must weigh 1, so no
-    denominator is 0.
+    The sum runs offset by offset, in lexicographic order up to and including
+    offset 0: for each offset, ``weights(here, there)`` gives the weight that
+    each point in the slices ``here`` puts on the point that offset away, in
+    ``there``.  The weights must be symmetric, ``weights(here, there)`` equal
+    to ``weights(there, here)``, since the same array also serves as the
+    weight each point in ``there`` puts on its mirror in ``here``, at the
+    negated offset.  Offset 0 must weigh 1, so no denominator is 0.
     """
     grid = values.shape[:-1]
     num = np.zeros(values.shape)
@@ -304,13 +307,20 @@ def _window_mean(values: np.ndarray, radius: int, weights) -> np.ndarray:
         w = weights(here, there)
         num[here] += w[..., None] * values[there]
         den[here] += w
-    return num / den[..., None]
+        if not any(offset):
+            break
+        num[there] += w[..., None] * values[here]
+        den[there] += w
+    num /= den[..., None]
+    return num
 
 
 def _nlm(values: np.ndarray, patch_radius: int, h: float, search_radius: int) -> np.ndarray:
     """Non-local means of ``values`` (*grid, c) with zero-padded square patches,
     shared by the sequence and image variants; patch distances are box sums of
-    squared differences, never prefix sums, whose rounding would cross windows."""
+    squared differences, never prefix sums, whose rounding would cross windows.
+    A distance image at offset o, shifted by o, is the one at -o bit for bit,
+    so the weights are symmetric as :func:`_window_mean` needs."""
     r = _check_count(patch_radius, "patch_radius", 0)
     s = _check_count(search_radius, "search_radius", r)
     h = _check_bandwidth(h)
@@ -320,10 +330,17 @@ def _nlm(values: np.ndarray, patch_radius: int, h: float, search_radius: int) ->
 
     def weights(here, there):
         wide_here, wide_there = (tuple(slice(a.start, a.stop + 2 * r) for a in sl) for sl in (here, there))
-        e = ((padded[wide_there] - padded[wide_here]) ** 2).sum(axis=-1)  # slices widened to whole patches
-        for axis in range(ndim):  # box sums of width 2r+1, added left to right
-            e = sum(e[(slice(None),) * axis + (slice(j, e.shape[axis] - 2 * r + j),)] for j in range(2 * r + 1))
-        return np.exp(-(e / psize) / (2.0 * h * h))
+        e = padded[wide_there] - padded[wide_here]  # slices widened to whole patches
+        e *= e
+        e = e.sum(axis=-1)
+        for axis in range(ndim):  # box sums of width 2r+1, added left to right into one copy
+            box = [e[(slice(None),) * axis + (slice(j, e.shape[axis] - 2 * r + j),)] for j in range(2 * r + 1)]
+            e = box[0].copy()
+            for part in box[1:]:
+                e += part
+        e /= psize
+        e /= -(2.0 * h * h)
+        return np.exp(e, out=e)
 
     return _window_mean(values, s, weights)
 

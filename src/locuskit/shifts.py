@@ -160,8 +160,8 @@ def extract_clusters(converged, merge_radius: float):
         raise InvalidParameter("merge_radius must be positive")
     n = P.shape[0]
     height = min(_block_height(n), n)
-    # one block buffer per call: blocks allocated afresh each time fault their pages in again, ~3x slower
-    d2, near = np.empty((height, n)), np.empty((height, n), dtype=bool)
+    # block buffers once per call: blocks allocated afresh each time fault their pages in again, ~3x slower
+    d2, work = np.empty((height, n)), np.empty((height, n))
     reached = np.empty(n, dtype=bool)
     r2 = merge_radius * merge_radius
     labels = np.full(n, -1)
@@ -175,8 +175,8 @@ def extract_clusters(converged, merge_radius: float):
             reached.fill(False)
             for rows in _row_blocks(frontier.size, n):
                 block = frontier[rows]
-                np.less(pairwise_sq_dists(P[block], P, out=d2[: block.size]), r2, out=near[: block.size])
-                reached |= near[: block.size].any(axis=0)
+                D = pairwise_sq_dists(P[block], P, out=d2[: block.size], work=work[: block.size])
+                reached |= np.fmin.reduce(D, axis=0) < r2  # fmin skips NaN, as "any entry < r2" does
             frontier = np.flatnonzero(reached & (labels < 0))
             labels[frontier] = count
         count += 1

@@ -7,13 +7,13 @@ import os
 import numpy as np
 import pytest
 
-from locuskit import cli
+from locuskit import cli, kernels
 from locuskit.adaptive import _loo_local_linear
 from locuskit.cli import TASKS, _validate_config, main, run_task
 from locuskit.dataio import ingest_csv, read_pgm, write_csv, write_pgm
-from locuskit.errors import ParseError, SchemaMismatch, ValidationError
-from locuskit.estimators import Dataset, local_linear_predict, loo_error
-from locuskit.kernels import gaussian
+from locuskit.errors import EmptyNeighborhood, ParseError, SchemaMismatch, ValidationError
+from locuskit.estimators import Dataset, local_linear_predict, local_linear_transform, loo_error
+from locuskit.kernels import epanechnikov, gaussian
 from locuskit.sequence import Sequence
 from locuskit.svg import emit_svg
 from locuskit.synth import step_signal
@@ -313,6 +313,26 @@ class TestRunTask:
         assert got == _loo_local_linear(k, lam, data)[0]
         assert got < 0.5 * loo_error(k, data)  # the local mean's held-out loss, which the task reported before
 
+    def test_a_held_out_failure_in_a_later_block_leaves_the_fit(self, tmp_path):
+        # 300 samples make two row blocks of a 2**16-entry gram; the last sample sits alone, so under a compact
+        # kernel only its held-out fit, in the second block, has no weight
+        x = np.append(np.linspace(0.0, 10.0, 299), 100.0)
+        path = tmp_path / "lonely.csv"
+        write_csv(path, ["x", "y"], [[t, np.sin(t)] for t in x])
+        k = epanechnikov(1.0)
+        assert kernels._block_height(len(x)) < len(x)
+        cfg = {"input": str(path), "kernel": {"kind": "epanechnikov", "h": 1.0}}
+        run_task("regress-local-linear", cfg, str(tmp_path / "out"))
+        metrics = json.load(open(tmp_path / "out" / "metrics.json"))
+        assert metrics["loo_error"] is None
+        data = ingest_csv(path, "features+target")
+        with pytest.raises(EmptyNeighborhood, match=r"no positive kernel weights at array\(\[100\.\]\)"):
+            _loo_local_linear(k, 0.0, data)
+        want, jittered = local_linear_transform(k, data, data.X)
+        table = np.genfromtxt(tmp_path / "out" / "results.csv", delimiter=",", names=True)
+        assert np.array_equal(table["prediction"], want)
+        assert metrics["diagnostics"] == {"counters": {"jittered": int(jittered.sum())}}
+
     def test_fit_qkv_toy(self, tmp_path):
         metrics = run_task(
             "fit-qkv",
@@ -404,6 +424,11 @@ class TestMainExitCodes:
         text = capsys.readouterr().out
         for key in ("input", "predictor", "grid", "seed"):
             assert key in text
+
+    def test_help_states_the_qkv_width_bound(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["fit-qkv", "--help"])
+        assert "d (int >= 1; default 2)" in capsys.readouterr().out
 
     def test_every_task_has_schema_and_help(self):
         for name, spec in TASKS.items():
@@ -708,6 +733,7 @@ _SINE = {"input": "bundled:noisy-sine"}
         ("generate-diffusion", {"input": "missing.csv", "seed": 1, "n_samples": 0}, "'n_samples' must be int >= 1"),
         ("denoise-nlm", {"input": "missing.csv", "patch_radius": -1}, "'patch_radius' must be int >= 0"),
         ("denoise-nlm", {"input": "missing.csv", "search_radius": -1}, "'search_radius' must be int >= 0"),
+        ("fit-qkv", {"input": "missing.csv", "seed": 1, "d": 0}, "'d' must be int >= 1"),
     ],
     ids=[
         "zero-classes", "negative-classes", "more-classes-than-rows", "unknown-mode", "negative-grid-count",
@@ -722,6 +748,7 @@ _SINE = {"input": "bundled:noisy-sine"}
         "non-callable-feature-map", "zero-trimap-dimension", "zero-trimap-steps", "negative-similarity-bandwidth",
         "one-token-window", "zero-word-dimension", "zero-amds-dimension", "underflowing-nlm-bandwidth",
         "zero-diffusion-steps", "zero-diffusion-samples", "negative-patch-radius", "negative-search-radius",
+        "zero-qkv-width",
     ],
 )
 def test_out_of_range_config_value_exit_two(tmp_path, capsys, task, config, named):

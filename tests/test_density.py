@@ -17,12 +17,15 @@ from locuskit.density import (
     diffusion_generate,
     kde,
     kde_gradient,
+    kde_values,
     mean_shift_vector,
     noise_sample,
     score_estimate,
     tweedie_denoise,
 )
-from locuskit.kernels import dirac, epanechnikov, gaussian, neighborhood, uniform
+from locuskit.kernels import (
+    EpanechnikovKernel, GaussianKernel, dirac, epanechnikov, gaussian, neighborhood, pairwise_sq_dists, uniform,
+)
 
 
 class TestKde:
@@ -57,6 +60,30 @@ class TestKde:
     def test_rejects_unnormalizable_kernel(self):
         with pytest.raises(errors.InvalidParameter):
             kde(uniform(), [[0.0]], [0.0])
+
+    @pytest.mark.parametrize("p", [1, 2])
+    @pytest.mark.parametrize("k", [gaussian(0.3), epanechnikov(1.5), neighborhood(1.5)], ids=repr)
+    def test_values_equal_the_allocating_formula_bit_for_bit(self, k, p):
+        # 3000 samples make 21-row blocks, so the 50 queries span three; queries 8 to 40 away put
+        # d2 / (2 h^2) past -707, where exp leaves its fast range, and past -745, where it is 0
+        rng = np.random.default_rng(3)
+        X = rng.normal(size=(3000, p))
+        Q = np.zeros((50, p))
+        Q[:, 0] = np.concatenate([np.linspace(-3.0, 3.0, 20), np.linspace(8.0, 40.0, 30)])
+        d2 = pairwise_sq_dists(Q, X)
+        if isinstance(k, GaussianKernel):
+            vals = (2.0 * math.pi * k.h * k.h) ** (-p / 2.0) * np.exp(-d2 / (2.0 * k.h * k.h))
+        elif isinstance(k, EpanechnikovKernel):
+            c = (p + 2.0) / (2.0 * math.pi ** (p / 2.0) / math.gamma(p / 2.0 + 1.0)) / k.h**p
+            vals = c * np.maximum(1.0 - d2 / (k.h * k.h), 0.0)
+        else:
+            vals = 1.0 / (math.pi ** (p / 2.0) / math.gamma(p / 2.0 + 1.0) * k.eps**p) * (d2 < k.eps * k.eps)
+        want = vals.mean(axis=1)
+        got = kde_values(k, X, Q)
+        assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+        if isinstance(k, GaussianKernel):
+            arg = (d2 / (2.0 * k.h * k.h)).ravel()
+            assert ((arg > 707.0) & (arg < 745.0)).any() and (arg > 746.0).any()
 
 
 class TestConditionalKde:

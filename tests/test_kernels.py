@@ -6,6 +6,7 @@ kernel evaluation, 2x2 linear solves) or are structural identities.
 
 import itertools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -461,6 +462,31 @@ class TestDistanceArithmetic:
         assert D is out
         assert np.array_equal(D, pairwise_sq_dists(A, B))
         assert np.isnan(buf[n:]).all()
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_work_buffer_takes_the_coordinate_temporary(self, case):
+        seed, offset, n, m, p = self.CASES[case]
+        rng = np.random.default_rng(seed)
+        A = rng.normal(size=(n, p)) + offset
+        B = rng.normal(size=(m, p)) + offset
+        buf, work = np.full((n + 3, m), np.nan), np.full((n + 3, m), np.nan)
+        out = buf[:n]
+        D = pairwise_sq_dists(A, B, out=out, work=work[:n])
+        assert D is out
+        assert np.array_equal(D, pairwise_sq_dists(A, B))
+        assert np.isnan(buf[n:]).all() and np.isnan(work[n:]).all()
+
+    def test_out_and_work_leave_no_block_sized_allocation(self):
+        rng = np.random.default_rng(8)
+        A, B = rng.normal(size=(21, 2)), rng.normal(size=(3000, 2))
+        out, work = np.empty((21, 3000)), np.empty((21, 3000))
+        tracemalloc.start()
+        try:
+            pairwise_sq_dists(A, B, out=out, work=work)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < out.nbytes / 4  # the contiguous coordinate rows, 2 x 3021 floats
 
     def test_self_distances_do_not_alias_input(self):
         X = np.random.default_rng(6).normal(size=(5, 2))

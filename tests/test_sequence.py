@@ -2,6 +2,7 @@
 and row blocks, the encoder against a straight-line oracle, hierarchical
 local means, NLM, and autoregressive completion."""
 
+import itertools
 import math
 
 import numpy as np
@@ -553,17 +554,16 @@ class TestWindowMeanAgainstLoops:
 # The patch-array non-local means that the box-summed patch distances replaced:
 # whole (2r+1)^ndim*c patch vectors compared at every offset.
 
-def patch_array_nlm(values, r, h, s):
+def patch_weights(values, r, h):
     ndim = values.ndim - 1
     padded = np.pad(values, [(r, r)] * ndim + [(0, 0)])
     windows = np.lib.stride_tricks.sliding_window_view(padded, (2 * r + 1,) * ndim, axis=tuple(range(ndim)))
     P = np.moveaxis(windows, ndim, -1).reshape(*values.shape[:-1], -1)
+    return lambda here, there: np.exp(-(((P[there] - P[here]) ** 2).sum(axis=-1) / P.shape[-1]) / (2.0 * h * h))
 
-    def weights(here, there):
-        d2 = ((P[there] - P[here]) ** 2).sum(axis=-1) / P.shape[-1]
-        return np.exp(-d2 / (2.0 * h * h))
 
-    return sequence._window_mean(values, s, weights)
+def patch_array_nlm(values, r, h, s):
+    return sequence._window_mean(values, s, patch_weights(values, r, h))
 
 
 class TestBoxSummedPatchDistances:
@@ -584,6 +584,83 @@ class TestBoxSummedPatchDistances:
         img = rng.integers(0, 256, (21, 18)).astype(float)
         want = patch_array_nlm(img[..., None], 2, 40.0, 4)[..., 0]
         np.testing.assert_array_equal(nlm_denoise_image(img, 2, 40.0, 4), want)
+
+
+# The window mean before mirror sharing: every offset in lexicographic order, each with weights of its own.
+# Mirror sharing adds the same weights to each point in another order, so the two agree to rounding.
+
+def window_offsets(grid, s):
+    for offset in itertools.product(*(range(-min(s, n - 1), min(s, n - 1) + 1) for n in grid)):
+        here = tuple(slice(max(0, -o), n - max(0, o)) for o, n in zip(offset, grid))
+        there = tuple(slice(max(0, o), n + min(0, o)) for o, n in zip(offset, grid))
+        yield here, there
+
+
+def per_offset_window_mean(values, s, weights):
+    num, den = np.zeros(values.shape), np.zeros(values.shape[:-1])
+    for here, there in window_offsets(values.shape[:-1], s):
+        w = weights(here, there)
+        num[here] += w[..., None] * values[there]
+        den[here] += w
+    return num / den[..., None]
+
+
+def position_weights(T, bw):
+    t = np.arange(T)
+    return lambda here, there: np.exp(-((t[there] - t[here]) ** 2) / (2.0 * bw * bw))
+
+
+class TestMirrorSharedWindowMean:
+    @pytest.mark.parametrize("r, s, h", [(2, 10, 0.2), (1, 3, 0.3), (0, 4, 0.5)])
+    def test_image(self, r, s, h):
+        rng = np.random.default_rng(31)
+        img = rng.random((19, 23)) + 0.5
+        want = per_offset_window_mean(img[..., None], s, patch_weights(img[..., None], r, h))[..., 0]
+        np.testing.assert_allclose(nlm_denoise_image(img, r, h, s), want, rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("r, s", [(2, 10), (1, 40)])
+    def test_two_channel_sequence(self, r, s):
+        rng = np.random.default_rng(32)
+        tokens = rng.random((60, 2)) + 0.5
+        want = per_offset_window_mean(tokens, s, patch_weights(tokens, r, 0.3))
+        np.testing.assert_allclose(nlm_denoise(Sequence(tokens), r, 0.3, s).tokens, want, rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("s, bw", [(7, None), (12, 2.0)])
+    def test_moving_average(self, s, bw):
+        rng = np.random.default_rng(33)
+        tokens = rng.random((50, 2)) + 0.5
+        want = per_offset_window_mean(tokens, s, position_weights(50, s / 2.0 if bw is None else bw))
+        got = gaussian_moving_average(Sequence(tokens), s, bandwidth=bw).tokens
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+
+    def test_search_radius_zero_is_exact(self):
+        rng = np.random.default_rng(34)
+        img, tokens = rng.random((9, 7)), rng.random((20, 2))
+        want = per_offset_window_mean(img[..., None], 0, patch_weights(img[..., None], 0, 0.3))[..., 0]
+        np.testing.assert_array_equal(nlm_denoise_image(img, 0, 0.3, 0), want)
+        want = per_offset_window_mean(tokens, 0, patch_weights(tokens, 0, 0.3))
+        np.testing.assert_array_equal(nlm_denoise(Sequence(tokens), 0, 0.3, 0).tokens, want)
+        want = per_offset_window_mean(tokens, 0, position_weights(20, 0.5))
+        np.testing.assert_array_equal(gaussian_moving_average(Sequence(tokens), 0).tokens, want)
+
+    @pytest.mark.parametrize(
+        "values, r, s",
+        [(np.random.default_rng(35).random((11, 9, 1)), 2, 4), (np.random.default_rng(36).random((30, 3)), 1, 6)],
+        ids=["image", "three-channel-sequence"],
+    )
+    def test_nlm_weights_are_symmetric_bit_for_bit(self, monkeypatch, values, r, s):
+        # the contract _window_mean states: a weight array serves its offset and the mirror offset
+        checked = []
+
+        def check(values, radius, weights):
+            for here, there in window_offsets(values.shape[:-1], radius):
+                np.testing.assert_array_equal(weights(here, there), weights(there, here))
+                checked.append(here)
+            return values
+
+        monkeypatch.setattr(sequence, "_window_mean", check)
+        sequence._nlm(values, r, 0.3, s)
+        assert len(checked) == np.prod([2 * s + 1 for _ in values.shape[:-1]])
 
 
 class TestAutoregressive:
