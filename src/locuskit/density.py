@@ -29,6 +29,7 @@ from .kernels import (
     _block_height,
     _check_bandwidth,
     _check_count,
+    _divide,
     _row_blocks,
     as_point,
     as_point_set,
@@ -61,7 +62,7 @@ def _density_values(k: Kernel, sq_dists: np.ndarray, p: int) -> np.ndarray:
     """Normalized density kernel evaluated at squared distances, in place: ``sq_dists`` is overwritten."""
     if isinstance(k, GaussianKernel):
         c = (2.0 * math.pi * k.h * k.h) ** (-p / 2.0)
-        sq_dists /= -(2.0 * k.h * k.h)  # -a / b is a / -b exactly
+        _divide(sq_dists, -(2.0 * k.h * k.h))  # -a / b is a / -b exactly
         np.exp(sq_dists, out=sq_dists)
     elif isinstance(k, EpanechnikovKernel):
         # radial Epanechnikov: c_p (1 - ||u||^2)_+ with integral 1 on R^p

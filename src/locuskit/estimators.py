@@ -24,8 +24,8 @@ from .errors import (
     ZeroDenominator,
 )
 from .kernels import (  # normalize_rows is unused here, but perfbench/tracer.py wraps it by name
-    GaussianKernel, Kernel, SelfKernel, _check_count, _local_weights, _nearest, _pairwise, _row_blocks, as_point,
-    as_point_set, local_reduce, normalize_rows, pairwise_sq_dists, softmax_rows, uniform,
+    GaussianKernel, Kernel, SelfKernel, _check_count, _divide, _local_weights, _nearest, _pairwise, _row_blocks,
+    as_point, as_point_set, local_reduce, normalize_rows, pairwise_sq_dists, softmax_rows, uniform,
 )
 
 __all__ = [
@@ -446,7 +446,7 @@ def local_linear_predict(k: Kernel, data: Dataset, x_star, lam: float = 0.0):
 def _factor_weights(k: Kernel, q, X):
     """One product-kernel factor at point q as ``(log weights, linear weights)``: a Gaussian is all log."""
     if isinstance(k, GaussianKernel):
-        return pairwise_sq_dists(q[None, :], X)[0] / -(2.0 * k.h * k.h), 1.0
+        return _divide(pairwise_sq_dists(q[None, :], X)[0], -(2.0 * k.h * k.h)), 1.0
     return 0.0, _local_weights(k, q[None, :], X)[0]
 
 

@@ -121,6 +121,46 @@ def _small_buffer():
         np.setbufsize(old)
 
 
+def _divide(W: np.ndarray, c: float) -> np.ndarray:
+    """``W /= c`` in place, bit for bit, as a multiply by ``1 / c`` when ``|c|`` is a power of two.
+
+    Such a reciprocal is exact whenever it is finite, so ``x * (1 / c)`` and ``x / c`` round the same real number;
+    a multiply costs about a third of a divide per entry.  Squared distances divided by ``-2 h^2`` take this at
+    every ``h = 2^k``, the CLI's default ``h = 1`` among them.
+    """
+    if abs(math.frexp(c)[0]) == 0.5 and math.isfinite(1.0 / c):
+        W *= 1.0 / c
+    else:
+        W /= c
+    return W
+
+
+def _matching_point_sets(A, B):
+    """A and B as point sets; DimensionMismatch unless their points have one dimension."""
+    A, B = as_point_set(A), as_point_set(B)
+    if A.shape[1] != B.shape[1]:
+        raise DimensionMismatch(
+            f"point dimensions differ: {A.shape[1]} vs {B.shape[1]}"
+        )
+    return A, B
+
+
+def _sq_dists_into(d2: np.ndarray, a_rows: np.ndarray, b_rows: np.ndarray, work=None) -> np.ndarray:
+    """The squared distances of :func:`pairwise_sq_dists` from the contiguous coordinate rows ``A.T`` and ``B.T``,
+    written into ``d2``; the caller sets the ufunc buffer scope."""
+    if not len(a_rows):
+        d2.fill(0.0)
+        return d2
+    np.subtract.outer(a_rows[0], b_rows[0], out=d2)
+    d2 *= d2
+    t = np.empty_like(d2) if work is None and len(a_rows) > 1 else work
+    for a, b in zip(a_rows[1:], b_rows[1:]):
+        np.subtract.outer(a, b, out=t)
+        t *= t
+        d2 += t
+    return d2
+
+
 def pairwise_sq_dists(A: np.ndarray, B: np.ndarray, out=None, work=None) -> np.ndarray:
     """Squared Euclidean distances between the rows of A (N, p) and B (M, p).
 
@@ -130,26 +170,11 @@ def pairwise_sq_dists(A: np.ndarray, B: np.ndarray, out=None, work=None) -> np.n
     The result is written into ``out`` (an (N, M) float array) when it is given, and the squared
     differences of the second and later coordinates go through ``work`` (another) when it is given.
     """
-    A = as_point_set(A)
-    B = as_point_set(B)
-    if A.shape[1] != B.shape[1]:
-        raise DimensionMismatch(
-            f"point dimensions differ: {A.shape[1]} vs {B.shape[1]}"
-        )
+    A, B = _matching_point_sets(A, B)
     d2 = np.empty((A.shape[0], B.shape[0])) if out is None else out
-    if A.shape[1] == 0:
-        d2.fill(0.0)
-        return d2
     a_rows, b_rows = A.T.copy(), B.T.copy()  # contiguous coordinate rows
     with _small_buffer():
-        np.subtract.outer(a_rows[0], b_rows[0], out=d2)
-        d2 *= d2
-        t = np.empty_like(d2) if work is None and A.shape[1] > 1 else work
-        for a, b in zip(a_rows[1:], b_rows[1:]):
-            np.subtract.outer(a, b, out=t)
-            t *= t
-            d2 += t
-    return d2
+        return _sq_dists_into(d2, a_rows, b_rows, work)
 
 
 def _nearest(D: np.ndarray, k: int) -> np.ndarray:
@@ -267,8 +292,7 @@ class GaussianKernel(Kernel):
         return math.exp(-d2 / (2.0 * self.h * self.h))
 
     def gram_values(self, rows, cols):
-        W = pairwise_sq_dists(rows, cols)
-        W /= -(2.0 * self.h * self.h)
+        W = _divide(pairwise_sq_dists(rows, cols), -(2.0 * self.h * self.h))
         return np.exp(W, out=W)
 
 
@@ -927,12 +951,13 @@ def _exp_in_place(W: np.ndarray) -> np.ndarray:
     return W
 
 
-def _local_weights(k: Kernel, Q, X, skip_from=None, out=None, work=None) -> np.ndarray:
+def _local_weights(k: Kernel, Q, X, skip_from=None, out=None, work=None, x_rows=None) -> np.ndarray:
     """Weights of Q's rows over X for a local mean; Gaussian rows are max-shifted in the log domain.
 
     ``skip_from=s`` drops sample ``s + i`` from row i; negative weights raise ``DesmoothingInput``.
     Gaussian weights are computed in ``out`` (a (len(Q), len(X)) float array) when it is given,
-    with ``work`` as :func:`pairwise_sq_dists`' per-coordinate temporary.
+    with ``work`` as :func:`pairwise_sq_dists`' per-coordinate temporary, from X's coordinate rows
+    ``x_rows`` (``X.T`` made contiguous) when the caller has taken them once for many blocks.
     """
     if not isinstance(k, GaussianKernel):
         W = k.gram_values(Q, X)
@@ -941,9 +966,12 @@ def _local_weights(k: Kernel, Q, X, skip_from=None, out=None, work=None) -> np.n
         if k.sign_class == "desmoothing" or (W < 0).any():
             raise DesmoothingInput("cannot average desmoothing or negative kernel weights")
         return W
-    W = pairwise_sq_dists(Q, X, out=out, work=work)
-    with _small_buffer():
-        W /= -(2.0 * k.h * k.h)
+    Q, X = _matching_point_sets(Q, X)
+    W = np.empty((Q.shape[0], X.shape[0])) if out is None else out
+    q_rows = Q.T.copy()
+    x_rows = X.T.copy() if x_rows is None else x_rows
+    with _small_buffer():  # one scope for the distances, divide, shift and exp
+        _divide(_sq_dists_into(W, q_rows, x_rows, work), -(2.0 * k.h * k.h))
         if skip_from is not None:
             np.fill_diagonal(W[:, skip_from:], -np.inf)
         top = W.max(axis=1, keepdims=True)
@@ -962,15 +990,19 @@ def local_reduce(k: Kernel, Q, X, Y, skip_self: bool = False):
     Q, X, Y = as_point_set(Q), as_point_set(X), as_point_set(Y)
     means = np.empty((Q.shape[0], Y.shape[1]))
     deg = np.empty(Q.shape[0])
-    buf = work = None  # one Gaussian weight block and one distance temporary, reused by every row block
+    # one Gaussian weight block and one distance temporary, reused by every row block, and X's coordinate rows
+    buf = work = x_rows = None
     if isinstance(k, GaussianKernel):
         buf = np.empty((min(_block_height(X.shape[0]), Q.shape[0]), X.shape[0]))
         work = np.empty_like(buf) if X.shape[1] > 1 else None
+        x_rows = X.T.copy()
     for rows in _row_blocks(Q.shape[0], X.shape[0]):
         Qb = Q[rows]
         m = Qb.shape[0]
         out = None if buf is None else buf[:m]
-        W = _local_weights(k, Qb, X, rows.start if skip_self else None, out, None if work is None else work[:m])
+        W = _local_weights(
+            k, Qb, X, rows.start if skip_self else None, out, None if work is None else work[:m], x_rows
+        )
         deg[rows] = W.sum(axis=1)
         np.matmul(W, Y, out=means[rows])  # no block-sized product beside the two buffers when Y is wide
     del work  # freed before the division's temporaries

@@ -18,8 +18,8 @@ import numpy as np
 from .errors import DimensionMismatch, InvalidParameter, ShapeMismatch
 from .estimators import Dataset, lazy_transform
 from .kernels import (
-    Kernel, KernelMatrix, _block_height, _check_bandwidth, _check_count, _local_weights, _matrix_values, _row_blocks,
-    _softmax_in_place, as_point_set, gram, normalize_rows,
+    Kernel, KernelMatrix, _block_height, _check_bandwidth, _check_count, _divide, _local_weights, _matrix_values,
+    _row_blocks, _softmax_in_place, as_point_set, gram, normalize_rows,
 )
 
 __all__ = [
@@ -339,8 +339,7 @@ def _nlm(values: np.ndarray, patch_radius: int, h: float, search_radius: int) ->
             for part in box[1:]:
                 e += part
         e /= psize
-        e /= -(2.0 * h * h)
-        return np.exp(e, out=e)
+        return np.exp(_divide(e, -(2.0 * h * h)), out=e)
 
     return _window_mean(values, s, weights)
 

@@ -260,10 +260,14 @@ def medoid_shift(k: Kernel, d, X, merge_radius: float | None = None):
     X = as_point_set(X)
     n = X.shape[0]
     D = _pairwise(d, X, X)
-    cost, empty = local_reduce(k, X, X, D)
-    if empty.any():
-        raise EmptyNeighborhood(f"rows {np.flatnonzero(empty).tolist()} have zero degree")
-    mapping = cost.argmin(axis=1)
+    mapping = np.empty(n, dtype=int)
+    empty = []
+    for rows in _row_blocks(n, n):  # local_reduce's own row blocks, so no n x n cost is held and no bit moves
+        cost, dead = local_reduce(k, X[rows], X, D)
+        empty += (rows.start + np.flatnonzero(dead)).tolist()
+        mapping[rows] = cost.argmin(axis=1)
+    if empty:
+        raise EmptyNeighborhood(f"rows {empty} have zero degree")
 
     # pointer doubling: after k rounds step = mapping^(2^k) and low[i] is the least of
     # i's first 2^k iterates; 2^k > n puts step[i] on i's cycle and low spans it

@@ -443,12 +443,13 @@ class TestDistanceArithmetic:
         want = reference_sq_dists(A0, B0)
         assert D.shape == want.shape == (n, m)
         assert np.array_equal(D, want)
-        W = gaussian(0.7).gram_values(A, B)
-        assert np.array_equal(W, np.exp(-want / (2.0 * 0.7 * 0.7)))
-        assert np.array_equal(A, A0) and np.array_equal(B, B0)
-        for out in (D, W):
-            assert not np.shares_memory(out, A) and not np.shares_memory(out, B)
-        assert not np.shares_memory(D, W)
+        for h in (0.7, 1.0):  # 2 h^2 = 2 is a power of two: the weights multiply by -1/2 instead of dividing
+            W = gaussian(h).gram_values(A, B)
+            assert np.array_equal(W, np.exp(-want / (2.0 * h * h)))
+            assert np.array_equal(A, A0) and np.array_equal(B, B0)
+            for out in (D, W):
+                assert not np.shares_memory(out, A) and not np.shares_memory(out, B)
+            assert not np.shares_memory(D, W)
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_out_buffer_is_filled_and_returned(self, case):
@@ -505,6 +506,30 @@ class TestDistanceArithmetic:
         D = pairwise_sq_dists(A, B)
         for i in range(A.shape[0]):
             assert np.array_equal(D[i], pairwise_sq_dists(A[i : i + 1], B)[0])
+
+
+class TestDivide:
+    """``_divide(W, c)`` is ``W /= c`` bit for bit, whether it multiplies by an exact ``1 / c`` or divides."""
+
+    ENTRIES = np.array([0.0, -0.0, 5e-324, 1e-310, 1.0, np.finfo(float).max, np.inf, -np.inf, np.nan])
+
+    def check(self, c):
+        W = self.ENTRIES.copy()
+        with np.errstate(all="ignore"):
+            got = kernels._divide(W, c)
+            want = self.ENTRIES / c
+        assert got is W
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)), c
+
+    def test_powers_of_two_multiply_by_an_exact_reciprocal(self):
+        # k = 1023 is -2 h^2 at h = 2^511, whose reciprocal 2^-1023 is subnormal but exact
+        for k in range(-1021, 1024):
+            self.check(-(2.0**k))
+
+    @pytest.mark.parametrize("c", [-1.28, -0.08, -(2.0**-1024), -5e-324])
+    def test_other_divisors_divide(self, c):
+        # 2^-1024 and 5e-324 are powers of two whose reciprocals overflow, so they divide as well
+        self.check(c)
 
 
 # integer-valued cells, full of ties, mixed with the values a stable argsort orders specially
@@ -754,8 +779,9 @@ class TestLocalReduce:
     @pytest.mark.parametrize("skip_self", [False, True], ids=["all", "skip-self"])
     @pytest.mark.parametrize("n_queries, n_samples", [(11, 5), (40, 3), (6, 1)])
     @pytest.mark.parametrize("entries", [1, 5, 13, 2**16])
+    @pytest.mark.parametrize("h", [0.8, 1.0, 0.25])  # 2 h^2 = 2 and 1/8 take the multiply by an exact reciprocal
     def test_in_place_gaussian_weights_match_allocating_expressions(
-        self, monkeypatch, p, skip_self, n_queries, n_samples, entries
+        self, monkeypatch, p, skip_self, n_queries, n_samples, entries, h
     ):
         monkeypatch.setattr(kernels, "_BLOCK_ENTRIES", entries)
         rng = np.random.default_rng([p, n_queries])
@@ -764,8 +790,8 @@ class TestLocalReduce:
         Y = rng.normal(size=(n_samples, 2))
         if p:
             Q[2] = np.inf  # every log weight of this row is -inf
-        got = local_reduce(gaussian(0.8), Q, X, Y, skip_self=skip_self)
-        want = allocating_gaussian_reduce(0.8, Q, X, Y, skip_self)
+        got = local_reduce(gaussian(h), Q, X, Y, skip_self=skip_self)
+        want = allocating_gaussian_reduce(h, Q, X, Y, skip_self)
         assert np.array_equal(got[1], want[1])
         assert np.array_equal(got[0], want[0], equal_nan=True)
         if p or (skip_self and n_samples == 1):

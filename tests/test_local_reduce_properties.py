@@ -166,6 +166,9 @@ def test_gaussian_weights_that_mostly_underflow_are_the_max_shifted_exp(X, c, sk
         (lambda: local_reduce(gaussian(0.3), np.ones((40, 1)), np.arange(3000.0), np.ones(3000)), None, {}),
         (lambda: pairwise_sq_dists([[0.0, 0.0]], [[0.0]]), DimensionMismatch, {}),
         (lambda: pairwise_sq_dists([[1e200]], [[-1e200]]), FloatingPointError, {"over": "raise"}),
+        # the second coordinate overflows in the distance temporary, inside the Gaussian weights' one buffer scope
+        (lambda: local_reduce(gaussian(1.0), [[0.0, 1e200]], [[0.0, -1e200]], [[1.0]]),
+         FloatingPointError, {"over": "raise"}),
         (
             lambda: local_reduce(derive_kernel("difference", gaussian(1.0), gaussian(0.5)), [[0.0]], [[1.0]], [[1.0]]),
             DesmoothingInput,
@@ -175,7 +178,10 @@ def test_gaussian_weights_that_mostly_underflow_are_the_max_shifted_exp(X, c, sk
         (lambda: local_reduce(gaussian((1 / 1440) ** 0.5), [[0.0]], [[0.0], [1.0]], [[0.0], [1.0]]),
          FloatingPointError, {"under": "raise"}),
     ],
-    ids=["distances", "gaussian-means", "dimension-mismatch", "distance-overflow", "desmoothing", "weight-underflow"],
+    ids=[
+        "distances", "gaussian-means", "dimension-mismatch", "distance-overflow", "gaussian-distance-overflow",
+        "desmoothing", "weight-underflow",
+    ],
 )
 def test_the_ufunc_buffer_size_is_restored_on_return_and_on_raise(call, error, state):
     old = np.setbufsize(4096)  # not numpy's default, so a reset to the default would show

@@ -11,10 +11,13 @@ from locuskit.kernels import (
     GaussianKernel,
     _block_height,
     concrete,
+    derive_kernel,
     dirac,
     epanechnikov,
     feature_kernel,
     gaussian,
+    local_reduce,
+    neighborhood,
     pairwise_sq_dists,
     uniform,
 )
@@ -290,6 +293,24 @@ class TestMedoidShift:
         want = medoid_shift(gaussian(1.0), pairwise(sq_euclid), X, merge_radius=merge_radius)
         for g, w in zip(got, want):
             np.testing.assert_array_equal(g, w)
+
+    @pytest.mark.parametrize("n", [300, 1000])  # 2 row blocks of 218 and 82; 15 of 65 and a last one of 25
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_block_by_block_argmin_matches_the_whole_cost_matrix(self, n, p):
+        X = np.random.default_rng([n, p]).normal(size=(n, p))
+        k = gaussian(0.5)
+        mapping, labels, reps = medoid_shift(k, pairwise_sq_dists, X)
+        want = local_reduce(k, X, X, pairwise_sq_dists(X, X))[0].argmin(1)
+        np.testing.assert_array_equal(mapping, want)
+        np.testing.assert_array_equal(reps, walked_representatives(want))
+        first_seen = {}
+        np.testing.assert_array_equal(labels, [first_seen.setdefault(r, len(first_seen)) for r in reps])
+
+    def test_zero_degree_rows_in_two_blocks_are_named_by_their_index_in_x(self):
+        X = np.random.default_rng(9).uniform(size=(300, 2))  # every point has a neighbour within 0.5
+        X[3], X[290] = 100.0, -100.0  # rows of the first and the second row block, alone in their balls
+        with pytest.raises(errors.EmptyNeighborhood, match=r"rows \[3, 290\] have zero degree"):
+            medoid_shift(derive_kernel("hollow", neighborhood(0.5)), pairwise_sq_dists, X)
 
     def test_per_pair_distance_rejected_by_shape(self):
         X = np.array([[0.0], [1.0], [2.0]])
