@@ -27,7 +27,8 @@ from .estimators import (  # local_linear_predict is unused here, but perfbench/
     Dataset, _check_ridge, _local_linear_blocks, local_linear_predict, loo_error,
 )
 from .kernels import (  # normalize_rows is unused here, but perfbench/tracer.py wraps it by name
-    MultiKernel, _check_bandwidth, _check_count, _row_blocks, _softmax_in_place, gaussian, local_reduce, normalize_rows,
+    MultiKernel, _check_bandwidth, _check_count, _gaussian_in_place, _softmax_in_place, _sq_dist_blocks, gaussian,
+    local_reduce, normalize_rows,
 )
 
 __all__ = [
@@ -102,14 +103,12 @@ def _local_linear_with_loo(k, lam, data: Dataset):
 
 def _loo_kde_nll(h, data: Dataset) -> float:
     # negative leave-one-out log likelihood of the Gaussian KDE
+    h = _check_bandwidth(h)
     X = data.X
     n, p = X.shape
-    k = gaussian(h)
     sums = np.empty(n)
-    for rows in _row_blocks(n, n):
-        W = k.gram_values(X[rows], X)
-        np.fill_diagonal(W[:, rows.start:], 0.0)
-        sums[rows] = W.sum(1)
+    for rows, D in _sq_dist_blocks(X, X):
+        sums[rows] = _gaussian_in_place(D, h, skip_from=rows.start).sum(1)
     c = (2.0 * math.pi * h * h) ** (-p / 2.0)
     dens = c * sums / (n - 1)
     if (dens <= 0).any():

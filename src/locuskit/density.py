@@ -26,11 +26,10 @@ from .kernels import (
     GaussianKernel,
     Kernel,
     NeighborhoodKernel,
-    _block_height,
     _check_bandwidth,
     _check_count,
-    _divide,
-    _row_blocks,
+    _gaussian_in_place,
+    _sq_dist_blocks,
     as_point,
     as_point_set,
     gaussian,
@@ -62,8 +61,7 @@ def _density_values(k: Kernel, sq_dists: np.ndarray, p: int) -> np.ndarray:
     """Normalized density kernel evaluated at squared distances, in place: ``sq_dists`` is overwritten."""
     if isinstance(k, GaussianKernel):
         c = (2.0 * math.pi * k.h * k.h) ** (-p / 2.0)
-        _divide(sq_dists, -(2.0 * k.h * k.h))  # -a / b is a / -b exactly
-        np.exp(sq_dists, out=sq_dists)
+        _gaussian_in_place(sq_dists, k.h)
     elif isinstance(k, EpanechnikovKernel):
         # radial Epanechnikov: c_p (1 - ||u||^2)_+ with integral 1 on R^p
         c = (p + 2.0) / (2.0 * _unit_ball_volume(p)) / k.h**p
@@ -82,16 +80,13 @@ def _density_values(k: Kernel, sq_dists: np.ndarray, p: int) -> np.ndarray:
 
 
 def kde_values(k: Kernel, X, queries) -> np.ndarray:
-    """Kernel density estimates ``(1/N) sum_i K_h(q - x_i)`` at every row of ``queries``, in row blocks
-    computed in one reused buffer."""
+    """Kernel density estimates ``(1/N) sum_i K_h(q - x_i)`` at every row of ``queries``, each row block's densities
+    computed in place over its distances."""
     X = as_point_set(X)
     Q = as_point_set(queries)
     out = np.empty(Q.shape[0])
-    buf = np.empty((min(_block_height(X.shape[0]), Q.shape[0]), X.shape[0]))
-    for rows in _row_blocks(Q.shape[0], X.shape[0]):
-        Qb = Q[rows]
-        d2 = pairwise_sq_dists(Qb, X, out=buf[: Qb.shape[0]])
-        out[rows] = _density_values(k, d2, X.shape[1]).mean(axis=1)
+    for rows, D in _sq_dist_blocks(Q, X):
+        out[rows] = _density_values(k, D, X.shape[1]).mean(axis=1)
     return out
 
 

@@ -15,8 +15,8 @@ from .errors import (
 )
 from .estimators import _fix_signs
 from .kernels import (  # normalize_rows is unused here, but perfbench/tracer.py wraps it by name
-    StochasticMatrix, _check_count, _matrix_values, _nearest, _pairwise, _row_blocks, as_point_set, normalize_rows,
-    pairwise_sq_dists,
+    StochasticMatrix, _check_count, _matrix_values, _nearest, _pairwise, _row_blocks, _sq_dist_blocks, as_point_set,
+    normalize_rows,
 )
 
 __all__ = [
@@ -71,8 +71,7 @@ def _lle_knn_weights(X, n_neighbors: int):
     neighbors = np.empty((n, n_neighbors), dtype=np.intp)
     weights = np.empty((n, n_neighbors))
     diag = np.arange(n_neighbors)
-    for rows in _row_blocks(n, n):
-        D2 = pairwise_sq_dists(X[rows], X)
+    for rows, D2 in _sq_dist_blocks(X, X):
         np.fill_diagonal(D2[:, rows], np.inf)
         nbrs = neighbors[rows] = _nearest(D2, n_neighbors)
         Z = X[nbrs] - X[rows, None, :]

@@ -292,8 +292,7 @@ class GaussianKernel(Kernel):
         return math.exp(-d2 / (2.0 * self.h * self.h))
 
     def gram_values(self, rows, cols):
-        W = _divide(pairwise_sq_dists(rows, cols), -(2.0 * self.h * self.h))
-        return np.exp(W, out=W)
+        return _gaussian_in_place(pairwise_sq_dists(rows, cols), self.h)
 
 
 @dataclass(frozen=True)
@@ -951,33 +950,49 @@ def _exp_in_place(W: np.ndarray) -> np.ndarray:
     return W
 
 
-def _local_weights(k: Kernel, Q, X, skip_from=None, out=None, work=None, x_rows=None) -> np.ndarray:
+def _gaussian_in_place(D: np.ndarray, h: float, skip_from=None, shift: bool = False) -> np.ndarray:
+    """Gaussian weights ``exp(-D / (2 h^2))`` of squared distances D, written over D: the library's one rule for them.
+
+    ``skip_from=s`` zeroes sample ``s + i`` in row i; ``shift`` first subtracts each row's largest log weight if finite.
+    """
+    with _small_buffer():  # one scope for the divide, shift and exp
+        _divide(D, -(2.0 * h * h))
+        if skip_from is not None:
+            np.fill_diagonal(D[:, skip_from:], -np.inf)
+        if shift:
+            top = D.max(axis=1, keepdims=True)
+            top[~np.isfinite(top)] = 0.0
+            D -= top
+        return _exp_in_place(D)
+
+
+def _sq_dist_blocks(Q, X):
+    """``(rows, pairwise_sq_dists(Q[rows], X))`` per row block of Q, each block written over the last in one buffer;
+    a block's ufunc buffer scope closes before its ``yield``."""
+    Q, X = _matching_point_sets(Q, X)
+    buf = np.empty((min(_block_height(X.shape[0]), Q.shape[0]), X.shape[0]))
+    work = np.empty_like(buf) if X.shape[1] > 1 else None
+    x_rows = X.T.copy()  # X's contiguous coordinate rows, taken once
+    for rows in _row_blocks(Q.shape[0], X.shape[0]):
+        m = len(Q[rows])
+        with _small_buffer():
+            D = _sq_dists_into(buf[:m], Q[rows].T.copy(), x_rows, None if work is None else work[:m])
+        yield rows, D
+
+
+def _local_weights(k: Kernel, Q, X, skip_from=None) -> np.ndarray:
     """Weights of Q's rows over X for a local mean; Gaussian rows are max-shifted in the log domain.
 
     ``skip_from=s`` drops sample ``s + i`` from row i; negative weights raise ``DesmoothingInput``.
-    Gaussian weights are computed in ``out`` (a (len(Q), len(X)) float array) when it is given,
-    with ``work`` as :func:`pairwise_sq_dists`' per-coordinate temporary, from X's coordinate rows
-    ``x_rows`` (``X.T`` made contiguous) when the caller has taken them once for many blocks.
     """
-    if not isinstance(k, GaussianKernel):
-        W = k.gram_values(Q, X)
-        if skip_from is not None:
-            np.fill_diagonal(W[:, skip_from:], 0.0)
-        if k.sign_class == "desmoothing" or (W < 0).any():
-            raise DesmoothingInput("cannot average desmoothing or negative kernel weights")
-        return W
-    Q, X = _matching_point_sets(Q, X)
-    W = np.empty((Q.shape[0], X.shape[0])) if out is None else out
-    q_rows = Q.T.copy()
-    x_rows = X.T.copy() if x_rows is None else x_rows
-    with _small_buffer():  # one scope for the distances, divide, shift and exp
-        _divide(_sq_dists_into(W, q_rows, x_rows, work), -(2.0 * k.h * k.h))
-        if skip_from is not None:
-            np.fill_diagonal(W[:, skip_from:], -np.inf)
-        top = W.max(axis=1, keepdims=True)
-        top[~np.isfinite(top)] = 0.0
-        W -= top
-        return _exp_in_place(W)
+    if isinstance(k, GaussianKernel):
+        return _gaussian_in_place(pairwise_sq_dists(Q, X), k.h, skip_from, shift=True)
+    W = k.gram_values(Q, X)
+    if skip_from is not None:
+        np.fill_diagonal(W[:, skip_from:], 0.0)
+    if k.sign_class == "desmoothing" or (W < 0).any():
+        raise DesmoothingInput("cannot average desmoothing or negative kernel weights")
+    return W
 
 
 def local_reduce(k: Kernel, Q, X, Y, skip_self: bool = False):
@@ -990,22 +1005,13 @@ def local_reduce(k: Kernel, Q, X, Y, skip_self: bool = False):
     Q, X, Y = as_point_set(Q), as_point_set(X), as_point_set(Y)
     means = np.empty((Q.shape[0], Y.shape[1]))
     deg = np.empty(Q.shape[0])
-    # one Gaussian weight block and one distance temporary, reused by every row block, and X's coordinate rows
-    buf = work = x_rows = None
-    if isinstance(k, GaussianKernel):
-        buf = np.empty((min(_block_height(X.shape[0]), Q.shape[0]), X.shape[0]))
-        work = np.empty_like(buf) if X.shape[1] > 1 else None
-        x_rows = X.T.copy()
-    for rows in _row_blocks(Q.shape[0], X.shape[0]):
-        Qb = Q[rows]
-        m = Qb.shape[0]
-        out = None if buf is None else buf[:m]
-        W = _local_weights(
-            k, Qb, X, rows.start if skip_self else None, out, None if work is None else work[:m], x_rows
-        )
+    is_gaussian = isinstance(k, GaussianKernel)
+    blocks = _sq_dist_blocks(Q, X) if is_gaussian else ((rows, None) for rows in _row_blocks(Q.shape[0], X.shape[0]))
+    for rows, D in blocks:
+        skip = rows.start if skip_self else None
+        W = _gaussian_in_place(D, k.h, skip, shift=True) if is_gaussian else _local_weights(k, Q[rows], X, skip)
         deg[rows] = W.sum(axis=1)
-        np.matmul(W, Y, out=means[rows])  # no block-sized product beside the two buffers when Y is wide
-    del work  # freed before the division's temporaries
+        np.matmul(W, Y, out=means[rows])  # no block-sized product beside the block buffers when Y is wide
     empty = ~(deg > 0)
     means /= np.where(empty, np.nan, deg)[:, None]
     return means, empty

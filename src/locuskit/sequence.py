@@ -18,8 +18,8 @@ import numpy as np
 from .errors import DimensionMismatch, InvalidParameter, ShapeMismatch
 from .estimators import Dataset, lazy_transform
 from .kernels import (
-    Kernel, KernelMatrix, _block_height, _check_bandwidth, _check_count, _divide, _local_weights, _matrix_values,
-    _row_blocks, _softmax_in_place, as_point_set, gram, normalize_rows,
+    Kernel, KernelMatrix, _block_height, _check_bandwidth, _check_count, _gaussian_in_place, _local_weights,
+    _matrix_values, _row_blocks, _softmax_in_place, as_point_set, gram, normalize_rows,
 )
 
 __all__ = [
@@ -339,7 +339,7 @@ def _nlm(values: np.ndarray, patch_radius: int, h: float, search_radius: int) ->
             for part in box[1:]:
                 e += part
         e /= psize
-        return np.exp(_divide(e, -(2.0 * h * h)), out=e)
+        return _gaussian_in_place(e, h)
 
     return _window_mean(values, s, weights)
 
@@ -377,7 +377,7 @@ def gaussian_moving_average(seq: Sequence, search_radius: int, bandwidth: float 
     t = np.arange(seq.length)
 
     def weights(here, there):
-        return np.exp(-((t[there] - t[here]) ** 2) / (2.0 * bw * bw))
+        return _gaussian_in_place(((t[there] - t[here]) ** 2).astype(float), bw)
 
     out = _window_mean(seq.tokens, search_radius, weights)
     return Sequence(tokens=out, times=seq.times.copy())

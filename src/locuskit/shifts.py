@@ -160,7 +160,7 @@ def extract_clusters(converged, merge_radius: float):
         raise InvalidParameter("merge_radius must be positive")
     n = P.shape[0]
     height = min(_block_height(n), n)
-    # block buffers once per call: blocks allocated afresh each time fault their pages in again, ~3x slower
+    # buffers once per call, not _sq_dist_blocks per BFS level: its fresh blocks took cluster-3k's RSS 45.90 -> 46.55 MB
     d2, work = np.empty((height, n)), np.empty((height, n))
     reached = np.empty(n, dtype=bool)
     r2 = merge_radius * merge_radius

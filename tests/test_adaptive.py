@@ -81,6 +81,11 @@ class TestTuneBandwidth:
             tune_bandwidth("local-mean", Dataset([0.0, 1.0], [0.0, 1.0]), grid=grid)
         assert scored == []
 
+    def test_loo_kde_checks_its_bandwidth(self):
+        data = Dataset(np.linspace(0, 1, 10), np.zeros(10))
+        with pytest.raises(errors.InvalidParameter, match="bandwidth"):
+            adaptive._PREDICTOR_LOSSES["kde-loo"](1e-200, data)
+
     def test_all_empty(self):
         from locuskit.errors import AllEmptyNeighborhoods
 

@@ -23,10 +23,11 @@ from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from locuskit import kernels
-from locuskit.adaptive import tune_bandwidth
+from locuskit.adaptive import _PREDICTOR_LOSSES, tune_bandwidth
 from locuskit.cli import run_task
 from locuskit.dataio import write_csv
 from locuskit.density import kde, kde_values
+from locuskit.embedding import _lle_knn_weights
 from locuskit.errors import EmptyNeighborhood
 from locuskit.estimators import (
     _COND_LIMIT,
@@ -281,3 +282,53 @@ def test_tune_bandwidth_reports_refits(tmp_path):
     cfg = {"input": str(path), "predictor": "local-linear", "grid": [0.01, 1.0]}
     metrics = run_task("tune-bandwidth", cfg, str(tmp_path / "out"))
     assert metrics["diagnostics"] == {"counters": {"jittered": 12}}
+
+
+# ---------------------------------------------------------------------------
+# the callers of the shared row-block distance loop against their allocating formulas, bit for bit
+# ---------------------------------------------------------------------------
+
+# one row per block, blocks that do not divide the rows evenly, one block
+SHARED_LOOP_ENTRIES = (1, 5, 13, 2**16)
+
+
+def density_formula(k, X, Q):
+    """``kde_values`` written out whole: the normalized kernel at every distance from one allocating call."""
+    d2, p = kernels.pairwise_sq_dists(Q, X), X.shape[1]
+    ball = math.pi ** (p / 2.0) / math.gamma(p / 2.0 + 1.0)
+    if isinstance(k, kernels.GaussianKernel):
+        dens = np.exp(-d2 / (2.0 * k.h * k.h)) * (2.0 * math.pi * k.h * k.h) ** (-p / 2.0)
+    elif isinstance(k, kernels.EpanechnikovKernel):
+        dens = np.maximum(1.0 - d2 / (k.h * k.h), 0.0) * ((p + 2.0) / (2.0 * ball) / k.h**p)
+    else:
+        dens = (d2 < k.eps * k.eps) * (1.0 / (ball * k.eps**p))
+    return dens.mean(axis=1)
+
+
+def loo_kde_formula(h, X):
+    """The leave-one-out Gaussian KDE loss from the whole gram with its diagonal zeroed."""
+    W = gaussian(h).gram_values(X, X)
+    np.fill_diagonal(W, 0.0)
+    dens = (2.0 * math.pi * h * h) ** (-X.shape[1] / 2.0) * W.sum(1) / (len(X) - 1)
+    return float(-np.log(dens).sum())
+
+
+@pytest.mark.parametrize("entries", SHARED_LOOP_ENTRIES)
+def test_shared_block_loop_callers_match_their_allocating_formulas(entries):
+    rng = np.random.default_rng(entries)
+    grid = np.array([[a, b] for a in range(8) for b in range(8)], dtype=float)  # neighbour distances tie
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "_BLOCK_ENTRIES", entries)
+        for p in (1, 2):
+            X, Q = rng.normal(size=(60, p)), 1.5 * rng.normal(size=(23, p))
+            for k in (gaussian(0.4), gaussian(0.5), epanechnikov(0.8), neighborhood(0.5)):
+                want = density_formula(k, X, Q)
+                assert np.array_equal(kde_values(k, X, Q).view(np.int64), want.view(np.int64)), (k, p)
+            for h in (0.3, 0.5):  # 2 h^2 = 0.18 divides; 2 h^2 = 0.5 multiplies by its exact reciprocal
+                loss, jittered = _PREDICTOR_LOSSES["kde-loo"](h, Dataset(X, rng.normal(size=60)))
+                assert (loss, jittered) == (loo_kde_formula(h, X), 0)
+        for X, n_neighbors in ((grid, 5), (rng.normal(size=(50, 3)), 7)):
+            D = kernels.pairwise_sq_dists(X, X)
+            np.fill_diagonal(D, np.inf)
+            want = np.argsort(D, axis=1, kind="stable")[:, :n_neighbors]
+            np.testing.assert_array_equal(_lle_knn_weights(X, n_neighbors)[0], want)

@@ -663,6 +663,71 @@ class TestMirrorSharedWindowMean:
         assert len(checked) == np.prod([2 * s + 1 for _ in values.shape[:-1]])
 
 
+def box_summed_weights(values, r, h):
+    """Non-local means weights as written inline before the shared Gaussian rule: the same box-summed patch
+    distances, then ``exp`` of their negation over ``2 h^2``."""
+    ndim = values.ndim - 1
+    padded = np.pad(values, [(r, r)] * ndim + [(0, 0)])
+    psize = (2 * r + 1) ** ndim * values.shape[-1]
+
+    def weights(here, there):
+        wide_here, wide_there = (tuple(slice(a.start, a.stop + 2 * r) for a in sl) for sl in (here, there))
+        e = padded[wide_there] - padded[wide_here]
+        e *= e
+        e = e.sum(axis=-1)
+        for axis in range(ndim):
+            box = [e[(slice(None),) * axis + (slice(j, e.shape[axis] - 2 * r + j),)] for j in range(2 * r + 1)]
+            e = box[0].copy()
+            for part in box[1:]:
+                e += part
+        return np.exp(-(e / psize) / (2.0 * h * h))
+
+    return weights
+
+
+def assert_same_bits(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+class TestWindowWeightsFromTheGaussianRule:
+    # Each offset's weights are checked as they are made, since a weight far below the window's self weight of 1
+    # cannot move the mean; wide values and long lags put many of them in exp's slow band below -707 and at 0.
+
+    @staticmethod
+    def check_weights(monkeypatch, reference):
+        window_mean = sequence._window_mean
+
+        def checked(values, radius, weights):
+            def compared(here, there):
+                w = weights(here, there)
+                assert_same_bits(w, reference(here, there))
+                return w
+
+            return window_mean(values, radius, compared)
+
+        monkeypatch.setattr(sequence, "_window_mean", checked)
+
+    @pytest.mark.parametrize("h", [0.125, 0.1], ids=["2h2-power-of-two", "2h2-not"])
+    @pytest.mark.parametrize(
+        "values, r, s",
+        [(5.0 * np.random.default_rng(37).normal(size=(40, 2)), 1, 9),
+         (5.0 * np.random.default_rng(38).normal(size=(12, 10, 1)), 1, 4)],
+        ids=["sequence", "image"],
+    )
+    def test_nlm(self, monkeypatch, values, r, s, h):
+        want = sequence._window_mean(values, s, box_summed_weights(values, r, h))
+        self.check_weights(monkeypatch, box_summed_weights(values, r, h))
+        assert_same_bits(sequence._nlm(values, r, h, s), want)
+
+    @pytest.mark.parametrize("bw", [0.5, 0.7], ids=["2h2-power-of-two", "2h2-not"])
+    def test_moving_average(self, monkeypatch, bw):
+        tokens = np.random.default_rng(39).random((50, 2)) + 0.5
+        want = sequence._window_mean(tokens, 30, position_weights(50, bw))
+        self.check_weights(monkeypatch, position_weights(50, bw))
+        assert_same_bits(gaussian_moving_average(Sequence(tokens), 30, bandwidth=bw).tokens, want)
+
+
 class TestAutoregressive:
     def test_constant_prefix_uniform_attention_constant_continuation(self):
         seq = Sequence(np.full((4, 2), 1.5))
