@@ -49,7 +49,7 @@ from .sequence import (
     nlm_denoise_image,
     transformer_encode,
 )
-from .shifts import mean_shift, medoid_shift, relaxation_label
+from .shifts import _relax, mean_shift, medoid_shift
 from .svg import emit_svg
 
 __all__ = ["main", "run_task", "TASKS"]
@@ -351,13 +351,13 @@ def _run_relax(cfg, seed):
     data = _resolve_input(cfg["input"], "features+label" if cfg["labeled"] else "features-only")
     kernel = make_kernel(cfg["kernel"])
     init = synth.kmeans_labels(data.X, cfg["n_classes"], rng_seed=seed)
-    if cfg["mode"] == "soft":
-        R0 = np.eye(cfg["n_classes"])[init]
-        R = relaxation_label(kernel, data.X, R0, mode="soft", max_iter=cfg["max_iter"])
-        labels = R.argmax(axis=1)
-    else:
-        labels = relaxation_label(kernel, data.X, init, mode="hard", max_iter=cfg["max_iter"])
-    metrics = {"n_classes_found": int(len(np.unique(labels)))}
+    start = np.eye(cfg["n_classes"])[init] if cfg["mode"] == "soft" else init
+    out, sweeps, converged, frozen = _relax(kernel, data.X, start, cfg["mode"], cfg["max_iter"], tol=1e-8)
+    labels = out.argmax(axis=1) if cfg["mode"] == "soft" else out
+    metrics = {
+        "n_classes_found": int(len(np.unique(labels))),
+        "diagnostics": {"counters": {"sweeps": sweeps, "converged": int(converged), "frozen_rows": frozen}},
+    }
     if cfg["labeled"]:
         metrics["ari"] = adjusted_rand_index(data.y, labels)
     files = {"results.csv": (_feature_header(data.p) + ["cluster"], Columns((data.X, labels)))}

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
+    DesmoothingInput,
     DimensionMismatch,
     EmptyNeighborhood,
     InvalidParameter,
@@ -356,6 +357,8 @@ def _local_linear_blocks(k: Kernel, X: np.ndarray, Q: np.ndarray, lam: float):
     One solve covers the block.  With ``skip_self`` (Q is X), row i gives
     sample ``rows.start + i`` weight 0: the fit without it.  That zeroes the
     block's gram in place, so a block's in-sample fit, if wanted, comes first.
+    Negative weights raise ``DesmoothingInput``: a desmoothing kernel's before
+    any gram, a signed kernel's per block; nonnegative kernels take no check.
     """
     n, d = X.shape[0], X.shape[1] + 1
     m = X.mean(axis=0)
@@ -385,8 +388,14 @@ def _local_linear_blocks(k: Kernel, X: np.ndarray, Q: np.ndarray, lam: float):
             raise SingularSystem("local linear weights are not finite: check the kernel weights")
         return L, jittered
 
+    sign = k.sign_class
+    if sign == "desmoothing":
+        raise DesmoothingInput("cannot average desmoothing or negative kernel weights")
     for rows in _row_blocks(Q.shape[0], n):
-        yield rows, functools.partial(fit, rows, k.gram_values(Q[rows], X))
+        W = k.gram_values(Q[rows], X)
+        if sign == "signed" and (W < 0).any():
+            raise DesmoothingInput("cannot average desmoothing or negative kernel weights")
+        yield rows, functools.partial(fit, rows, W)
 
 
 def _check_ridge(data: Dataset, lam) -> float:

@@ -12,11 +12,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptyNeighborhood, InvalidParameter
+from .errors import DesmoothingInput, EmptyNeighborhood, InvalidParameter
 from .estimators import Dataset, LocalPcaBasis, local_pca
-from .kernels import (
-    Kernel, _block_height, _check_count, _pairwise, _row_blocks, as_point_set, gram, local_reduce, normalize_rows,
-    pairwise_sq_dists,
+from .kernels import (  # normalize_rows is unused here, but perfbench/tracer.py wraps it by name
+    Kernel, _block_height, _check_count, _is_integer, _pairwise, _row_blocks, as_point_set, gram, local_reduce,
+    normalize_rows, pairwise_sq_dists,
 )
 
 __all__ = [
@@ -371,40 +371,40 @@ def relaxation_label(
     hard: synchronous ``y_i <- argmax_c sum_{y_j = c} K(x_i, x_j)`` until the
     labeling stops changing.  Rows with zero kernel degree are frozen.
     """
+    return _relax(k, X, init, mode, max_iter, tol)[0]
+
+
+def _relax(k: Kernel, X, init, mode, max_iter, tol):
+    """``relaxation_label``'s result, sweeps, convergence flag and frozen rows; inputs checked before the gram."""
     X = as_point_set(X)
-    G = gram(k, X, X)
-    S = normalize_rows(G)
-    frozen = S.empty_rows
+    if mode not in ("soft", "hard"):
+        raise InvalidParameter(f"unknown mode {mode!r}")
+    R = np.asarray(init, dtype=float if mode == "soft" else None).copy()
     if mode == "soft":
-        R = np.asarray(init, dtype=float).copy()
         if R.ndim != 2 or R.shape[0] != X.shape[0]:
             raise InvalidParameter("soft init must be an (N, C) probability matrix")
         if (R < 0).any() or not np.allclose(R.sum(1), 1.0, atol=1e-8):
             raise InvalidParameter("soft init rows must be non-negative and sum to 1")
-        for _ in range(max_iter):
-            new = S.values @ R
-            new[frozen] = R[frozen]
+    else:
+        if R.shape != (X.shape[0],) or not all(map(_is_integer, R.tolist())) or R.min() < 0:
+            raise InvalidParameter("hard init must be a length-N vector of integer labels >= 0")
+        R = np.equal.outer(R.astype(int), np.arange(int(R.max()) + 1)) * 1.0  # one-hot rows: both modes sweep K @ R
+    max_iter = _check_count(max_iter, "max_iter", low=0)
+    G = gram(k, X, X)
+    if G.desmoothing:
+        raise DesmoothingInput("cannot relax labels through a desmoothing or negative gram")
+    frozen = G.values.sum(axis=1) == 0
+    sweeps, converged = 0, False
+    while sweeps < max_iter and not converged:
+        sweeps += 1
+        new = G.values @ R
+        new[frozen] = R[frozen]
+        if mode == "soft":
             sums = new.sum(axis=1, keepdims=True)
-            sums[sums == 0] = 1.0
-            new = new / sums
-            delta = np.abs(new - R).max()
-            R = new
-            if delta < tol:
-                break
-        return R
-    if mode == "hard":
-        labels = np.asarray(init, dtype=int).copy()
-        if labels.shape != (X.shape[0],):
-            raise InvalidParameter("hard init must be a length-N label vector")
-        classes = int(labels.max()) + 1
-        for _ in range(max_iter):
-            onehot = np.zeros((X.shape[0], classes))
-            onehot[np.arange(X.shape[0]), labels] = 1.0
-            scores = G.values @ onehot
-            new = scores.argmax(axis=1)
-            new[frozen] = labels[frozen]
-            if np.array_equal(new, labels):
-                break
-            labels = new
-        return labels
-    raise InvalidParameter(f"unknown mode {mode!r}")
+            new /= np.where(sums == 0, 1.0, sums)  # K R normalizes to K_tilde R: degrees cancel
+        else:
+            new = np.equal.outer(new.argmax(axis=1), np.arange(R.shape[1])) * 1.0
+        delta = np.abs(new - R).max()
+        R = new
+        converged = delta == 0 or mode == "soft" and delta < tol
+    return (R if mode == "soft" else R.argmax(axis=1)), sweeps, converged, int(frozen.sum())

@@ -781,3 +781,21 @@ def test_embed_lle_reports_its_shifted_solves(tmp_path):
     metrics = run_task("embed-lle", cfg, str(tmp_path))
     written = json.loads((tmp_path / "metrics.json").read_text())
     assert written["diagnostics"]["counters"]["eigen_solves"] == metrics["diagnostics"]["counters"]["eigen_solves"] >= 1
+
+
+@pytest.mark.parametrize("mode, max_iter, converged", [("hard", 200, 1), ("soft", 2, 0)])
+def test_cluster_relax_reports_its_sweeps(tmp_path, mode, max_iter, converged):
+    cfg = {"input": "bundled:two-blobs", "n_classes": 2, "seed": 3, "mode": mode, "max_iter": max_iter}
+    metrics = run_task("cluster-relax", cfg, str(tmp_path))
+    counters = json.loads((tmp_path / "metrics.json").read_text())["diagnostics"]["counters"]
+    assert counters == metrics["diagnostics"]["counters"]
+    assert counters["converged"] == converged and counters["frozen_rows"] == 0
+    assert 1 <= counters["sweeps"] <= max_iter
+    assert counters["sweeps"] == max_iter or converged
+
+
+@pytest.mark.parametrize("task", ["regress-local-linear", "regress-local-mean"])
+def test_local_fits_of_a_difference_kernel_exit_two(tmp_path, capsys, task):
+    kernel = {"kind": "difference", "first": {"kind": "gaussian", "h": 0.6}, "second": {"kind": "gaussian", "h": 0.3}}
+    cfg = write_config(tmp_path, "c.json", {**_SINE, "kernel": kernel})
+    assert "cannot average desmoothing or negative kernel weights" in assert_validation_exit(tmp_path, capsys, task, cfg)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from locuskit import errors
+from locuskit.adaptive import _loo_local_linear
 from locuskit.estimators import (
     Dataset,
     LocalPcaEncoder,
@@ -32,6 +33,7 @@ from locuskit.kernels import (
     derive_kernel,
     dirac,
     epanechnikov,
+    feature_kernel,
     gaussian,
     pairwise_sq_dists,
     uniform,
@@ -384,6 +386,51 @@ class TestLocalLinear:
             pred, L, _ = local_linear_predict(gaussian(1.0), data, q, lam=0.0)
             assert pred == pytest.approx(float(L @ data.y), abs=1e-10)
             assert L.sum() == pytest.approx(1.0, abs=1e-8)
+
+
+class TestLocalLinearSignRule:
+    DOG = derive_kernel("difference", gaussian(0.6), gaussian(0.3))
+    FITS = {
+        "transform": lambda k, data: local_linear_transform(k, data, data.X),
+        "predict": lambda k, data: local_linear_predict(k, data, [0.5]),
+        "loo": lambda k, data: _loo_local_linear(k, 0.0, data),
+    }
+
+    @staticmethod
+    def linear_kernel():
+        ident = lambda x: np.asarray(x, dtype=float)
+        return feature_kernel(ident, ident, "dot")
+
+    @pytest.mark.parametrize("fit", list(FITS))
+    def test_desmoothing_kernel_raises_before_any_gram(self, fit, monkeypatch):
+        calls = []
+        original = GaussianKernel.gram_values
+
+        def counting(self, rows, cols):
+            calls.append(len(rows))
+            return original(self, rows, cols)
+
+        monkeypatch.setattr(GaussianKernel, "gram_values", counting)
+        x = np.linspace(0.0, 1.0, 10)
+        with pytest.raises(errors.DesmoothingInput, match="desmoothing or negative"):
+            self.FITS[fit](self.DOG, Dataset(x, np.sin(x)))
+        assert calls == []
+
+    @pytest.mark.parametrize("fit", list(FITS))
+    def test_signed_kernel_with_negative_weights_raises(self, fit):
+        x = np.linspace(-1.0, 1.0, 10)  # x . y < 0 across the origin
+        with pytest.raises(errors.DesmoothingInput, match="desmoothing or negative"):
+            self.FITS[fit](self.linear_kernel(), Dataset(x, x**2))
+
+    @pytest.mark.parametrize("fit", list(FITS))
+    def test_signed_kernel_without_negative_weights_fits(self, fit):
+        x = np.linspace(0.5, 1.5, 10)  # every x . y > 0, and the data are linear, so every fit is exact
+        data = Dataset(x, 2.0 * x + 1.0)
+        out = self.FITS[fit](self.linear_kernel(), data)
+        if fit == "loo":
+            assert out[0] < 1e-20
+        else:
+            np.testing.assert_allclose(out[0], (2.0 * x + 1.0) if fit == "transform" else 2.0, rtol=1e-12)
 
 
 class TestSelfKernelLocalMean:

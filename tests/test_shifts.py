@@ -16,8 +16,10 @@ from locuskit.kernels import (
     epanechnikov,
     feature_kernel,
     gaussian,
+    gram,
     local_reduce,
     neighborhood,
+    normalize_rows,
     pairwise_sq_dists,
     uniform,
 )
@@ -25,6 +27,7 @@ from locuskit.shifts import (
     extract_clusters,
     mean_shift,
     medoid_shift,
+    _relax,
     mode_shift,
     nn_shift,
     pc_shift,
@@ -433,6 +436,155 @@ class TestRelaxation:
         X, labels = two_blobs(seed=11, n=12)
         relaxation_label(gaussian(1.0), X, labels, mode="hard")
         assert calls == [(len(X), len(X))]
+
+
+def relax_reference(k, X, init, mode, max_iter=200, tol=1e-8):
+    """Relaxation labeling as two loops over the row-normalized gram, the form the one-loop version replaced."""
+    G = gram(k, X, X)
+    S = normalize_rows(G)
+    frozen = S.empty_rows
+    if mode == "soft":
+        R = np.asarray(init, dtype=float).copy()
+        for _ in range(max_iter):
+            new = S.values @ R
+            new[frozen] = R[frozen]
+            sums = new.sum(axis=1, keepdims=True)
+            sums[sums == 0] = 1.0
+            new = new / sums
+            delta = np.abs(new - R).max()
+            R = new
+            if delta < tol:
+                break
+        return R
+    labels = np.asarray(init, dtype=int).copy()
+    for _ in range(max_iter):
+        onehot = np.zeros((X.shape[0], int(labels.max()) + 1))
+        onehot[np.arange(X.shape[0]), labels] = 1.0
+        new = (G.values @ onehot).argmax(axis=1)
+        new[frozen] = labels[frozen]
+        if np.array_equal(new, labels):
+            break
+        labels = new
+    return labels
+
+
+def three_blobs_with_strays(seed):
+    """Three noisy blobs plus two far strays, which a hollow compact kernel leaves with zero degree."""
+    rng = np.random.default_rng(seed)
+    centers = np.array([[0.0, 0.0], [3.0, 0.0], [1.5, 2.5]])
+    X = np.concatenate([c + 0.9 * rng.normal(size=(30, 2)) for c in centers] + [[[40.0, 40.0], [-40.0, 40.0]]])
+    return X, rng.integers(0, 3, len(X))
+
+
+class TestRelaxationOneLoop:
+    FOUR = np.array([[0.0], [0.1], [5.0], [5.1]])
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "kernel",
+        [gaussian(1.0), gaussian(0.4), derive_kernel("hollow", epanechnikov(1.5))],
+        ids=["gaussian-1", "gaussian-0.4", "hollow-epanechnikov"],
+    )
+    def test_matches_the_two_loop_reference(self, kernel, seed):
+        X, labels = three_blobs_with_strays(seed)
+        hard = relaxation_label(kernel, X, labels, mode="hard")
+        np.testing.assert_array_equal(hard, relax_reference(kernel, X, labels, "hard"))
+        R0 = np.eye(3)[labels]
+        for max_iter in (1, 7, 200):
+            R = relaxation_label(kernel, X, R0, mode="soft", max_iter=max_iter)
+            want = relax_reference(kernel, X, R0, "soft", max_iter)
+            # normalizing K R rather than K_tilde R rounds differently: a few ulps of 1 per sweep at most
+            np.testing.assert_allclose(R, want, rtol=0, atol=1e-13)
+            np.testing.assert_array_equal(R.argmax(axis=1), want.argmax(axis=1))
+
+    def test_zero_degree_rows_keep_their_state_and_are_counted(self):
+        X, labels = three_blobs_with_strays(4)
+        kernel = derive_kernel("hollow", epanechnikov(1.5))
+        R0 = np.eye(3)[labels]
+        for mode, start in (("hard", labels), ("soft", R0)):
+            out, sweeps, converged, frozen = _relax(kernel, X, start, mode, 200, 1e-8)
+            assert frozen == 2
+            np.testing.assert_array_equal(out[-2:], start[-2:])
+
+    def test_counters_read_from_the_loop(self):
+        X, labels = two_blobs(seed=11, n=12)
+        assert _relax(gaussian(1.0), X, labels, "hard", 200, 1e-8)[1:] == (1, True, 0)
+        assert _relax(gaussian(1.0), X, labels, "hard", 0, 1e-8)[1:] == (0, False, 0)
+        # the label-1 point at 0.2 flips in the first sweep and the second changes nothing
+        X6, init = np.array([[0.0], [0.1], [0.2], [5.0], [5.1], [5.2]]), np.array([0, 0, 1, 1, 1, 1])
+        assert _relax(gaussian(1.0), X6, init, "hard", 200, 1e-8)[1:] == (2, True, 0)
+        assert _relax(gaussian(1.0), X6, init, "hard", 1, 1e-8)[1:] == (1, False, 0)
+        # soft evidence keeps moving by more than tol at two sweeps; tol = 1 stops it at the first
+        assert _relax(gaussian(1.0), X6, np.eye(2)[init], "soft", 2, 1e-8)[1:] == (2, False, 0)
+        assert _relax(gaussian(1.0), X6, np.eye(2)[init], "soft", 2, 1.0)[1:] == (1, True, 0)
+
+    def test_integral_float_labels_read_as_ints(self):
+        out = relaxation_label(gaussian(1.0), self.FOUR, [0.0, 0.0, 1.0, 1.0], mode="hard")
+        np.testing.assert_array_equal(out, [0, 0, 1, 1])
+        assert out.dtype.kind == "i"
+
+    def test_one_hot_state_grows_with_rows_times_classes(self):
+        # a C x C identity to index from would take 3.2 GB at C = 20001; N x C takes 0.64 MB
+        tracemalloc.start()
+        try:
+            out = relaxation_label(gaussian(1.0), self.FOUR, [0, 0, 20000, 20000], mode="hard")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(out, [0, 0, 20000, 20000])
+        assert peak < 8e6
+
+    def test_never_row_normalizes(self, monkeypatch):
+        def refuse(K):
+            raise AssertionError("normalize_rows called")
+
+        monkeypatch.setattr("locuskit.shifts.normalize_rows", refuse)
+        monkeypatch.setattr("locuskit.kernels.normalize_rows", refuse)
+        X, labels = two_blobs(seed=11, n=12)
+        relaxation_label(gaussian(1.0), X, labels, mode="hard")
+        relaxation_label(gaussian(1.0), X, np.eye(2)[labels], mode="soft")
+
+    @pytest.mark.parametrize("mode", ["hard", "soft"])
+    @pytest.mark.parametrize(
+        "kernel",
+        [derive_kernel("difference", gaussian(1.0), gaussian(0.5)), linear_kernel()],
+        ids=["difference", "signed-negative"],
+    )
+    def test_desmoothing_or_negative_gram_raises(self, kernel, mode):
+        X = np.array([[-1.0], [-0.5], [0.5], [1.0]])
+        init = np.array([0, 0, 1, 1])
+        with pytest.raises(errors.DesmoothingInput):
+            relaxation_label(kernel, X, init if mode == "hard" else np.eye(2)[init], mode=mode)
+
+    BAD = {
+        "unknown-mode": ({"mode": "bogus"}, "unknown mode"),
+        "soft-wrong-shape": ({"mode": "soft", "init": np.ones((3, 2)) / 2}, "probability matrix"),
+        "soft-negative": ({"mode": "soft", "init": [[1.5, -0.5], [1, 0], [0, 1], [0, 1]]}, "non-negative"),
+        "soft-not-summing-to-one": ({"mode": "soft", "init": np.full((4, 2), 0.4)}, "sum to 1"),
+        "hard-wrong-shape": ({"init": [0, 1, 1]}, "length-N"),
+        "hard-negative-label": ({"init": [-1, 0, 1, 1]}, "integer labels >= 0"),
+        "hard-fractional-label": ({"init": [0.7, 0, 1, 1]}, "integer labels >= 0"),
+        "hard-nan-label": ({"init": [np.nan, 0, 1, 1]}, "integer labels >= 0"),
+        "hard-bool-labels": ({"init": [True, False, True, True]}, "integer labels >= 0"),
+        "negative-max-iter": ({"max_iter": -1}, "max_iter"),
+        "fractional-max-iter": ({"max_iter": 2.5}, "max_iter"),
+    }
+
+    @pytest.mark.parametrize("case", list(BAD))
+    def test_bad_input_raises_before_the_gram(self, case, monkeypatch):
+        calls = []
+        original = GaussianKernel.gram_values
+
+        def counting(self, rows, cols):
+            calls.append(len(rows))
+            return original(self, rows, cols)
+
+        monkeypatch.setattr(GaussianKernel, "gram_values", counting)
+        args, message = self.BAD[case]
+        args = {"mode": "hard", "init": [0, 0, 1, 1], **args}
+        with pytest.raises(errors.InvalidParameter, match=message):
+            relaxation_label(gaussian(1.0), self.FOUR, **args)
+        assert calls == []
 
 
 class TestMedoidMergeAndPcShiftEdge:
