@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
-    DesmoothingInput,
     DimensionMismatch,
     EmptyNeighborhood,
     InvalidParameter,
@@ -25,8 +24,8 @@ from .errors import (
     ZeroDenominator,
 )
 from .kernels import (  # normalize_rows is unused here, but perfbench/tracer.py wraps it by name
-    GaussianKernel, Kernel, SelfKernel, _check_count, _divide, _local_weights, _nearest, _pairwise, _row_blocks,
-    as_point, as_point_set, local_reduce, normalize_rows, pairwise_sq_dists, softmax_rows, uniform,
+    GaussianKernel, Kernel, SelfKernel, _check_count, _check_sign, _divide, _local_weights, _nearest, _pairwise,
+    _row_blocks, as_point, as_point_set, local_reduce, normalize_rows, pairwise_sq_dists, softmax_rows, uniform,
 )
 
 __all__ = [
@@ -232,6 +231,8 @@ def local_mean_predict(k: Kernel, data: Dataset, x_star, fallback="error"):
     ``"nearest-neighbor"`` returns the closest sample's target.
     """
     data.require("real")
+    if fallback not in ("error", "nearest-neighbor"):
+        raise InvalidParameter(f"unknown fallback {fallback!r}")
     means, empty = local_reduce(k, as_point(x_star)[None, :], data.X, data.y)
     if empty[0]:
         if fallback == "nearest-neighbor":
@@ -357,8 +358,7 @@ def _local_linear_blocks(k: Kernel, X: np.ndarray, Q: np.ndarray, lam: float):
     One solve covers the block.  With ``skip_self`` (Q is X), row i gives
     sample ``rows.start + i`` weight 0: the fit without it.  That zeroes the
     block's gram in place, so a block's in-sample fit, if wanted, comes first.
-    Negative weights raise ``DesmoothingInput``: a desmoothing kernel's before
-    any gram, a signed kernel's per block; nonnegative kernels take no check.
+    :func:`_check_sign` admits the weights, a desmoothing kernel's before any gram.
     """
     n, d = X.shape[0], X.shape[1] + 1
     m = X.mean(axis=0)
@@ -388,13 +388,10 @@ def _local_linear_blocks(k: Kernel, X: np.ndarray, Q: np.ndarray, lam: float):
             raise SingularSystem("local linear weights are not finite: check the kernel weights")
         return L, jittered
 
-    sign = k.sign_class
-    if sign == "desmoothing":
-        raise DesmoothingInput("cannot average desmoothing or negative kernel weights")
+    _check_sign(k)
     for rows in _row_blocks(Q.shape[0], n):
         W = k.gram_values(Q[rows], X)
-        if sign == "signed" and (W < 0).any():
-            raise DesmoothingInput("cannot average desmoothing or negative kernel weights")
+        _check_sign(k, W)
         yield rows, functools.partial(fit, rows, W)
 
 

@@ -15,8 +15,8 @@ Conventions
   constant: row normalization absorbs constants, so the local-mean side of
   the library never needs them.  (Density-normalized forms live in
   :mod:`locuskit.density`.)
-* Difference kernels can go negative; their grams carry a ``desmoothing``
-  flag and are rejected by :func:`normalize_rows`.
+* Averaged weights have one sign: :func:`_check_sign` holds the rule, and
+  a gram's ``desmoothing`` flag, which :func:`normalize_rows` rejects, is its verdict.
 """
 
 from __future__ import annotations
@@ -230,17 +230,14 @@ class Kernel:
 
     Subclasses implement :meth:`eval` on a pair of points and
     :meth:`gram_values` on whole point sets.
-
-    ``sign_class`` records how entries may behave: ``"nonnegative"`` for the
-    usual localization kinds, ``"signed"`` for kinds that may dip negative
-    without being desmoothing operators (dot-relation feature kernels,
-    concrete matrices with negative cells), and ``"desmoothing"`` for
-    difference kernels, which are always quarantined from normalization.
     """
 
     @property
     def sign_class(self) -> str:
-        """The most permissive class among the kernels in this kind's nested fields; ``"nonnegative"`` without any."""
+        """How entries may behave: ``"nonnegative"`` for the usual localization kinds, ``"signed"`` for kinds that may
+        dip negative without being desmoothing operators (dot-relation feature kernels, concrete matrices with
+        negative cells), ``"desmoothing"`` for difference kernels.  :func:`_check_sign` reads it.  A composite kind
+        takes the most permissive class among the kernels in its nested fields; ``"nonnegative"`` without any."""
         nested = next((names for cls, names in _KINDS.values() if isinstance(self, cls)), ())
         parts = [k for name in nested for k in (self.parts if name == "parts" else (getattr(self, name),))]
         return max((k.sign_class for k in parts), key=_SIGN_ORDER.__getitem__, default="nonnegative")
@@ -827,7 +824,8 @@ def eval_kernel(k: Kernel, x, y) -> float:
 
 @dataclass(frozen=True)
 class KernelMatrix:
-    """Dense N x M kernel weights with provenance."""
+    """Dense N x M kernel weights with provenance; an unflagged matrix has no negative entry when it is built.
+    Grams hold that by :func:`_check_sign`; the scan here covers hand-built matrices and ``temporal_gram``'s factors."""
 
     values: np.ndarray
     kernel_id: str = "anonymous"
@@ -872,23 +870,25 @@ class LaplacianView:
 def gram(k: Kernel, rows, cols, rows_id="rows", cols_id="cols") -> KernelMatrix:
     """Kernel matrix ``K(rows, cols)`` with entry [i, j] = K(rows[i], cols[j])."""
     values = k.gram_values(rows, cols)
+    return KernelMatrix(values, repr(k), rows_id, cols_id, desmoothing=_check_sign(k, values, raises=False))
+
+
+def _check_sign(k: Kernel, W=None, raises: bool = True) -> bool:
+    """The library's one sign rule for averaged weights: whether kernel k's weights W are refused.
+
+    The kernel's ``sign_class`` decides.  A desmoothing class is refused whatever W is, so callers ask with W None
+    before any gram; a signed class is refused when W has a negative entry; a nonnegative class's W is never
+    scanned.  A refusal raises ``DesmoothingInput``, unless ``raises`` is false (a gram's desmoothing flag).
+    """
     sign = k.sign_class
-    desmooth = sign == "desmoothing" or (sign == "signed" and bool((values < 0).any()))
-    return KernelMatrix(
-        values=values,
-        kernel_id=repr(k),
-        rows_id=rows_id,
-        cols_id=cols_id,
-        desmoothing=desmooth,
-    )
+    refused = sign == "desmoothing" or (sign == "signed" and W is not None and bool((W < 0).any()))
+    if refused and raises:
+        raise DesmoothingInput("cannot average desmoothing or negative kernel weights")
+    return refused
 
 
 def _matrix_values(K) -> np.ndarray:
-    if isinstance(K, KernelMatrix):
-        return K.values
-    if isinstance(K, StochasticMatrix):
-        return K.values
-    return np.asarray(K, dtype=float)
+    return K.values if isinstance(K, (KernelMatrix, StochasticMatrix)) else np.asarray(K, dtype=float)
 
 
 def normalize_rows(K) -> StochasticMatrix:
@@ -983,15 +983,15 @@ def _sq_dist_blocks(Q, X):
 def _local_weights(k: Kernel, Q, X, skip_from=None) -> np.ndarray:
     """Weights of Q's rows over X for a local mean; Gaussian rows are max-shifted in the log domain.
 
-    ``skip_from=s`` drops sample ``s + i`` from row i; negative weights raise ``DesmoothingInput``.
+    ``skip_from=s`` drops sample ``s + i`` from row i; :func:`_check_sign` admits other kernels' weights.
     """
     if isinstance(k, GaussianKernel):
         return _gaussian_in_place(pairwise_sq_dists(Q, X), k.h, skip_from, shift=True)
+    _check_sign(k)
     W = k.gram_values(Q, X)
     if skip_from is not None:
         np.fill_diagonal(W[:, skip_from:], 0.0)
-    if k.sign_class == "desmoothing" or (W < 0).any():
-        raise DesmoothingInput("cannot average desmoothing or negative kernel weights")
+    _check_sign(k, W)
     return W
 
 
@@ -1000,12 +1000,14 @@ def local_reduce(k: Kernel, Q, X, Y, skip_self: bool = False):
 
     Returns ``(means, empty)``, NaN where empty.  Gaussian weights are max-shifted
     in the log domain, so only other kernels' exact zeros empty a row.
-    ``skip_self`` drops sample i from row i; negative weights raise ``DesmoothingInput``.
+    ``skip_self`` drops sample i from row i; :func:`_check_sign` admits other kernels' weights.
     """
     Q, X, Y = as_point_set(Q), as_point_set(X), as_point_set(Y)
     means = np.empty((Q.shape[0], Y.shape[1]))
     deg = np.empty(Q.shape[0])
     is_gaussian = isinstance(k, GaussianKernel)
+    if not is_gaussian:
+        _check_sign(k)  # before any gram, even with no query
     blocks = _sq_dist_blocks(Q, X) if is_gaussian else ((rows, None) for rows in _row_blocks(Q.shape[0], X.shape[0]))
     for rows, D in blocks:
         skip = rows.start if skip_self else None
@@ -1026,7 +1028,7 @@ def laplacian_of(K) -> LaplacianView:
         raise InvalidParameter("Laplacian input must be non-negative")
     degrees = vals.sum(axis=1)
     raw = np.diag(degrees) - vals
-    normalized = np.eye(vals.shape[0]) - normalize_rows(vals).values
+    normalized = np.eye(vals.shape[0]) - normalize_rows(K).values  # K itself, so a desmoothing flag is refused
     return LaplacianView(raw=raw, normalized=normalized)
 
 

@@ -149,10 +149,9 @@ def temporal_local_mean(seq: Sequence, gram_matrix) -> Sequence:
     Rows with zero degree (a causal+hollow first row, say) pass through
     unchanged.
     """
-    vals = _matrix_values(gram_matrix)
-    if vals.shape != (seq.length, seq.length):
+    if _matrix_values(gram_matrix).shape != (seq.length, seq.length):
         raise DimensionMismatch("gram must be T x T for the sequence")
-    S = normalize_rows(vals)
+    S = normalize_rows(gram_matrix)  # the matrix itself, so a desmoothing flag is refused
     out = S.values @ seq.tokens
     if S.empty_rows.size:
         out[S.empty_rows] = seq.tokens[S.empty_rows]

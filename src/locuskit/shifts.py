@@ -12,11 +12,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DesmoothingInput, EmptyNeighborhood, InvalidParameter
+from .errors import EmptyNeighborhood, InvalidParameter
 from .estimators import Dataset, LocalPcaBasis, local_pca
 from .kernels import (  # normalize_rows is unused here, but perfbench/tracer.py wraps it by name
-    Kernel, _block_height, _check_count, _is_integer, _pairwise, _row_blocks, as_point_set, gram, local_reduce,
-    normalize_rows, pairwise_sq_dists,
+    Kernel, _block_height, _check_count, _check_sign, _is_integer, _pairwise, _row_blocks, as_point_set,
+    local_reduce, normalize_rows, pairwise_sq_dists,
 )
 
 __all__ = [
@@ -390,14 +390,14 @@ def _relax(k: Kernel, X, init, mode, max_iter, tol):
             raise InvalidParameter("hard init must be a length-N vector of integer labels >= 0")
         R = np.equal.outer(R.astype(int), np.arange(int(R.max()) + 1)) * 1.0  # one-hot rows: both modes sweep K @ R
     max_iter = _check_count(max_iter, "max_iter", low=0)
-    G = gram(k, X, X)
-    if G.desmoothing:
-        raise DesmoothingInput("cannot relax labels through a desmoothing or negative gram")
-    frozen = G.values.sum(axis=1) == 0
+    _check_sign(k)  # a difference kernel fails before the N x N gram
+    G = k.gram_values(X, X)
+    _check_sign(k, G)
+    frozen = G.sum(axis=1) == 0
     sweeps, converged = 0, False
     while sweeps < max_iter and not converged:
         sweeps += 1
-        new = G.values @ R
+        new = G @ R
         new[frozen] = R[frozen]
         if mode == "soft":
             sums = new.sum(axis=1, keepdims=True)

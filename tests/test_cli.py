@@ -799,3 +799,11 @@ def test_local_fits_of_a_difference_kernel_exit_two(tmp_path, capsys, task):
     kernel = {"kind": "difference", "first": {"kind": "gaussian", "h": 0.6}, "second": {"kind": "gaussian", "h": 0.3}}
     cfg = write_config(tmp_path, "c.json", {**_SINE, "kernel": kernel})
     assert "cannot average desmoothing or negative kernel weights" in assert_validation_exit(tmp_path, capsys, task, cfg)
+
+
+@pytest.mark.parametrize("task", ["classify-local", "cluster-meanshift", "cluster-relax"])
+def test_two_blobs_tasks_of_a_difference_kernel_exit_two(tmp_path, capsys, task):
+    kernel = {"kind": "difference", "first": {"kind": "gaussian", "h": 0.6}, "second": {"kind": "gaussian", "h": 0.3}}
+    base = _RELAX if task == "cluster-relax" else {"input": "bundled:two-blobs", "seed": 1}
+    cfg = write_config(tmp_path, "c.json", {**base, "kernel": kernel})
+    assert "cannot average desmoothing or negative kernel weights" in assert_validation_exit(tmp_path, capsys, task, cfg)

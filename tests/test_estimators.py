@@ -121,6 +121,16 @@ class TestLocalMean:
             epanechnikov(0.5), data, [50.0], fallback="nearest-neighbor"
         ) == 4.0
 
+    @pytest.mark.parametrize("query", [[0.0], [50.0]], ids=["weighted", "empty"])
+    def test_unknown_fallback_is_rejected_before_any_weight(self, query, monkeypatch):
+        def no_weights(*args, **kwargs):
+            raise AssertionError("weights computed")
+
+        monkeypatch.setattr("locuskit.estimators.local_reduce", no_weights)
+        data = Dataset([[0.0], [1.0]], [3.0, 4.0])
+        with pytest.raises(errors.InvalidParameter, match="unknown fallback 'bogus'"):
+            local_mean_predict(epanechnikov(0.5), data, query, fallback="bogus")
+
     def test_midway_gaussian_query_does_not_underflow(self):
         # every weight underflows to 0 in the linear domain (exp(-1250))
         data = Dataset([[0.0], [1.0]], [0.0, 1.0])

@@ -306,6 +306,51 @@ def test_the_sign_table_covers_every_composite_kind_but_difference():
     assert set(_COMPOSITES) == {kind for kind, (_, nested) in kernels._KINDS.items() if nested} - {"difference"}
 
 
+_X = np.linspace(0.0, 1.0, 10)
+_XY = np.column_stack([_X, _X**2])
+_CLASSES = (_X > 0.5).astype(int)
+# every entry point that averages kernel weights -> (whether it refuses a difference kernel before any gram, call)
+_AVERAGING = {
+    "normalize_rows-gram": (False, lambda k: normalize_rows(gram(k, _X, _X))),
+    "local_reduce": (True, lambda k: local_reduce(k, _X, _X, _X)),
+    "local_reduce-no-query": (True, lambda k: local_reduce(k, np.empty((0, 1)), _X, _X)),
+    "lazy_transform": (True, lambda k: estimators.lazy_transform(k, estimators.Dataset(_X, _X), _X)),
+    "local_linear_transform": (True, lambda k: estimators.local_linear_transform(k, estimators.Dataset(_X, _X), _X)),
+    "relaxation_label-hard": (True, lambda k: shifts.relaxation_label(k, _X, _CLASSES, mode="hard")),
+    "relaxation_label-soft": (True, lambda k: shifts.relaxation_label(k, _X, np.eye(2)[_CLASSES], mode="soft")),
+    "temporal_local_mean": (False, lambda k: sequence.temporal_local_mean(
+        sequence.Sequence(_XY), sequence.temporal_gram(k, sequence.PositionEncoding(), sequence.Sequence(_XY)))),
+    "transformer_layer": (False, lambda k: sequence.transformer_encode(
+        sequence.Sequence(_XY), [sequence.TransformerLayer(kernel=k)])),
+    "temporal_mean_model": (True, lambda k: sequence.TemporalMeanModel(k).next_token(sequence.Sequence(_XY))),
+    "laplacian_of-gram": (False, lambda k: laplacian_of(gram(k, _X, _X))),
+    "local_pca": (True, lambda k: estimators.local_pca(k, estimators.Dataset(_XY), _XY[4], 1)),
+    "monte_carlo_local_mean": (True, lambda k: estimators.monte_carlo_local_mean(
+        k, estimators.Dataset(_X, _X), [0.5], 5, rng_seed=0)),
+    "local_centerless_classify": (True, lambda k: estimators.local_centerless_classify(
+        k, pairwise_sq_dists, estimators.Dataset(_X, _CLASSES), [0.5])),
+}
+
+
+@pytest.mark.parametrize("entry", _AVERAGING)
+def test_every_averaging_entry_point_refuses_a_difference_kernel(entry, monkeypatch):
+    before_any_gram, call = _AVERAGING[entry]
+    calls = []
+    original = kernels.GaussianKernel.gram_values
+
+    def counting(self, rows, cols):
+        calls.append(len(rows))
+        return original(self, rows, cols)
+
+    monkeypatch.setattr(kernels.GaussianKernel, "gram_values", counting)
+    # G(0.6) - G(0.3) is >= 0 everywhere, yet desmoothing
+    with pytest.raises(errors.DesmoothingInput):
+        call(derive_kernel("difference", gaussian(0.6), gaussian(0.3)))
+    if before_any_gram:
+        assert calls == []
+    call(gaussian(0.6))  # the same call averages a smoothing kernel
+
+
 _HOLLOW_POINTS = np.array([[0.0, 0.0], [0.3, 0.0], [2.0, 0.0], [0.0, 0.0], [2.0, 2.5], [2.1, 2.4]])
 _A = np.array([[1.0, -2.0, 0.5, 0.0], [0.25, 1.5, 1.0, -1.0], [3.0, 0.5, 2.0, 1.0]])
 _B = np.array([[0.5, 1.0], [-1.0, 2.0], [0.0, 0.75], [1.5, -0.5]])
