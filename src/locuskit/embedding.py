@@ -141,12 +141,70 @@ def _knn_lle_matrix(neighbors: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
 
 _MAX_SHIFTED_SOLVES = 10  # lle_embed's inverse iteration steps before it falls back to the full eigh
+_BLOCK = 64  # the panel width of _cholesky_in_place and the row block of _cholesky_solve and _symmetric_product
+
+
+def _lle_matrix(Kt) -> np.ndarray:
+    """M for ``lle_embed``'s ``Kt``: from the ``(neighbors, weights)`` pair, or from a square stochastic matrix."""
+    return _knn_lle_matrix(*Kt) if isinstance(Kt, tuple) else _dense_lle_matrix(Kt)
+
+
+def _cholesky_in_place(M: np.ndarray) -> None:
+    """Overwrite the lower triangle of a symmetric positive definite M with its Cholesky factor L, ``M = L L^T``.
+
+    Left-looking and blocked: each panel of ``_BLOCK`` columns takes its GEMM update from the columns already
+    factored, then ``np.linalg.cholesky`` of its diagonal block and ``np.linalg.solve`` for the rows below it,
+    which are updated in place.  So the temporaries are at most N x ``_BLOCK``, only the lower triangle is read,
+    and the strict upper triangle is left as it was.  Raises ``LinAlgError`` when M is not numerically positive definite, with
+    the lower triangle then partly overwritten."""
+    n = M.shape[0]
+    for a in range(0, n, _BLOCK):
+        b = min(a + _BLOCK, n)
+        L = np.linalg.cholesky(M[a:b, a:b] - M[a:b, :a] @ M[a:b, :a].T)
+        np.copyto(M[a:b, a:b], L, where=np.tri(b - a, dtype=bool))
+        M[b:, a:b] -= M[b:, :a] @ M[a:b, :a].T
+        M[b:, a:b] = np.linalg.solve(L, M[b:, a:b].T).T
+
+
+def _cholesky_solve(M: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """X with ``L L^T X = B``, for the factor L that ``_cholesky_in_place`` left in M's lower triangle.
+
+    A forward and then a backward substitution over row blocks of ``_BLOCK``: each block subtracts, by one
+    GEMM, the rows already solved, then takes ``np.linalg.solve`` against its triangular diagonal block."""
+    n = M.shape[0]
+    starts = range(0, n, _BLOCK)
+    X = np.empty_like(B)
+    for a in starts:
+        b = min(a + _BLOCK, n)
+        X[a:b] = np.linalg.solve(np.tril(M[a:b, a:b]), B[a:b] - M[a:b, :a] @ X[:a])
+    for a in reversed(starts):
+        b = min(a + _BLOCK, n)
+        X[a:b] = np.linalg.solve(np.tril(M[a:b, a:b]).T, X[a:b] - M[b:, a:b].T @ X[b:])
+    return X
+
+
+def _symmetric_product(M: np.ndarray, diagonal: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """S Q for the symmetric S with M's strict upper triangle and the given diagonal; M's lower triangle is
+    not read.  Per row block of ``_BLOCK``, the strict upper triangle right of the diagonal acts on Q once as
+    it stands and once transposed."""
+    n = M.shape[0]
+    SQ = diagonal[:, None] * Q
+    for a in range(0, n, _BLOCK):
+        b = min(a + _BLOCK, n)
+        U = np.triu(M[a:b, a:b], 1)
+        SQ[a:b] += (U + U.T) @ Q[a:b] + M[a:b, b:] @ Q[b:]
+        SQ[b:] += M[a:b, b:].T @ Q[a:b]
+    return SQ
 
 
 def _bottom_eigenpairs(M: np.ndarray, k: int):
-    """The k smallest eigenpairs of a symmetric M by shifted block inverse
-    iteration, as ``(values, vectors, solves)``, or None when the iteration
-    cannot be trusted.  M is shifted in place and restored before returning."""
+    """The k smallest eigenpairs of a symmetric M by shifted block inverse iteration, as ``(values, vectors,
+    solves)``, or None when the iteration cannot be trusted.
+
+    ``M + sigma I`` is factored once, in place, by ``_cholesky_in_place``, so M's lower triangle and diagonal
+    are consumed: a caller that needs M again, after a None too, rebuilds it.  Each step solves against the
+    factor by ``_cholesky_solve``, and forms ``M Q`` for Rayleigh-Ritz and the residual test from M's kept
+    strict upper triangle and a copy of its diagonal, so the test measures M itself."""
     n = M.shape[0]
     sigma = 1e-9 * np.trace(M) / n
     if not sigma > 0:
@@ -155,21 +213,20 @@ def _bottom_eigenpairs(M: np.ndarray, k: int):
     diagonal = M.diagonal().copy()
     M.flat[:: n + 1] += sigma
     try:
+        _cholesky_in_place(M)
         Q = np.linalg.qr(np.random.default_rng(0).standard_normal((n, k + 8)))[0]
         for solves in range(1, _MAX_SHIFTED_SOLVES + 1):
-            Y = np.linalg.solve(M, Q)
+            Y = _cholesky_solve(M, Q)
             if not np.isfinite(Y).all():
                 return None
             Q = np.linalg.qr(Y)[0]
-            MQ = M @ Q
+            MQ = _symmetric_product(M, diagonal, Q)
             theta, V = np.linalg.eigh(Q.T @ MQ)
             Q = Q @ V
             if np.linalg.norm(MQ @ V[:, :k] - Q[:, :k] * theta[:k], axis=0).max() <= tol:
-                return theta[:k] - sigma, Q[:, :k], solves
+                return theta[:k], Q[:, :k], solves
     except np.linalg.LinAlgError:
         return None
-    finally:
-        np.fill_diagonal(M, diagonal)
     return None
 
 
@@ -178,27 +235,32 @@ def lle_embed(Kt, r: int) -> EmbeddingResult:
 
     ``Kt`` is a square stochastic matrix, or the pair ``(neighbors, weights)``
     of N x k arrays that ``_lle_knn_weights`` returns.  From the pair, M is
-    assembled from the N k nonzeros and no dense K_tilde is formed; then M,
-    and the copy of it each linear solve makes, are the only N x N arrays.
+    assembled from the N k nonzeros and no dense K_tilde is formed, so M is
+    the only N x N array.
 
     The smallest eigenvector (the constant direction of a stochastic matrix)
     is discarded; the next r are scaled to column norm sqrt(N), so
     Z^T Z / N = I.  The stored objective is the sum of the kept eigenvalues.
 
     The r + 1 smallest eigenpairs come from block inverse iteration on
-    ``M + sigma I`` with ``sigma = 1e-9 trace(M) / N``: r + 9 columns from a
-    fixed seed, one linear solve per step, each step followed by
-    Rayleigh-Ritz.  It stops once every kept pair has
-    ``||M q - lambda q|| <= 1e-14 ||M||_inf``; ``iterations`` counts the solves.
-    When sigma is not positive, a solve fails or is not finite, or the test is
-    not met within ``_MAX_SHIFTED_SOLVES`` solves, the full ``eigh`` of M
-    gives the result and ``iterations`` is 0.
+    ``M + sigma I`` with ``sigma = 1e-9 trace(M) / N``, factored once by a
+    blocked Cholesky written over M's lower triangle (no LU solve of M runs):
+    r + 9 columns from a fixed seed, two blocked triangular substitutions per
+    step, each step followed by Rayleigh-Ritz on ``M Q`` taken from M's
+    strict upper triangle and diagonal.  It stops once every kept pair has
+    ``||M q - lambda q|| <= 1e-14 ||M||_inf``; ``iterations`` counts the steps.
+    When sigma is not positive, the factor fails, a step is not finite, or the
+    test is not met within ``_MAX_SHIFTED_SOLVES`` steps, the consumed M is
+    dropped and built again, and its full ``eigh`` gives the result with
+    ``iterations`` 0.
     """
-    M = _knn_lle_matrix(*Kt) if isinstance(Kt, tuple) else _dense_lle_matrix(Kt)
+    M = _lle_matrix(Kt)
     n = M.shape[0]
     r = _check_count(r, "embedding dimension r", 1, n - 2)
     found = _bottom_eigenpairs(M, r + 1)
     if found is None:
+        del M  # the factor overwrote its lower triangle; free it before the rebuild so one N x N is held
+        M = _lle_matrix(Kt)
         try:
             eigvals, eigvecs = np.linalg.eigh(M)
         except np.linalg.LinAlgError as exc:

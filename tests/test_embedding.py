@@ -233,6 +233,79 @@ class TestLleSolver:
             tracemalloc.stop()
         assert peak <= 2 * n * n * 8 + 2**20
 
+    @staticmethod
+    def spd(n):
+        G = np.random.default_rng(n).standard_normal((n, n))
+        return G @ G.T + n * np.eye(n)
+
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 200])
+    def test_in_place_factor_matches_numpy_and_keeps_the_upper_triangle(self, n):
+        A = self.spd(n)
+        M = A.copy()
+        embedding._cholesky_in_place(M)
+        L = np.linalg.cholesky(A)
+        np.testing.assert_allclose(np.tril(M), L, rtol=0, atol=n * np.finfo(float).eps * np.abs(A).max())
+        np.testing.assert_array_equal(np.triu(M, 1), np.triu(A, 1))
+
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 200])
+    def test_blocked_substitutions_match_solve(self, n):
+        A = self.spd(n)
+        B = np.random.default_rng(n + 1).standard_normal((n, 5))
+        M = A.copy()
+        embedding._cholesky_in_place(M)
+        want = np.linalg.solve(A, B)
+        np.testing.assert_allclose(embedding._cholesky_solve(M, B), want, rtol=0, atol=1e-12 * np.abs(want).max())
+
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 200])
+    def test_upper_triangle_product_matches_the_full_product(self, n):
+        A = self.spd(n)
+        Q = np.random.default_rng(n + 2).standard_normal((n, 5))
+        M = A.copy()
+        M[np.tril_indices(n)] = np.nan  # the product must not read the lower triangle or the diagonal
+        bound = n * np.finfo(float).eps * (np.abs(A) @ np.abs(Q)).max()
+        np.testing.assert_allclose(embedding._symmetric_product(M, A.diagonal().copy(), Q), A @ Q, rtol=0, atol=bound)
+
+    def test_factor_failure_falls_back_to_eigh(self, monkeypatch):
+        X, _ = swiss_roll(300, 1)
+        S = lle_weights(X, 10)
+        cholesky, calls = np.linalg.cholesky, []
+
+        def failing_third_block(a):
+            # the first two panels are already written over M's lower triangle when the factor fails
+            calls.append(a.shape)
+            if len(calls) == 3:
+                raise np.linalg.LinAlgError("forced")
+            return cholesky(a)
+
+        monkeypatch.setattr(np.linalg, "cholesky", failing_third_block)
+        res = lle_embed(S, 2)
+        assert len(calls) == 3
+        assert res.iterations == 0
+        eigvals, eigvecs = np.linalg.eigh(lle_matrix(S.values))
+        np.testing.assert_array_equal(res.Z, _fix_signs(eigvecs[:, 1:3]) * np.sqrt(300))
+        assert res.objective == float(eigvals[1:3].sum())
+
+    @pytest.mark.parametrize("dense", [False, True], ids=["knn-pair", "stochastic-matrix"])
+    def test_no_square_operand_reaches_lapack(self, monkeypatch, dense):
+        n = 300
+        X, _ = swiss_roll(n, 2)
+        Kt = lle_weights(X, 10) if dense else embedding._lle_knn_weights(X, 10)
+        shapes = []
+
+        def recording(f):
+            def wrapper(*args, **kwargs):
+                shapes.extend(np.shape(a) for a in args)
+                return f(*args, **kwargs)
+
+            return wrapper
+
+        for name in ("solve", "cholesky", "inv", "eigh"):
+            monkeypatch.setattr(np.linalg, name, recording(getattr(np.linalg, name)))
+        res = lle_embed(Kt, 2)
+        assert res.iterations > 0
+        assert shapes
+        assert all(s[-2:] != (n, n) for s in shapes)
+
 
 class TestAmds:
     def test_rank_q_exact(self):
